@@ -6,7 +6,8 @@
 //! run once through the successive-halving driver and once exhaustively, with the
 //! survivor trace in the fingerprint), a `matmul_kernels` microbench (the cache-blocked
 //! `Matrix` kernel family at serving- and training-shaped GEMMs, with the output bits
-//! in the fingerprint and GFLOP/s in the JSON), a `serve_throughput` stage (a scaled-up
+//! in the fingerprint and GFLOP/s plus the dispatched instruction-set level in the
+//! JSON), a `serve_throughput` stage (a scaled-up
 //! synthetic fleet streamed through the online `uerl-serve` subsystem, with the
 //! serving-vs-offline parity verdict in the fingerprint) and a `quant_parity` stage
 //! (the same serving stream replayed decision-for-decision under the full-precision
@@ -65,7 +66,7 @@ use uerl_eval::run::run_policy;
 use uerl_eval::scenario::ExperimentContext;
 use uerl_forest::{RandomForest, RandomForestConfig};
 use uerl_jobs::{JobLogConfig, JobTraceGenerator, NodeJobSampler};
-use uerl_nn::Matrix;
+use uerl_nn::{kernel_isa, Matrix};
 use uerl_rl::HyperSearch;
 use uerl_serve::{
     merged_fleet_stream, FleetServer, RecordRetention, ServeConfig, ServeReport, ShadowPolicy,
@@ -580,7 +581,8 @@ fn main() {
     // fingerprint is an FNV digest over the exact output bits — any change to a
     // kernel's reduction order shows up here before it shows up as a parity failure —
     // and the per-family GFLOP/s of the last run lands in `kernel_stats` for the JSON
-    // summary (wall time stays out of the fingerprint).
+    // summary (wall time stays out of the fingerprint), beside the instruction-set
+    // level the kernels dispatched to, so figures from different hosts compare.
     let kernel_stats: Arc<Mutex<Option<(f64, f64, f64)>>> = Arc::new(Mutex::new(None));
     let matmul_stage = {
         let stats = Arc::clone(&kernel_stats);
@@ -895,7 +897,8 @@ fn main() {
     }
     if let Some((nn, tn, nt)) = kernels {
         json.push_str(&format!(
-            "  \"matmul_kernels\": {{\"nn_gflops\": {nn:.3}, \"tn_acc_gflops\": {tn:.3}, \"nt_gflops\": {nt:.3}}},\n"
+            "  \"matmul_kernels\": {{\"kernel_isa\": \"{}\", \"nn_gflops\": {nn:.3}, \"tn_acc_gflops\": {tn:.3}, \"nt_gflops\": {nt:.3}}},\n",
+            kernel_isa()
         ));
     }
     if let Some((decisions, matches, rate, full_cost, i8_cost, delta_pct)) = quant {
@@ -958,7 +961,10 @@ fn main() {
         );
     }
     if let Some((nn, tn, nt)) = kernels {
-        eprintln!("[perf_report] kernels: NN {nn:.2} / TN-acc {tn:.2} / NT {nt:.2} GFLOP/s");
+        eprintln!(
+            "[perf_report] kernels ({}): NN {nn:.2} / TN-acc {tn:.2} / NT {nt:.2} GFLOP/s",
+            kernel_isa()
+        );
     }
     if let Some((decisions, matches, rate, _, _, delta_pct)) = quant {
         eprintln!(

@@ -156,9 +156,11 @@ impl DenseLayer {
         grad_z.matmul_nt(&self.weights)
     }
 
-    /// Reset the accumulated gradients to zero.
+    /// Reset the accumulated gradients to zero. Overwrites rather than scales: under
+    /// IEEE 754 `0·NaN` and `0·∞` are NaN, so scaling by zero would let one non-finite
+    /// gradient survive every clear.
     pub fn clear_gradients(&mut self) {
-        self.grad_weights.scale_assign(0.0);
+        self.grad_weights.data_mut().fill(0.0);
         for g in &mut self.grad_bias {
             *g = 0.0;
         }
@@ -281,6 +283,24 @@ mod tests {
         l.clear_gradients();
         assert_eq!(l.grad_weights().frobenius_norm(), 0.0);
         assert!(l.grad_bias().iter().all(|&b| b == 0.0));
+    }
+
+    #[test]
+    fn clear_gradients_resets_non_finite_entries_to_positive_zero() {
+        let mut l = layer(Activation::Identity);
+        let x = Matrix::from_vec(1, 3, vec![1.0, -2.0, 3.0]);
+        let _ = l.forward_train(&x);
+        let _ = l.backward(&Matrix::from_vec(1, 2, vec![f64::NAN, f64::INFINITY]));
+        assert!(l.grad_weights().data().iter().any(|g| g.is_nan()));
+        assert!(l.grad_weights().data().iter().any(|g| g.is_infinite()));
+        l.clear_gradients();
+        let positive_zero = 0.0f64.to_bits();
+        assert!(l
+            .grad_weights()
+            .data()
+            .iter()
+            .chain(l.grad_bias())
+            .all(|g| g.to_bits() == positive_zero));
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //! implements the needed pieces from scratch:
 //!
 //! * [`matrix`] — a minimal row-major `f64` matrix with cache-blocked, batch-size-
-//!   invariant matmul kernels (the operations a dense MLP needs);
+//!   invariant matmul kernels (the operations a dense MLP needs), dispatched at run
+//!   time to the CPU's best SIMD level with the same bits at every level
+//!   ([`kernel_isa`] reports the level);
 //! * [`init`] — He / Xavier weight initialisation;
 //! * [`activation`] — ReLU / leaky ReLU / tanh / sigmoid / identity activations;
 //! * [`layer`] — a dense (fully-connected) layer with forward and backward passes;
@@ -40,7 +42,7 @@ pub use dueling::DuelingQNetwork;
 pub use init::WeightInit;
 pub use layer::DenseLayer;
 pub use loss::Loss;
-pub use matrix::Matrix;
+pub use matrix::{kernel_isa, Matrix};
 pub use network::{BatchScratch, Mlp, MlpConfig};
 pub use optim::{Adam, Optimizer, RmsProp, Sgd};
 pub use quant::{

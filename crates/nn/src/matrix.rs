@@ -7,15 +7,21 @@
 //!
 //! # Kernel design and the reduction-order contract
 //!
-//! Every kernel processes fixed-width register tiles: [`MR`] output rows × [`NR`]
-//! contiguous output lanes accumulate in local arrays (which the autovectorizer keeps
-//! in SIMD registers), and the inner loop walks the shared dimension once with the
-//! operand panels loaded contiguously. Edge tiles fall back to narrower tiles and a
-//! scalar column loop.
+//! Every kernel processes fixed-width register tiles whose accumulators live in local
+//! arrays (which the autovectorizer keeps in SIMD registers), and the inner loop walks
+//! the shared dimension once with the operand panels loaded contiguously:
+//!
+//! - `matmul` / `matmul_into`: [`MR`] output rows × [`NR`] contiguous lanes; the
+//!   `m % MR` edge rows (every row of a batch of 1–3, the serving case) use a single-row
+//!   tile of `W` contiguous lanes sized to the instruction set (see below), then `NR`
+//!   lanes, then a scalar column loop.
+//! - `matmul_tn_acc`: [`MR`] accumulator rows × [`NR`] lanes, then narrower edges.
+//! - `matmul_nt` / `matmul_nt_into`: [`NT_OUTS`] dot products per pass over the left
+//!   row, then single dot products for the `n % NT_OUTS` edge outputs.
 //!
 //! The load-bearing invariant is that the **per-output-element reduction order is a
 //! function of the inner dimension only** — never of the batch size, the tile the
-//! element landed in, or the thread count:
+//! element landed in, the instruction set, or the thread count:
 //!
 //! - `matmul` / `matmul_into` / `matmul_tn_acc`: element `(i, j)` is the strict
 //!   ascending-`k` sum `((..(a_{i0}·b_{0j}) + a_{i1}·b_{1j}) + ..)`, exactly the order
@@ -33,10 +39,29 @@
 //!
 //! Products deliberately do **not** skip zero operands: `0·∞` and `0·NaN` must produce
 //! NaN (IEEE 754), and a data-dependent branch in the inner loop defeats
-//! vectorization. The kernels use plain mul-then-add (no `mul_add`) so results do not
-//! depend on whether the build target has fused-multiply-add hardware.
+//! vectorization.
+//!
+//! # Instruction-set dispatch
+//!
+//! The build targets baseline x86-64 (SSE2), which leaves the kernels at two f64 lanes
+//! per instruction. So each kernel body is an `#[inline(always)]` function compiled
+//! once per level — baseline, `avx2` and `avx512f` — through `#[target_feature]`
+//! wrappers, and the best level the CPU reports (`is_x86_feature_detected!`, cached on
+//! first use) is picked at run time. [`kernel_isa`] names the level in use. Other
+//! architectures compile only the baseline body. The levels differ only in the
+//! single-row tile width `W`: 16 lanes baseline, 32 AVX2, 64 AVX-512 — eight vector
+//! registers of accumulators each, enough independent adds to hide the add latency of
+//! a batch-1 forward pass.
+//!
+//! The results do not depend on the level, bit for bit. The kernels use plain
+//! mul-then-add: `fma` is never enabled and `mul_add` never called, and Rust never
+//! contracts a multiply and an add into a fused one, so every product and every sum
+//! rounds exactly as the scalar code says. Vectorization only runs independent
+//! elements side by side; each element's reduction order is fixed by the code above,
+//! whatever the register width.
 
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// Output rows advanced together by one register tile.
 const MR: usize = 4;
@@ -44,6 +69,72 @@ const MR: usize = 4;
 const NR: usize = 8;
 /// Interleaved partial-sum lanes of the `matmul_nt` dot-product kernel.
 const DOT_LANES: usize = 8;
+/// Dot products the `matmul_nt` kernel computes per pass over the left row.
+const NT_OUTS: usize = 4;
+
+/// An instruction-set level the product kernels are compiled for.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Isa {
+    Baseline,
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+}
+
+impl Isa {
+    /// Every level the running CPU supports, best first. A non-baseline `Isa` value is
+    /// only ever created here, after its `is_x86_feature_detected!` check succeeded —
+    /// the invariant every `unsafe` call into a `target_feature` wrapper rests on.
+    fn supported() -> Vec<Isa> {
+        let mut levels = Vec::with_capacity(3);
+        #[cfg(target_arch = "x86_64")]
+        {
+            if is_x86_feature_detected!("avx512f") {
+                levels.push(Isa::Avx512);
+            }
+            if is_x86_feature_detected!("avx2") {
+                levels.push(Isa::Avx2);
+            }
+        }
+        levels.push(Isa::Baseline);
+        levels
+    }
+
+    /// The level the kernels run at: the best one the CPU supports.
+    fn current() -> Isa {
+        #[cfg(test)]
+        if let Some(forced) = FORCED_ISA.with(std::cell::Cell::get) {
+            return forced;
+        }
+        static DETECTED: OnceLock<Isa> = OnceLock::new();
+        *DETECTED.get_or_init(|| Isa::supported()[0])
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            Isa::Baseline => "baseline",
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => "avx2",
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => "avx512f",
+        }
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Unit-test override of [`Isa::current`] on this thread, so one test process can
+    /// drive whole networks through every level the CPU supports.
+    static FORCED_ISA: std::cell::Cell<Option<Isa>> = const { std::cell::Cell::new(None) };
+}
+
+/// The instruction-set level the matrix product kernels run at on this CPU:
+/// `"avx512f"`, `"avx2"` or `"baseline"`. A report for comparing throughput figures
+/// across hosts, not a setting: every level produces the same bits.
+pub fn kernel_isa() -> &'static str {
+    Isa::current().name()
+}
 
 /// `out[i0..i0+MR][j0..j0+NR] = a · b` for one full register tile, accumulating every
 /// element in strict ascending-`k` order. `a` is the `m × k` left operand, `b` the
@@ -65,18 +156,26 @@ fn tile_mr_nr(a: &[f64], b: &[f64], out: &mut [f64], kdim: usize, n: usize, i0: 
     }
 }
 
-/// One-row variant of [`tile_mr_nr`] for the `m % MR` edge rows.
+/// One-row, `W`-lane variant of [`tile_mr_nr`] for the `m % MR` edge rows.
 #[inline(always)]
-fn tile_1_nr(a: &[f64], b: &[f64], out: &mut [f64], kdim: usize, n: usize, i: usize, j0: usize) {
-    let mut acc = [0.0f64; NR];
+fn tile_1<const W: usize>(
+    a: &[f64],
+    b: &[f64],
+    out: &mut [f64],
+    kdim: usize,
+    n: usize,
+    i: usize,
+    j0: usize,
+) {
+    let mut acc = [0.0f64; W];
     let arow = &a[i * kdim..(i + 1) * kdim];
     for (kk, &av) in arow.iter().enumerate() {
-        let brow = &b[kk * n + j0..kk * n + j0 + NR];
+        let brow = &b[kk * n + j0..kk * n + j0 + W];
         for (s, &bv) in acc.iter_mut().zip(brow) {
             *s += av * bv;
         }
     }
-    out[i * n + j0..i * n + j0 + NR].copy_from_slice(&acc);
+    out[i * n + j0..i * n + j0 + W].copy_from_slice(&acc);
 }
 
 /// Scalar edge columns (`n % NR`) of row `i`: same strict ascending-`k` order.
@@ -92,12 +191,56 @@ fn edge_cols(a: &[f64], b: &[f64], out: &mut [f64], kdim: usize, n: usize, i: us
     }
 }
 
+/// Blocked `out = a · b` (`m × k` times `k × n`, all row-major, `out` overwritten),
+/// with `W`-lane single-row tiles for the edge rows. Bit-identical to the scalar
+/// `i, k, j` reference loop for every shape and every `W`.
+#[inline(always)]
+fn gemm_nn_body<const W: usize>(
+    a: &[f64],
+    b: &[f64],
+    out: &mut [f64],
+    m: usize,
+    kdim: usize,
+    n: usize,
+) {
+    debug_assert_eq!(a.len(), m * kdim);
+    debug_assert_eq!(b.len(), kdim * n);
+    debug_assert_eq!(out.len(), m * n);
+    let m_full = m - m % MR;
+    let n_full = n - n % NR;
+    let mut i0 = 0;
+    while i0 < m_full {
+        let mut j0 = 0;
+        while j0 < n_full {
+            tile_mr_nr(a, b, out, kdim, n, i0, j0);
+            j0 += NR;
+        }
+        for r in 0..MR {
+            edge_cols(a, b, out, kdim, n, i0 + r, n_full);
+        }
+        i0 += MR;
+    }
+    for i in m_full..m {
+        let mut j0 = 0;
+        while j0 + W <= n {
+            tile_1::<W>(a, b, out, kdim, n, i, j0);
+            j0 += W;
+        }
+        while j0 < n_full {
+            tile_1::<NR>(a, b, out, kdim, n, i, j0);
+            j0 += NR;
+        }
+        edge_cols(a, b, out, kdim, n, i, n_full);
+    }
+}
+
 /// Blocked `acc[j, l] += Σ_i a[i, j] · b[i, l]` (`aᵀ · b` accumulated into `acc`):
 /// register tiles of `MR` output rows (columns `j` of `a`) × `NR` lanes, each element
 /// advancing in strict ascending-`i` order seeded from the existing accumulator value
 /// — exactly the incremental `+=` of the scalar reference loop. `a` is `m × ja`
 /// row-major, `b` is `m × n` row-major, `acc` is `ja × n` row-major.
-fn gemm_tn_acc(a: &[f64], b: &[f64], acc: &mut [f64], m: usize, ja: usize, n: usize) {
+#[inline(always)]
+fn gemm_tn_acc_body(a: &[f64], b: &[f64], acc: &mut [f64], m: usize, ja: usize, n: usize) {
     debug_assert_eq!(a.len(), m * ja);
     debug_assert_eq!(b.len(), m * n);
     debug_assert_eq!(acc.len(), ja * n);
@@ -161,61 +304,144 @@ fn gemm_tn_acc(a: &[f64], b: &[f64], acc: &mut [f64], m: usize, ja: usize, n: us
     }
 }
 
-/// One dot product `Σ_k x_k · y_k` in [`DOT_LANES`] interleaved partial sums (lane `c`
-/// takes the terms with `k ≡ c (mod DOT_LANES)`, each in ascending-`k` order) combined
-/// by a fixed balanced tree. The reduction order is a pure function of the length, so
-/// `matmul_nt` results are independent of batch size and thread count.
+/// `O` dot products `Σ_k x_k · y_k` sharing the left operand `x`, each in
+/// [`DOT_LANES`] interleaved partial sums (lane `c` takes the terms with
+/// `k ≡ c (mod DOT_LANES)`, each in ascending-`k` order) combined by a fixed balanced
+/// tree. The reduction order is a pure function of the length — not of `O` — so
+/// `matmul_nt` results are independent of batch size, tiling and thread count.
 #[inline(always)]
-fn dot_lanes(x: &[f64], y: &[f64]) -> f64 {
-    debug_assert_eq!(x.len(), y.len());
-    let mut lanes = [0.0f64; DOT_LANES];
-    let chunks = x.len() / DOT_LANES;
-    for t in 0..chunks {
-        let xs = &x[t * DOT_LANES..(t + 1) * DOT_LANES];
-        let ys = &y[t * DOT_LANES..(t + 1) * DOT_LANES];
-        for (lane, (&xv, &yv)) in lanes.iter_mut().zip(xs.iter().zip(ys)) {
+fn dot_lanes<const O: usize>(x: &[f64], ys: [&[f64]; O]) -> [f64; O] {
+    assert!(ys.iter().all(|y| y.len() == x.len()), "dot length mismatch");
+    let (x_chunks, x_tail) = x.as_chunks::<DOT_LANES>();
+    let chunks = x_chunks.len();
+    // Cut every operand to exactly `chunks` chunks so indexing needs no bounds checks.
+    let y_chunks = ys.map(|y| &y.as_chunks::<DOT_LANES>().0[..chunks]);
+    let mut lanes = [[0.0f64; DOT_LANES]; O];
+    for (t, xs) in x_chunks.iter().enumerate() {
+        for (lane_set, yc) in lanes.iter_mut().zip(&y_chunks) {
+            for (lane, (&xv, &yv)) in lane_set.iter_mut().zip(xs.iter().zip(&yc[t])) {
+                *lane += xv * yv;
+            }
+        }
+    }
+    for (lane_set, y) in lanes.iter_mut().zip(&ys) {
+        let y_tail = &y[chunks * DOT_LANES..];
+        for (lane, (&xv, &yv)) in lane_set.iter_mut().zip(x_tail.iter().zip(y_tail)) {
             *lane += xv * yv;
         }
     }
-    for (c, (&xv, &yv)) in x[chunks * DOT_LANES..]
-        .iter()
-        .zip(&y[chunks * DOT_LANES..])
-        .enumerate()
-    {
-        lanes[c] += xv * yv;
-    }
-    let q0 = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-    let q1 = (lanes[4] + lanes[5]) + (lanes[6] + lanes[7]);
-    q0 + q1
+    lanes.map(|l| {
+        let q0 = (l[0] + l[1]) + (l[2] + l[3]);
+        let q1 = (l[4] + l[5]) + (l[6] + l[7]);
+        q0 + q1
+    })
 }
 
-/// Blocked `out = a · b` (`m × k` times `k × n`, all row-major, `out` overwritten).
-/// Bit-identical to the scalar `i, k, j` reference loop for every shape.
-fn gemm_nn(a: &[f64], b: &[f64], out: &mut [f64], m: usize, kdim: usize, n: usize) {
+/// `out = a · bᵀ` (`m × k` times (`n × k`)ᵀ, all row-major, `out` overwritten):
+/// `out[i, l] = dot(a.row(i), b.row(l))`, both rows contiguous, [`NT_OUTS`] outputs per
+/// pass over `a.row(i)` and each dot in the fixed interleaved-lane order of
+/// [`dot_lanes`].
+#[inline(always)]
+fn gemm_nt_body(a: &[f64], b: &[f64], out: &mut [f64], m: usize, kdim: usize, n: usize) {
     debug_assert_eq!(a.len(), m * kdim);
-    debug_assert_eq!(b.len(), kdim * n);
+    debug_assert_eq!(b.len(), n * kdim);
     debug_assert_eq!(out.len(), m * n);
-    let m_full = m - m % MR;
-    let n_full = n - n % NR;
-    let mut i0 = 0;
-    while i0 < m_full {
-        let mut j0 = 0;
-        while j0 < n_full {
-            tile_mr_nr(a, b, out, kdim, n, i0, j0);
-            j0 += NR;
+    let b_row = |l: usize| &b[l * kdim..(l + 1) * kdim];
+    let n_full = n - n % NT_OUTS;
+    for i in 0..m {
+        let a_row = &a[i * kdim..(i + 1) * kdim];
+        let out_row = &mut out[i * n..(i + 1) * n];
+        let mut l0 = 0;
+        while l0 < n_full {
+            let dots = dot_lanes::<NT_OUTS>(a_row, std::array::from_fn(|o| b_row(l0 + o)));
+            out_row[l0..l0 + NT_OUTS].copy_from_slice(&dots);
+            l0 += NT_OUTS;
         }
-        for r in 0..MR {
-            edge_cols(a, b, out, kdim, n, i0 + r, n_full);
+        for (l, o) in out_row.iter_mut().enumerate().skip(n_full) {
+            *o = dot_lanes::<1>(a_row, [b_row(l)])[0];
         }
-        i0 += MR;
     }
-    for i in m_full..m {
-        let mut j0 = 0;
-        while j0 < n_full {
-            tile_1_nr(a, b, out, kdim, n, i, j0);
-            j0 += NR;
-        }
-        edge_cols(a, b, out, kdim, n, i, n_full);
+}
+
+/// The kernel bodies compiled with AVX2 or AVX-512F enabled. Only the feature gates
+/// differ from the baseline instantiations; `fma` stays disabled at every level.
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use super::{gemm_nn_body, gemm_nt_body, gemm_tn_acc_body};
+
+    macro_rules! with_feature {
+        ($($name:ident = $body:ident$(::<$w:literal>)? @ $feature:literal;)*) => {$(
+            #[doc = concat!("`", stringify!($body), "` compiled with `", $feature, "` enabled.")]
+            ///
+            /// # Safety
+            #[doc = concat!("The CPU must support `", $feature, "`: call only for an `Isa` level")]
+            /// that `Isa::supported` reported.
+            #[target_feature(enable = $feature)]
+            pub(super) unsafe fn $name(
+                a: &[f64],
+                b: &[f64],
+                out: &mut [f64],
+                m: usize,
+                k: usize,
+                n: usize,
+            ) {
+                $body$(::<$w>)?(a, b, out, m, k, n)
+            }
+        )*};
+    }
+
+    with_feature! {
+        gemm_nn_avx2 = gemm_nn_body::<32> @ "avx2";
+        gemm_nn_avx512 = gemm_nn_body::<64> @ "avx512f";
+        gemm_tn_acc_avx2 = gemm_tn_acc_body @ "avx2";
+        gemm_tn_acc_avx512 = gemm_tn_acc_body @ "avx512f";
+        gemm_nt_avx2 = gemm_nt_body @ "avx2";
+        gemm_nt_avx512 = gemm_nt_body @ "avx512f";
+    }
+}
+
+/// [`gemm_nn_body`] at level `isa`.
+fn gemm_nn(isa: Isa, a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
+    match isa {
+        Isa::Baseline => gemm_nn_body::<16>(a, b, out, m, k, n),
+        // SAFETY: an `Isa::Avx2` value only exists once `is_x86_feature_detected!("avx2")`
+        // returned true (`Isa::supported`).
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 => unsafe { x86::gemm_nn_avx2(a, b, out, m, k, n) },
+        // SAFETY: an `Isa::Avx512` value only exists once
+        // `is_x86_feature_detected!("avx512f")` returned true (`Isa::supported`).
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 => unsafe { x86::gemm_nn_avx512(a, b, out, m, k, n) },
+    }
+}
+
+/// [`gemm_tn_acc_body`] at level `isa`.
+fn gemm_tn_acc(isa: Isa, a: &[f64], b: &[f64], acc: &mut [f64], m: usize, ja: usize, n: usize) {
+    match isa {
+        Isa::Baseline => gemm_tn_acc_body(a, b, acc, m, ja, n),
+        // SAFETY: an `Isa::Avx2` value only exists once `is_x86_feature_detected!("avx2")`
+        // returned true (`Isa::supported`).
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 => unsafe { x86::gemm_tn_acc_avx2(a, b, acc, m, ja, n) },
+        // SAFETY: an `Isa::Avx512` value only exists once
+        // `is_x86_feature_detected!("avx512f")` returned true (`Isa::supported`).
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 => unsafe { x86::gemm_tn_acc_avx512(a, b, acc, m, ja, n) },
+    }
+}
+
+/// [`gemm_nt_body`] at level `isa`.
+fn gemm_nt(isa: Isa, a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
+    match isa {
+        Isa::Baseline => gemm_nt_body(a, b, out, m, k, n),
+        // SAFETY: an `Isa::Avx2` value only exists once `is_x86_feature_detected!("avx2")`
+        // returned true (`Isa::supported`).
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 => unsafe { x86::gemm_nt_avx2(a, b, out, m, k, n) },
+        // SAFETY: an `Isa::Avx512` value only exists once
+        // `is_x86_feature_detected!("avx512f")` returned true (`Isa::supported`).
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 => unsafe { x86::gemm_nt_avx512(a, b, out, m, k, n) },
     }
 }
 
@@ -325,6 +551,7 @@ impl Matrix {
         );
         let mut out = Matrix::zeros(self.rows, other.cols);
         gemm_nn(
+            Isa::current(),
             &self.data,
             &other.data,
             &mut out.data,
@@ -378,6 +605,7 @@ impl Matrix {
         );
         out.reshape_for_overwrite(self.rows, other.cols);
         gemm_nn(
+            Isa::current(),
             &self.data,
             &other.data,
             &mut out.data,
@@ -417,6 +645,7 @@ impl Matrix {
             "matmul_tn accumulator shape mismatch"
         );
         gemm_tn_acc(
+            Isa::current(),
             &self.data,
             &other.data,
             &mut acc.data,
@@ -449,16 +678,15 @@ impl Matrix {
             self.rows, self.cols, other.rows, other.cols
         );
         out.reshape_for_overwrite(self.rows, other.rows);
-        // out[i, l] = dot(self.row(i), other.row(l)): both rows are contiguous, and
-        // each dot runs in the fixed interleaved-lane order of `dot_lanes`.
-        for i in 0..self.rows {
-            let self_row = &self.data[i * self.cols..(i + 1) * self.cols];
-            let out_row = &mut out.data[i * other.rows..(i + 1) * other.rows];
-            for (l, o) in out_row.iter_mut().enumerate() {
-                let other_row = &other.data[l * other.cols..(l + 1) * other.cols];
-                *o = dot_lanes(self_row, other_row);
-            }
-        }
+        gemm_nt(
+            Isa::current(),
+            &self.data,
+            &other.data,
+            &mut out.data,
+            self.rows,
+            self.cols,
+            other.rows,
+        );
     }
 
     /// Transposed copy.
@@ -784,6 +1012,239 @@ mod tests {
             for (x, y) in blocked.data().iter().zip(reference.data()) {
                 assert_eq!(x.to_bits(), y.to_bits(), "{m}x{k}·{k}x{n} diverged");
             }
+        }
+    }
+}
+
+/// Every instruction-set level the host supports, pinned bit-identical to the scalar
+/// references of `tests/kernel_properties.rs` on shapes straddling each level's tile
+/// edges, and the paper network pinned bit-identical across levels end to end.
+#[cfg(test)]
+mod isa_tests {
+    use super::*;
+    use crate::dueling::DuelingQNetwork;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// Output widths straddling the single-row tile widths (16/32/64) and `NR`.
+    const EDGE_WIDTHS: [usize; 8] = [15, 31, 33, 63, 64, 65, 129, 256];
+
+    /// Run `f` with every kernel on this thread forced to level `isa`.
+    fn at_level<R>(isa: Isa, f: impl FnOnce() -> R) -> R {
+        FORCED_ISA.with(|forced| forced.set(Some(isa)));
+        let out = f();
+        FORCED_ISA.with(|forced| forced.set(None));
+        out
+    }
+
+    /// Deterministic filler: values in roughly ±2 plus exact zeros.
+    fn fill(len: usize, seed: u64) -> Vec<f64> {
+        (0..len)
+            .map(|i| {
+                let h = seed
+                    .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                    .wrapping_add(i as u64 * 131);
+                if h.is_multiple_of(13) {
+                    0.0
+                } else {
+                    ((h % 10_007) as f64 / 10_007.0 - 0.5) * 4.0
+                }
+            })
+            .collect()
+    }
+
+    /// Strict ascending-`k` reference of `a · b`.
+    fn reference_nn(a: &[f64], b: &[f64], m: usize, k: usize, n: usize) -> Vec<f64> {
+        let mut out = vec![0.0; m * n];
+        for i in 0..m {
+            for j in 0..n {
+                let mut s = 0.0f64;
+                for kk in 0..k {
+                    s += a[i * k + kk] * b[kk * n + j];
+                }
+                out[i * n + j] = s;
+            }
+        }
+        out
+    }
+
+    /// Strict ascending-row reference of `acc += aᵀ · b`.
+    fn reference_tn_acc(a: &[f64], b: &[f64], acc: &mut [f64], m: usize, ja: usize, n: usize) {
+        for j in 0..ja {
+            for l in 0..n {
+                let mut s = acc[j * n + l];
+                for i in 0..m {
+                    s += a[i * ja + j] * b[i * n + l];
+                }
+                acc[j * n + l] = s;
+            }
+        }
+    }
+
+    /// The 8-lane interleave and balanced combine tree reference of `a · bᵀ`.
+    fn reference_nt(a: &[f64], b: &[f64], m: usize, k: usize, n: usize) -> Vec<f64> {
+        let mut out = vec![0.0; m * n];
+        for i in 0..m {
+            for l in 0..n {
+                let mut lanes = [0.0f64; 8];
+                for kk in 0..k {
+                    lanes[kk % 8] += a[i * k + kk] * b[l * k + kk];
+                }
+                let q0 = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
+                let q1 = (lanes[4] + lanes[5]) + (lanes[6] + lanes[7]);
+                out[i * n + l] = q0 + q1;
+            }
+        }
+        out
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn detected_level_is_the_best_supported_one() {
+        let levels = Isa::supported();
+        assert_eq!(levels.last(), Some(&Isa::Baseline));
+        assert_eq!(kernel_isa(), levels[0].name());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn nn_matches_the_scalar_reference_at_every_level(
+            dims in (1usize..10, 1usize..40, 0usize..8, 0usize..24, 0u64..1_000_000),
+        ) {
+            // m < 4 runs only the single-row tiles; m ≥ 4 mixes MR tiles and edge rows.
+            let (m, k, wi, extra, seed) = dims;
+            for n in [EDGE_WIDTHS[wi], extra + 1] {
+                let a = fill(m * k, seed);
+                let b = fill(k * n, seed ^ 0x5bd1);
+                let reference = bits(&reference_nn(&a, &b, m, k, n));
+                for isa in Isa::supported() {
+                    let mut out = vec![f64::NAN; m * n];
+                    gemm_nn(isa, &a, &b, &mut out, m, k, n);
+                    prop_assert_eq!(bits(&out), reference.clone(), "{:?} {}x{}x{}", isa, m, k, n);
+                }
+            }
+        }
+
+        #[test]
+        fn tn_acc_matches_the_scalar_reference_at_every_level(
+            dims in (1usize..24, 1usize..14, 0usize..8, 0usize..24, 0u64..1_000_000),
+        ) {
+            let (m, ja, wi, extra, seed) = dims;
+            for n in [EDGE_WIDTHS[wi], extra + 1] {
+                let a = fill(m * ja, seed);
+                let b = fill(m * n, seed ^ 0x94d0);
+                let mut reference = fill(ja * n, seed ^ 0x27d4);
+                let seeded = reference.clone();
+                reference_tn_acc(&a, &b, &mut reference, m, ja, n);
+                for isa in Isa::supported() {
+                    let mut acc = seeded.clone();
+                    gemm_tn_acc(isa, &a, &b, &mut acc, m, ja, n);
+                    prop_assert_eq!(bits(&acc), bits(&reference), "{:?} {}x{}x{}", isa, m, ja, n);
+                }
+            }
+        }
+
+        #[test]
+        fn nt_matches_the_lane_reference_at_every_level(
+            dims in (1usize..8, 1usize..70, 1usize..24, 0u64..1_000_000),
+        ) {
+            // n spans n % NT_OUTS ≠ 0 and k spans k % DOT_LANES ≠ 0.
+            let (m, k, n, seed) = dims;
+            let a = fill(m * k, seed);
+            let b = fill(n * k, seed ^ 0x1656);
+            let reference = bits(&reference_nt(&a, &b, m, k, n));
+            for isa in Isa::supported() {
+                let mut out = vec![f64::NAN; m * n];
+                gemm_nt(isa, &a, &b, &mut out, m, k, n);
+                prop_assert_eq!(bits(&out), reference.clone(), "{:?} {}x{}x{}", isa, m, k, n);
+            }
+        }
+    }
+
+    #[test]
+    fn zero_times_infinity_is_nan_in_every_tile_at_every_level() {
+        // A zero in column 0 of `a` meets an infinite row 0 of `b`: every output of the
+        // NN product must be NaN, whichever tile (MR rows, W-lane, NR-lane, scalar edge)
+        // computed it.
+        let (k, n) = (3, 77);
+        for m in [1, 5] {
+            let mut a = fill(m * k, 7);
+            let mut b = fill(k * n, 11);
+            for i in 0..m {
+                a[i * k] = 0.0;
+            }
+            b[..n].fill(f64::INFINITY);
+            for isa in Isa::supported() {
+                let mut out = vec![0.0; m * n];
+                gemm_nn(isa, &a, &b, &mut out, m, k, n);
+                assert!(out.iter().all(|v| v.is_nan()), "{isa:?} NN m={m}");
+
+                // aᵀ · b: `a` read as (m × k)ᵀ, so row 0 of `at` pairs with row 0 of `bt`.
+                let at = a[..k].to_vec();
+                let bt = b[..n].to_vec();
+                let mut acc = vec![0.0; k * n];
+                gemm_tn_acc(isa, &at, &bt, &mut acc, 1, k, n);
+                assert!(acc[..n].iter().all(|v| v.is_nan()), "{isa:?} TN m={m}");
+
+                // a · bᵀ: lane 0 of every row of `a` is zero; make lane 0 of every row of
+                // `b` (n of them, k each) infinite.
+                let mut bn = fill(n * k, 13);
+                for l in 0..n {
+                    bn[l * k] = f64::INFINITY;
+                }
+                let mut nt = vec![0.0; m * n];
+                gemm_nt(isa, &a, &bn, &mut nt, m, k, n);
+                assert!(nt.iter().all(|v| v.is_nan()), "{isa:?} NT m={m}");
+            }
+        }
+    }
+
+    /// FNV-1a over the bits of every value.
+    fn digest(values: &[f64], mut h: u64) -> u64 {
+        for v in values {
+            for byte in v.to_bits().to_le_bytes() {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        }
+        h
+    }
+
+    /// Forward at batch 1, 3 and 64, then one `forward_train` + `backward` at batch 64,
+    /// hashing the Q-values, the input gradient and every parameter gradient.
+    fn paper_network_digest() -> u64 {
+        let mut net = DuelingQNetwork::paper(15, &mut StdRng::seed_from_u64(42));
+        let inputs = Matrix::from_vec(64, 15, fill(64 * 15, 3));
+        let mut h = 0xcbf2_9ce4_8422_2325;
+        for batch in [1, 3, 64] {
+            let x = Matrix::from_vec(batch, 15, inputs.data()[..batch * 15].to_vec());
+            h = digest(net.forward(&x).data(), h);
+        }
+        let q = net.forward_train(&inputs);
+        h = digest(q.data(), h);
+        let grad_q = Matrix::from_vec(64, 2, fill(64 * 2, 5));
+        h = digest(net.backward(&grad_q).data(), h);
+        for layer in net
+            .trunk()
+            .iter()
+            .chain([net.value_head(), net.advantage_head()])
+        {
+            h = digest(layer.grad_weights().data(), h);
+            h = digest(layer.grad_bias(), h);
+        }
+        h
+    }
+
+    #[test]
+    fn paper_network_bits_do_not_depend_on_the_level() {
+        let baseline = at_level(Isa::Baseline, paper_network_digest);
+        for isa in Isa::supported() {
+            assert_eq!(at_level(isa, paper_network_digest), baseline, "{isa:?}");
         }
     }
 }

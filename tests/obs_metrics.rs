@@ -67,6 +67,9 @@ fn an_open_gate_counts_the_served_stream_exactly() {
     let _guard = lock_gate();
     let (timelines, sampler) = fixture();
     set_enabled(true);
+    // Registration is lazy: when this test takes the gate lock first, no other test
+    // has served yet, so force it or the `before` snapshot lacks the instruments.
+    uerl::serve::serve_metrics();
     let before = registry().snapshot();
     let report = serve_fixture(&timelines, &sampler, Vec::new());
     let after = registry().snapshot();
