@@ -1,5 +1,5 @@
-//! Micro-benchmarks of the blocked matmul kernel family and the quantized i8 forward
-//! path — the per-op numbers behind the `serve_throughput` and `matmul_kernels`
+//! Micro-benchmarks of the blocked matmul kernel family and the paper network's
+//! forward pass — the per-op numbers behind the `serve_throughput` and `matmul_kernels`
 //! perf_report stages. Shapes mirror the serving workload: the paper Q-network's
 //! 256-wide hidden layers at a serving-sized batch, plus the batch-of-1 latency path.
 
@@ -8,7 +8,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Duration;
 use uerl_core::state::STATE_DIM;
-use uerl_nn::{DuelingQNetwork, Matrix, MlpConfig, QuantScratch, QuantizedNetwork};
+use uerl_nn::{DuelingQNetwork, Matrix, MlpConfig};
 
 fn fill(rows: usize, cols: usize, seed: usize) -> Matrix {
     Matrix::from_fn(rows, cols, |i, j| {
@@ -54,18 +54,13 @@ fn bench_matmul_kernels(c: &mut Criterion) {
         })
     });
 
-    // Full-network forward passes, f64 blocked vs quantized i8, at serving batch sizes.
+    // Full-network forward passes at serving batch sizes.
     let mut rng = StdRng::seed_from_u64(7);
     let network = DuelingQNetwork::new(&MlpConfig::paper_q_network(STATE_DIM, 2), 2, &mut rng);
-    let quantized = QuantizedNetwork::from_dueling(&network);
-    let mut scratch = QuantScratch::new();
     for (label, rows) in [("batch1", 1), ("batch64", 64)] {
         let x = fill(rows, STATE_DIM, 11);
         group.bench_function(&format!("dueling_forward_f64_{label}"), |bch| {
             bch.iter(|| std::hint::black_box(network.forward(&x).data()[0]))
-        });
-        group.bench_function(&format!("dueling_forward_i8_{label}"), |bch| {
-            bch.iter(|| std::hint::black_box(quantized.forward_batch_into(&x, &mut scratch)[0]))
         });
     }
 

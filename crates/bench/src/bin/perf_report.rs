@@ -9,11 +9,7 @@
 //! in the fingerprint and GFLOP/s plus the dispatched instruction-set level in the
 //! JSON), a `serve_throughput` stage (a scaled-up
 //! synthetic fleet streamed through the online `uerl-serve` subsystem, with the
-//! serving-vs-offline parity verdict in the fingerprint) and a `quant_parity` stage
-//! (the same serving stream replayed decision-for-decision under the full-precision
-//! and the symmetric-i8 inference paths, reporting the decision-match rate and total
-//! cost delta — the quantization metric the paper never reports) and a
-//! `session_memory` stage (a totals-only serving fleet measured at half-stream and at
+//! serving-vs-offline parity verdict in the fingerprint) and a `session_memory` stage (a totals-only serving fleet measured at half-stream and at
 //! the end: bytes/node, feature-history extremes and the O(window) verdict — the
 //! longest ring buffer must not exceed the densest 1-hour event window plus its
 //! sentinel) and an `obs_overhead` stage (the same serving stream timed with the
@@ -26,9 +22,8 @@
 //! the thread count, the speedup, whether the stage output was byte-identical across
 //! thread counts (it must be: every parallel fan-out in the engine merges in
 //! deterministic order), the halving-vs-exhaustive training-step totals (halving must
-//! train strictly fewer), the serving events/sec + parity flag (served decisions and
-//! costs must be bit-identical to the offline evaluator) and the i8 decision-match
-//! rate (the run fails below 99%).
+//! train strictly fewer) and the serving events/sec + parity flag (served decisions and
+//! costs must be bit-identical to the offline evaluator).
 //!
 //! The checked-in baseline may come from a **single-core container**, where every
 //! parallel call short-circuits to the serial path (speedup ≈ 1.0 by construction);
@@ -54,7 +49,7 @@ use uerl_bench::Scale;
 use uerl_core::event_stream::TimelineSet;
 use uerl_core::policies::AlwaysMitigate;
 use uerl_core::policies::NeverMitigate;
-use uerl_core::policies::{QuantMode, RlPolicy};
+use uerl_core::policies::RlPolicy;
 use uerl_core::rf_dataset::build_rf_dataset_1day;
 use uerl_core::state::STATE_DIM;
 use uerl_core::trainer::{RlTrainer, TrainerConfig, TRAIN_COST_SECONDS_PER_STEP};
@@ -68,15 +63,9 @@ use uerl_forest::{RandomForest, RandomForestConfig};
 use uerl_jobs::{JobLogConfig, JobTraceGenerator, NodeJobSampler};
 use uerl_nn::{kernel_isa, Matrix};
 use uerl_rl::HyperSearch;
-use uerl_serve::{
-    merged_fleet_stream, FleetServer, RecordRetention, ServeConfig, ServeReport, ShadowPolicy,
-};
+use uerl_serve::{merged_fleet_stream, FleetServer, RecordRetention, ServeConfig, ShadowPolicy};
 use uerl_trace::generator::{SyntheticLogConfig, TraceGenerator};
 use uerl_trace::reduction::preprocess;
-
-/// `quant_parity` metrics for the JSON summary:
-/// (decisions, matches, match rate, f64 total cost, i8 total cost, cost delta %).
-type QuantStats = (u64, u64, f64, f64, f64, f64);
 
 struct StageReport {
     name: &'static str,
@@ -280,13 +269,11 @@ fn main() {
             let trainer = RlTrainer::new(TrainerConfig::reduced(12).with_seed(seed));
             let mut agent = trainer.train(&timelines, &sampler).agent;
             agent.compact_for_inference();
-            // The configured quantization mode (UERL_QUANT) selects the serving
-            // inference path; the default full-precision run is the one gated on
-            // bit-parity below. Full retention: the parity oracle compares the
-            // per-node decision logs entry for entry.
+            // Full retention: the parity oracle compares the per-node decision logs
+            // entry for entry.
             let config = ServeConfig::for_timelines(&timelines, mitigation, seed)
                 .with_retention(RecordRetention::Full);
-            let policy = config.apply_quant(RlPolicy::new(agent));
+            let policy = RlPolicy::new(agent);
 
             let stream = merged_fleet_stream(&timelines);
             let events = stream.len() as u64;
@@ -647,75 +634,6 @@ fn main() {
         }
     };
 
-    // Quantization parity: the same small-scale fleet stream served twice — once with
-    // the full-precision f64 policy (the oracle) and once with its symmetric-i8 mirror
-    // — and compared decision-for-decision. The decision request sequence is identical
-    // in both runs (one request per non-fatal event), so the match rate is
-    // well-defined; the fingerprint covers both decision digests, the match count and
-    // the cost bits, and the last run's metrics land in `quant_stats` for the JSON
-    // summary. The run fails below a 99% match rate.
-    let quant_stats: Arc<Mutex<Option<QuantStats>>> = Arc::new(Mutex::new(None));
-    let quant_stage = {
-        let stats = Arc::clone(&quant_stats);
-        move |seed: u64| -> String {
-            let log = TraceGenerator::new(SyntheticLogConfig::small(120, 180, seed)).generate();
-            let timelines = TimelineSet::from_log(&preprocess(&log));
-            let jobs = JobTraceGenerator::new(JobLogConfig::small(256, 120, seed)).generate();
-            let sampler = NodeJobSampler::from_log(&jobs);
-            let mitigation = MitigationConfig::paper_default();
-            let trainer = RlTrainer::new(TrainerConfig::reduced(12).with_seed(seed));
-            let mut agent = trainer.train(&timelines, &sampler).agent;
-            agent.compact_for_inference();
-            let full_policy = RlPolicy::new(agent);
-            let i8_policy = full_policy.clone().with_quantization(QuantMode::I8);
-
-            let serve = |policy: &RlPolicy| {
-                let config = ServeConfig::for_timelines(&timelines, mitigation, seed)
-                    .with_quant(QuantMode::Off); // the policy's own path decides
-                let mut server = FleetServer::new(config, policy.clone(), sampler.clone());
-                let mut decisions = Vec::new();
-                server
-                    .ingest_all(merged_fleet_stream(&timelines), &mut decisions)
-                    .expect("merged stream is time-ordered");
-                (decisions, server.report())
-            };
-            let (full_decisions, full_report) = serve(&full_policy);
-            let (i8_decisions, i8_report) = serve(&i8_policy);
-            assert_eq!(
-                full_decisions.len(),
-                i8_decisions.len(),
-                "both paths must answer the same request stream"
-            );
-            let total = full_decisions.len() as u64;
-            assert!(total > 0, "the quant-parity fleet must produce decisions");
-            let matches = full_decisions
-                .iter()
-                .zip(&i8_decisions)
-                .filter(|(a, b)| {
-                    assert_eq!(
-                        (a.node, a.time),
-                        (b.node, b.time),
-                        "request streams diverged"
-                    );
-                    a.mitigated == b.mitigated
-                })
-                .count() as u64;
-            let match_rate = matches as f64 / total as f64;
-            let total_cost = |r: &ServeReport| r.mitigation_cost + r.ue_cost;
-            let full_cost = total_cost(&full_report);
-            let i8_cost = total_cost(&i8_report);
-            let delta_pct = (i8_cost - full_cost) / full_cost.max(1e-12) * 100.0;
-            *stats.lock().expect("quant stats poisoned") =
-                Some((total, matches, match_rate, full_cost, i8_cost, delta_pct));
-            format!(
-                "decisions={total} matches={matches} rate={match_rate:.6} \
-                 full_cost={:016x} i8_cost={:016x}",
-                full_cost.to_bits(),
-                i8_cost.to_bits(),
-            )
-        }
-    };
-
     // Pool-overhead microbench: many tiny parallel calls, the pattern that made the old
     // per-call fork-join (a thread spawn + join per `par_iter`) hurt most. With the
     // persistent pool each call is queue traffic only, so the serial/pooled gap here
@@ -778,7 +696,6 @@ fn main() {
             "obs_overhead",
             Box::new(move || obs_overhead_stage(scale, 2024 ^ 0x0B5E)),
         ),
-        ("quant_parity", Box::new(move || quant_stage(2024 ^ 0x0108))),
         ("fig3_total_cost", {
             let ctx = ctx.clone();
             Box::new(move || fig3::run(&ctx, &[2.0, 5.0, 10.0]).render())
@@ -873,7 +790,6 @@ fn main() {
     let halving = *halving_stats.lock().expect("halving stats poisoned");
     let serving = *serve_stats.lock().expect("serve stats poisoned");
     let kernels = *kernel_stats.lock().expect("kernel stats poisoned");
-    let quant = *quant_stats.lock().expect("quant stats poisoned");
     let session_memory = *session_stats.lock().expect("session stats poisoned");
     let obs = obs_stats.lock().expect("obs stats poisoned").clone();
 
@@ -899,11 +815,6 @@ fn main() {
         json.push_str(&format!(
             "  \"matmul_kernels\": {{\"kernel_isa\": \"{}\", \"nn_gflops\": {nn:.3}, \"tn_acc_gflops\": {tn:.3}, \"nt_gflops\": {nt:.3}}},\n",
             kernel_isa()
-        ));
-    }
-    if let Some((decisions, matches, rate, full_cost, i8_cost, delta_pct)) = quant {
-        json.push_str(&format!(
-            "  \"quant_parity\": {{\"decisions\": {decisions}, \"matches\": {matches}, \"match_rate\": {rate:.6}, \"f64_total_cost\": {full_cost:.6}, \"i8_total_cost\": {i8_cost:.6}, \"cost_delta_pct\": {delta_pct:.4}}},\n"
         ));
     }
     if let Some((sessions, warm_bytes, warm_max_hist, end_bytes, end_max_hist, bound, bounded)) =
@@ -966,13 +877,6 @@ fn main() {
             kernel_isa()
         );
     }
-    if let Some((decisions, matches, rate, _, _, delta_pct)) = quant {
-        eprintln!(
-            "[perf_report] quant parity: {matches}/{decisions} decisions match \
-             ({:.2}%), total cost delta {delta_pct:+.2}%",
-            rate * 100.0
-        );
-    }
     if let Some((sessions, _, _, end_bytes, end_max_hist, bound, bounded)) = session_memory {
         eprintln!(
             "[perf_report] session memory: {sessions} sessions, {:.0} bytes/node, \
@@ -1008,15 +912,6 @@ fn main() {
              offline evaluator rollout"
         );
         std::process::exit(1);
-    }
-    if let Some((_, _, rate, _, _, _)) = quant {
-        if rate < 0.99 {
-            eprintln!(
-                "[perf_report] ERROR: i8 decision-match rate {:.4} is below the 0.99 gate",
-                rate
-            );
-            std::process::exit(1);
-        }
     }
     if let Some((_, _, _, _, _, _, false)) = session_memory {
         eprintln!(

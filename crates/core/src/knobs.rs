@@ -3,8 +3,7 @@
 //! The parsers themselves live in [`uerl_obs::knob`] (the observability crate is the
 //! workspace's dependency-free leaf, so even `uerl-rl` could use them); this module
 //! re-exports them under the crate most consumers already depend on and adds the
-//! gate accessor for the metrics knob. Knobs routed through here: `UERL_QUANT`
-//! ([`crate::policies::QuantMode`]), `UERL_RETENTION`
+//! gate accessor for the metrics knob. Knobs routed through here: `UERL_RETENTION`
 //! ([`crate::session_core::RecordRetention`]), `UERL_HYPER_SEARCH` (the evaluator's
 //! search strategy), `UERL_SCALE` (the bench harness) and `UERL_METRICS` (the
 //! observability gate).

@@ -7,8 +7,7 @@ use std::cell::RefCell;
 use std::collections::HashSet;
 use std::sync::Arc;
 use uerl_forest::RandomForest;
-use uerl_nn::{QuantScratch, QuantizedNetwork};
-use uerl_rl::{greedy_action, greedy_action_f32, DqnAgent, InferenceScratch};
+use uerl_rl::{greedy_action, DqnAgent, InferenceScratch};
 use uerl_trace::types::{NodeId, SimTime};
 
 thread_local! {
@@ -19,54 +18,6 @@ thread_local! {
     /// signature. Scratch contents are overwritten on every call and never influence
     /// results, so sharing across agents and threads is sound.
     static RL_SCRATCH: RefCell<InferenceScratch> = RefCell::new(InferenceScratch::new());
-
-    /// Per-thread scratch of the quantized inference path (same sharing rationale).
-    static QUANT_SCRATCH: RefCell<QuantScratch> = RefCell::new(QuantScratch::new());
-}
-
-/// Numeric path of RL inference: full-precision f64 (the default, bit-exact against the
-/// offline evaluator) or the symmetric-i8 quantized mirror.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QuantMode {
-    /// Full-precision f64 inference.
-    #[default]
-    Off,
-    /// Symmetric per-layer i8 weights, i32 accumulators, f32 dequant at layer
-    /// boundaries. Decisions may diverge from f64 on near-ties but are themselves
-    /// deterministic across batch sizes, shard counts and thread counts.
-    I8,
-}
-
-impl QuantMode {
-    /// Parse a `UERL_QUANT`-style value: `off` (or empty) / `i8`.
-    ///
-    /// # Panics
-    /// Panics on any other value — a silently misread knob would invalidate a
-    /// measurement run.
-    pub fn parse(value: &str) -> Self {
-        crate::knobs::choice(
-            "UERL_QUANT",
-            value,
-            &[
-                ("", QuantMode::Off),
-                ("off", QuantMode::Off),
-                ("i8", QuantMode::I8),
-            ],
-        )
-    }
-
-    /// The mode selected by the `UERL_QUANT` environment variable (default: off).
-    pub fn from_env() -> Self {
-        crate::knobs::env_choice(
-            "UERL_QUANT",
-            &[
-                ("", QuantMode::Off),
-                ("off", QuantMode::Off),
-                ("i8", QuantMode::I8),
-            ],
-            QuantMode::Off,
-        )
-    }
 }
 
 /// Greedy decision for one state through the thread-local scratch (no allocation after
@@ -94,30 +45,6 @@ fn decide_greedy_batch(agent: &DqnAgent, states: &[StateFeatures], out: &mut Vec
         }
         let q = agent.q_values_batch(scratch);
         out.extend((0..states.len()).map(|i| greedy_action(q.row(i)) == 1));
-    });
-}
-
-/// Greedy decisions for a micro-batch of states through the i8 quantized network. The
-/// f64 staging matrix is borrowed from the regular RL scratch; the quantized forward
-/// pass runs through the per-thread [`QuantScratch`]. Each row's Q-values depend only
-/// on that row (per-row input scales, exact integer accumulation), so the decisions are
-/// independent of batching — the same transparency contract as the f64 path.
-fn decide_quantized_batch(qnet: &QuantizedNetwork, states: &[StateFeatures], out: &mut Vec<bool>) {
-    if states.is_empty() {
-        return;
-    }
-    RL_SCRATCH.with(|scratch| {
-        QUANT_SCRATCH.with(|quant| {
-            let scratch = &mut *scratch.borrow_mut();
-            let quant = &mut *quant.borrow_mut();
-            let input = scratch.input_mut(states.len(), STATE_DIM);
-            for (i, state) in states.iter().enumerate() {
-                state.write_vector(input.row_mut(i));
-            }
-            let n = qnet.output_dim();
-            let q = qnet.forward_batch_into(input, quant);
-            out.extend((0..states.len()).map(|i| greedy_action_f32(&q[i * n..(i + 1) * n]) == 1));
-        });
     });
 }
 
@@ -318,26 +245,17 @@ impl MitigationPolicy for MyopicRfPolicy {
 }
 
 /// *RL*: the paper's agent — a trained dueling double deep Q-network queried greedily.
-///
-/// With [`RlPolicy::with_quantization`]`(QuantMode::I8)` the decisions route through a
-/// frozen symmetric-i8 mirror of the online network (shared behind an [`Arc`], so
-/// cloning the policy for the serving fan-out does not copy the quantized weights).
-/// Quantized decisions may diverge from f64 on near-ties, but are themselves
-/// batch-transparent and thread-count-deterministic, so every serving-parity guarantee
-/// holds within the i8 run.
 #[derive(Debug, Clone)]
 pub struct RlPolicy {
     agent: DqnAgent,
-    quantized: Option<Arc<QuantizedNetwork>>,
     training_cost: f64,
 }
 
 impl RlPolicy {
-    /// Wrap a trained agent (full-precision inference).
+    /// Wrap a trained agent.
     pub fn new(agent: DqnAgent) -> Self {
         Self {
             agent,
-            quantized: None,
             training_cost: 0.0,
         }
     }
@@ -348,34 +266,13 @@ impl RlPolicy {
         self
     }
 
-    /// Select the inference path: [`QuantMode::I8`] freezes the online network into its
-    /// i8 mirror now (a snapshot; the f64 agent is kept for Q-value inspection),
-    /// [`QuantMode::Off`] drops any mirror and restores full-precision decisions.
-    pub fn with_quantization(mut self, mode: QuantMode) -> Self {
-        self.quantized = match mode {
-            QuantMode::Off => None,
-            QuantMode::I8 => Some(Arc::new(self.agent.quantize())),
-        };
-        self
-    }
-
-    /// The active inference path.
-    pub fn quant_mode(&self) -> QuantMode {
-        if self.quantized.is_some() {
-            QuantMode::I8
-        } else {
-            QuantMode::Off
-        }
-    }
-
     /// The underlying agent (e.g. for inspecting Q-values in Figure 6).
     pub fn agent(&self) -> &DqnAgent {
         &self.agent
     }
 
-    /// Full-precision Q-values of (do-nothing, mitigate) at a state. Always the f64
-    /// network, regardless of the decision path: Figure 6 inspects the learned
-    /// Q-surface, not the quantization error.
+    /// Q-values of (do-nothing, mitigate) at a state: the learned Q-surface Figure 6
+    /// inspects.
     pub fn q_values(&self, state: &StateFeatures) -> Vec<f64> {
         self.agent.q_values(&state.to_vector())
     }
@@ -383,28 +280,15 @@ impl RlPolicy {
 
 impl MitigationPolicy for RlPolicy {
     fn name(&self) -> &str {
-        match self.quantized {
-            Some(_) => "RL-i8",
-            None => "RL",
-        }
+        "RL"
     }
 
     fn decide(&self, state: &StateFeatures) -> bool {
-        match &self.quantized {
-            Some(qnet) => {
-                let mut out = Vec::with_capacity(1);
-                decide_quantized_batch(qnet, std::slice::from_ref(state), &mut out);
-                out[0]
-            }
-            None => decide_greedy(&self.agent, state),
-        }
+        decide_greedy(&self.agent, state)
     }
 
     fn decide_batch(&self, states: &[StateFeatures], out: &mut Vec<bool>) {
-        match &self.quantized {
-            Some(qnet) => decide_quantized_batch(qnet, states, out),
-            None => decide_greedy_batch(&self.agent, states, out),
-        }
+        decide_greedy_batch(&self.agent, states, out);
     }
 
     fn training_cost_node_hours(&self) -> f64 {
@@ -616,55 +500,6 @@ mod tests {
         let mut viewed = Vec::new();
         view.decide_batch(&states, &mut viewed);
         assert_eq!(viewed, reference);
-    }
-
-    #[test]
-    fn quant_mode_parses_the_env_values() {
-        assert_eq!(QuantMode::parse(""), QuantMode::Off);
-        assert_eq!(QuantMode::parse("off"), QuantMode::Off);
-        assert_eq!(QuantMode::parse("i8"), QuantMode::I8);
-        assert_eq!(QuantMode::default(), QuantMode::Off);
-    }
-
-    #[test]
-    #[should_panic(expected = "UERL_QUANT must be")]
-    fn quant_mode_rejects_unknown_values() {
-        let _ = QuantMode::parse("fp8");
-    }
-
-    #[test]
-    fn quantized_rl_policy_is_batch_transparent_and_renamed() {
-        // The i8 path must uphold the same batching-transparency contract as f64: the
-        // same decisions at every grouping, and `decide` agreeing with `decide_batch`.
-        let agent = DqnAgent::new(AgentConfig::small(crate::state::STATE_DIM).with_seed(9));
-        let policy = RlPolicy::new(agent).with_quantization(QuantMode::I8);
-        assert_eq!(policy.name(), "RL-i8");
-        assert_eq!(policy.quant_mode(), QuantMode::I8);
-        let states: Vec<StateFeatures> = (0..13)
-            .map(|i| {
-                let mut s = state(i, i as i64 * 10, (i as u64) * 17 % 5, i as f64 * 3.5);
-                s.ue_warnings = u64::from(i % 3);
-                s.hours_since_boot = f64::from(i) * 0.7;
-                s
-            })
-            .collect();
-        let singles: Vec<bool> = states.iter().map(|s| policy.decide(s)).collect();
-        for batch_size in [1, 2, 5, 13] {
-            let mut batched = Vec::new();
-            for chunk in states.chunks(batch_size) {
-                policy.decide_batch(chunk, &mut batched);
-            }
-            assert_eq!(batched, singles, "batch size {batch_size} diverged");
-        }
-        // Cloning shares the quantized mirror and decides identically.
-        let cloned = policy.clone();
-        let mut from_clone = Vec::new();
-        cloned.decide_batch(&states, &mut from_clone);
-        assert_eq!(from_clone, singles);
-        // Switching back off restores the full-precision path and name.
-        let off = cloned.with_quantization(QuantMode::Off);
-        assert_eq!(off.name(), "RL");
-        assert_eq!(off.quant_mode(), QuantMode::Off);
     }
 
     #[test]

@@ -35,24 +35,6 @@ impl Activation {
         }
     }
 
-    /// Apply the activation in `f32` (the quantized inference path dequantizes layer
-    /// outputs to `f32` and activates there; full-precision inference stays `f64`).
-    pub fn apply_f32(self, x: f32) -> f32 {
-        match self {
-            Activation::Identity => x,
-            Activation::Relu => x.max(0.0),
-            Activation::LeakyRelu => {
-                if x >= 0.0 {
-                    x
-                } else {
-                    0.01 * x
-                }
-            }
-            Activation::Tanh => x.tanh(),
-            Activation::Sigmoid => 1.0 / (1.0 + (-x).exp()),
-        }
-    }
-
     /// Derivative of the activation with respect to its input, expressed as a function of
     /// the *pre-activation* value `x`.
     pub fn derivative(self, x: f64) -> f64 {
@@ -116,20 +98,6 @@ mod tests {
                 assert!(
                     (numeric - analytic).abs() < 1e-5,
                     "{act:?} at {x}: numeric {numeric} vs analytic {analytic}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn apply_f32_tracks_the_f64_path() {
-        for act in ALL {
-            for &x in &[-2.5f32, -0.5, 0.0, 0.3, 1.7, 30.0] {
-                let via_f64 = act.apply(f64::from(x)) as f32;
-                let via_f32 = act.apply_f32(x);
-                assert!(
-                    (via_f64 - via_f32).abs() <= 1e-6 * via_f64.abs().max(1.0),
-                    "{act:?} at {x}: f64 path {via_f64} vs f32 path {via_f32}"
                 );
             }
         }

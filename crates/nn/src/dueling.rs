@@ -70,17 +70,20 @@ impl DuelingQNetwork {
         self.n_actions
     }
 
-    /// The shared trunk layers (the quantizer mirrors them into i8).
+    /// The shared trunk layers.
+    #[cfg(test)]
     pub(crate) fn trunk(&self) -> &[DenseLayer] {
         &self.trunk
     }
 
     /// The state-value head.
+    #[cfg(test)]
     pub(crate) fn value_head(&self) -> &DenseLayer {
         &self.value_head
     }
 
     /// The advantage head.
+    #[cfg(test)]
     pub(crate) fn advantage_head(&self) -> &DenseLayer {
         &self.advantage_head
     }

@@ -20,9 +20,7 @@
 //!   the importance-sampling weights of prioritized experience replay);
 //! * [`optim`] — SGD (with momentum), RMSProp and Adam optimizers;
 //! * [`network`] — a multi-layer perceptron assembled from dense layers;
-//! * [`dueling`] — the dueling Q-network head: `Q(s, a) = V(s) + A(s, a) − mean(A)`;
-//! * [`quant`] — the i8 inference path: symmetric per-layer weight quantization, i32
-//!   accumulators, f32 dequant at layer boundaries.
+//! * [`dueling`] — the dueling Q-network head: `Q(s, a) = V(s) + A(s, a) − mean(A)`.
 //!
 //! Everything is deterministic under a seeded RNG and is exercised by gradient-check
 //! tests, which is what makes the RL results reproducible.
@@ -35,7 +33,6 @@ pub mod loss;
 pub mod matrix;
 pub mod network;
 pub mod optim;
-pub mod quant;
 
 pub use activation::Activation;
 pub use dueling::DuelingQNetwork;
@@ -45,6 +42,3 @@ pub use loss::Loss;
 pub use matrix::{kernel_isa, Matrix};
 pub use network::{BatchScratch, Mlp, MlpConfig};
 pub use optim::{Adam, Optimizer, RmsProp, Sgd};
-pub use quant::{
-    QuantScratch, QuantizedDuelingNetwork, QuantizedLayer, QuantizedMlp, QuantizedNetwork,
-};

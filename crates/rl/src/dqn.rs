@@ -20,10 +20,6 @@ use uerl_nn::{
     Activation, Adam, BatchScratch, DuelingQNetwork, Loss, Matrix, Mlp, MlpConfig, WeightInit,
 };
 
-/// Number of replay states [`DqnAgent::compact_for_inference`] retains as the
-/// quantization calibration sample.
-pub const CALIBRATION_STATES: usize = 2048;
-
 /// Deterministic greedy action over one state's Q-values: the argmax, with exact ties
 /// going to the **last** maximal action (the semantics [`DqnAgent::act_greedy`] has
 /// always had, via `Iterator::max_by`). Every inference path — single-state, scratch
@@ -33,19 +29,6 @@ pub const CALIBRATION_STATES: usize = 2048;
 /// # Panics
 /// Panics if a Q-value is NaN.
 pub fn greedy_action(q: &[f64]) -> usize {
-    q.iter()
-        .enumerate()
-        .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite Q-values"))
-        .map(|(i, _)| i)
-        .unwrap_or(0)
-}
-
-/// [`greedy_action`] over f32 Q-values — the quantized inference path dequantizes to
-/// f32 and must resolve exact ties identically (last maximal action wins).
-///
-/// # Panics
-/// Panics if a Q-value is NaN.
-pub fn greedy_action_f32(q: &[f32]) -> usize {
     q.iter()
         .enumerate()
         .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite Q-values"))
@@ -344,9 +327,6 @@ pub struct DqnAgent {
     loss: Loss,
     last_loss: Option<f64>,
     compacted: bool,
-    /// Calibration states retained from the replay memory by
-    /// [`DqnAgent::compact_for_inference`], consumed by [`DqnAgent::quantize`].
-    calibration: Vec<Vec<f64>>,
 }
 
 impl DqnAgent {
@@ -381,7 +361,6 @@ impl DqnAgent {
             loss: Loss::huber(),
             last_loss: None,
             compacted: false,
-            calibration: Vec::new(),
         }
     }
 
@@ -395,26 +374,7 @@ impl DqnAgent {
     /// (`q_values` / `act_greedy`) is unaffected; only further training would differ.
     /// The parallel hyperparameter search compacts every candidate policy so a round
     /// of trained agents does not pin one filled replay buffer per candidate.
-    ///
-    /// Before the replay memory is dropped, up to [`CALIBRATION_STATES`] of its states
-    /// (evenly strided over the buffer, deterministically) are retained as the
-    /// calibration sample for [`DqnAgent::quantize`] — they are drawn from the training
-    /// trajectories and therefore cover the state distribution the deployed policy
-    /// will serve.
     pub fn compact_for_inference(&mut self) {
-        let transitions = match &self.replay {
-            ReplayMemory::Uniform(replay) => replay.transitions(),
-            ReplayMemory::Prioritized(replay) => replay.transitions(),
-        };
-        if !transitions.is_empty() {
-            let stride = transitions.len().div_ceil(CALIBRATION_STATES).max(1);
-            self.calibration = transitions
-                .iter()
-                .step_by(stride)
-                .take(CALIBRATION_STATES)
-                .map(|t| t.state.clone())
-                .collect();
-        }
         self.replay = if self.config.prioritized {
             ReplayMemory::Prioritized(PrioritizedReplay::new(1, self.config.per_alpha))
         } else {
@@ -485,33 +445,6 @@ impl DqnAgent {
         let InferenceScratch { input, forward, q } = scratch;
         self.online.forward_batch_into(input, forward, q);
         q
-    }
-
-    /// Freeze the online network into the symmetric-i8 inference mirror
-    /// ([`uerl_nn::QuantizedNetwork`]): per-layer i8 weights, i32 accumulators, f32
-    /// dequant at layer boundaries. The quantized network is a snapshot — further
-    /// training does not update it — and its decisions intentionally may diverge from
-    /// the f64 path; the serving layer measures that divergence as a decision-match
-    /// rate.
-    pub fn quantize(&self) -> uerl_nn::QuantizedNetwork {
-        let calib = if self.calibration.is_empty() {
-            None
-        } else {
-            let dim = self.config.state_dim;
-            Some(Matrix::from_fn(self.calibration.len(), dim, |i, j| {
-                self.calibration[i][j]
-            }))
-        };
-        match (&self.online, &calib) {
-            (QFunction::Plain(net), None) => uerl_nn::QuantizedNetwork::from_mlp(net),
-            (QFunction::Plain(net), Some(calib)) => {
-                uerl_nn::QuantizedNetwork::from_mlp_calibrated(net, calib)
-            }
-            (QFunction::Dueling(net), None) => uerl_nn::QuantizedNetwork::from_dueling(net),
-            (QFunction::Dueling(net), Some(calib)) => {
-                uerl_nn::QuantizedNetwork::from_dueling_calibrated(net, calib)
-            }
-        }
     }
 
     /// Greedy action (no exploration): argmax of the online Q-values.
@@ -783,58 +716,6 @@ mod tests {
         assert_eq!(greedy_action(&[2.0, 1.0]), 0);
         assert_eq!(greedy_action(&[1.0, 2.0]), 1);
         assert_eq!(greedy_action(&[3.0, 3.0, 1.0]), 1);
-        // The f32 helper must mirror the tie rule exactly.
-        assert_eq!(greedy_action_f32(&[1.0, 1.0]), 1);
-        assert_eq!(greedy_action_f32(&[2.0, 1.0]), 0);
-        assert_eq!(greedy_action_f32(&[1.0, 2.0]), 1);
-        assert_eq!(greedy_action_f32(&[3.0, 3.0, 1.0]), 1);
-    }
-
-    #[test]
-    fn quantized_agent_mostly_agrees_with_the_f64_path() {
-        // Quantization may legitimately flip near-tie decisions, but on a trained agent
-        // whose two bandit actions are well separated the i8 mirror must agree on the
-        // clear-cut states and on the vast majority of probe states. Deterministic
-        // seeds make this exact, not statistical.
-        for dueling in [false, true] {
-            let config = AgentConfig {
-                dueling,
-                ..AgentConfig::small(2).with_seed(21)
-            };
-            let agent = train_bandit(config, 500);
-            let qnet = agent.quantize();
-            assert_eq!(qnet.output_dim(), 2);
-            assert_eq!(qnet.input_dim(), 2);
-            let mut scratch = uerl_nn::QuantScratch::new();
-            let clear = [vec![1.0, 0.0], vec![0.0, 1.0]];
-            for s in &clear {
-                let input = Matrix::row_from_slice(s);
-                let q = qnet.forward_batch_into(&input, &mut scratch);
-                assert_eq!(
-                    greedy_action_f32(q),
-                    agent.act_greedy(s),
-                    "dueling={dueling} state={s:?}"
-                );
-            }
-            let probes: Vec<Vec<f64>> = (0..50)
-                .map(|i| {
-                    let t = f64::from(i) * 0.13;
-                    vec![t.sin(), (t * 1.7).cos()]
-                })
-                .collect();
-            let agree = probes
-                .iter()
-                .filter(|s| {
-                    let input = Matrix::row_from_slice(s);
-                    let q = qnet.forward_batch_into(&input, &mut scratch);
-                    greedy_action_f32(q) == agent.act_greedy(s)
-                })
-                .count();
-            assert!(
-                agree >= 45,
-                "dueling={dueling}: only {agree}/50 probe decisions agree with f64"
-            );
-        }
     }
 
     #[test]

@@ -28,9 +28,7 @@ pub mod schedule;
 pub mod sumtree;
 pub mod transition;
 
-pub use dqn::{
-    greedy_action, greedy_action_f32, AgentCheckpoint, AgentConfig, DqnAgent, InferenceScratch,
-};
+pub use dqn::{greedy_action, AgentCheckpoint, AgentConfig, DqnAgent, InferenceScratch};
 pub use hyper::{
     better_score, EvaluatedCandidate, HalvingOutcome, HyperParams, HyperSearch, RungTrace,
     SearchOutcome, Trainable,

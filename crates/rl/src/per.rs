@@ -69,12 +69,6 @@ impl PrioritizedReplay {
         self.transitions.is_empty()
     }
 
-    /// All stored transitions, in ring-buffer slot order (deterministic — used to draw
-    /// calibration states for post-training quantization).
-    pub fn transitions(&self) -> &[Transition] {
-        &self.transitions
-    }
-
     /// The prioritisation exponent.
     pub fn alpha(&self) -> f64 {
         self.alpha

@@ -43,12 +43,6 @@ impl UniformReplay {
         self.buffer.is_empty()
     }
 
-    /// All stored transitions, in ring-buffer slot order (deterministic — used to draw
-    /// calibration states for post-training quantization).
-    pub fn transitions(&self) -> &[Transition] {
-        &self.buffer
-    }
-
     /// Add a transition, evicting the oldest once the buffer is full.
     pub fn push(&mut self, transition: Transition) {
         if self.buffer.len() < self.capacity {

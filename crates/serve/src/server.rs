@@ -29,7 +29,6 @@ use std::sync::Arc;
 use uerl_core::config::MitigationConfig;
 use uerl_core::env::UeRecord;
 use uerl_core::event_stream::TimelineSet;
-use uerl_core::policies::{QuantMode, RlPolicy};
 use uerl_core::policy::MitigationPolicy;
 use uerl_core::session_core::RecordRetention;
 use uerl_core::state::StateFeatures;
@@ -82,10 +81,6 @@ pub struct ServeConfig {
     pub batch_size: usize,
     /// Number of node shards the per-node state is partitioned into.
     pub shards: usize,
-    /// Numeric path of RL inference ([`ServeConfig::new`] seeds it from `UERL_QUANT`).
-    /// The server itself is policy-agnostic; callers apply this to an RL policy via
-    /// [`ServeConfig::apply_quant`] before constructing the server.
-    pub quant: QuantMode,
     /// Record retention of the node sessions ([`ServeConfig::new`] seeds it from
     /// `UERL_RETENTION`, defaulting to totals-only: a fleet session keeps counters
     /// and cost totals, not per-event logs, so its footprint is O(1) in the node's
@@ -112,7 +107,6 @@ impl ServeConfig {
             seed,
             batch_size: 64,
             shards: 8,
-            quant: QuantMode::from_env(),
             retention: RecordRetention::from_env(),
         }
     }
@@ -171,13 +165,6 @@ impl ServeConfig {
         self
     }
 
-    /// Select the RL inference path explicitly (overriding the `UERL_QUANT` default
-    /// [`ServeConfig::new`] picked up).
-    pub fn with_quant(mut self, quant: QuantMode) -> Self {
-        self.quant = quant;
-        self
-    }
-
     /// Select the session record retention explicitly (overriding the
     /// `UERL_RETENTION` default [`ServeConfig::new`] picked up). Full retention is
     /// what the parity suites use to compare logs entry for entry; totals-only is
@@ -185,11 +172,6 @@ impl ServeConfig {
     pub fn with_retention(mut self, retention: RecordRetention) -> Self {
         self.retention = retention;
         self
-    }
-
-    /// Apply this configuration's quantization mode to an RL serving policy.
-    pub fn apply_quant(&self, policy: RlPolicy) -> RlPolicy {
-        policy.with_quantization(self.quant)
     }
 }
 
@@ -505,26 +487,31 @@ impl<P: MitigationPolicy> FleetServer<P> {
         self.ticks_flushed += 1;
         metrics.tick_events.record(self.tick_events.len() as u64);
         metrics.events.add(self.tick_events.len() as u64);
-        // Group the tick's events per node, preserving per-node arrival order. A node
-        // normally contributes one merged event per tick (the stream is per-minute
-        // merged), but duplicates are legal: they are served in *rounds* — one event
-        // per node per round — so a second event always sees its node's state after
-        // the first event's decision was applied, exactly as the offline replay does.
-        let mut per_node: BTreeMap<NodeId, Vec<MergedEvent>> = BTreeMap::new();
-        for event in self.tick_events.drain(..) {
-            per_node.entry(event.node).or_default().push(event);
-        }
-        let mut round: Vec<(NodeId, MergedEvent)> = Vec::with_capacity(per_node.len());
+        // Serve the tick in *rounds*. A node normally contributes one merged event per
+        // tick (the stream is per-minute merged), but duplicates are legal: round k
+        // serves the k-th event of every node that has one, in node-id order, so a
+        // second event always sees its node's state after the first event's decision
+        // was applied, exactly as the offline replay does. The sort is stable, so each
+        // node's run keeps its arrival order.
+        let mut events = std::mem::take(&mut self.tick_events);
+        events.sort_by_key(|event| event.node);
+        let mut round: Vec<&MergedEvent> = Vec::with_capacity(events.len());
         let mut rounds = 0u64;
-        while !per_node.is_empty() {
+        loop {
             round.clear();
-            for (node, events) in per_node.iter_mut() {
-                round.push((*node, events.remove(0)));
+            round.extend(
+                events
+                    .chunk_by(|a, b| a.node == b.node)
+                    .filter_map(|run| run.get(rounds as usize)),
+            );
+            if round.is_empty() {
+                break;
             }
-            per_node.retain(|_, events| !events.is_empty());
-            self.serve_round(&mut round, out);
+            self.serve_round(&round, out);
             rounds += 1;
         }
+        events.clear();
+        self.tick_events = events;
         if rounds > 1 {
             metrics.duplicate_rounds.add(rounds - 1);
         }
@@ -571,11 +558,7 @@ impl<P: MitigationPolicy> FleetServer<P> {
     /// Serve one round (at most one event per node, node-id order): absorb the events,
     /// micro-batch the resulting decision requests, apply and emit the decisions,
     /// then replay the same requests through every shadow lane.
-    fn serve_round(
-        &mut self,
-        round: &mut Vec<(NodeId, MergedEvent)>,
-        out: &mut Vec<ServedDecision>,
-    ) {
+    fn serve_round(&mut self, round: &[&MergedEvent], out: &mut Vec<ServedDecision>) {
         let (nodes, states, fatals) = self.observe_round(round);
         // Fold the round's fatal costs into the running totals in node-id order
         // (observe_round returns them sorted), keeping the f64 accumulation order —
@@ -654,14 +637,15 @@ impl<P: MitigationPolicy> FleetServer<P> {
     #[allow(clippy::type_complexity)]
     fn observe_round(
         &mut self,
-        round: &mut Vec<(NodeId, MergedEvent)>,
+        round: &[&MergedEvent],
     ) -> (Vec<NodeId>, Vec<StateFeatures>, Vec<FatalCost>) {
         if round.len() < PARALLEL_TICK_THRESHOLD || self.config.shards == 1 {
             let mut nodes = Vec::new();
             let mut states = Vec::new();
             let mut fatals = Vec::new();
-            for (node, event) in round.drain(..) {
-                match self.session_mut(node).observe(&event) {
+            for event in round {
+                let node = event.node;
+                match self.session_mut(node).observe(event) {
                     Observed::Request(state) => {
                         nodes.push(node);
                         states.push(state);
@@ -682,33 +666,24 @@ impl<P: MitigationPolicy> FleetServer<P> {
         // Partition the round by shard, fan the shards out (each owns a disjoint set
         // of nodes), then merge the per-shard requests back into node-id order.
         let shard_count = self.shards.len();
-        let mut per_shard: Vec<Vec<(NodeId, MergedEvent)>> = vec![Vec::new(); shard_count];
-        for (node, event) in round.drain(..) {
-            per_shard[shard_index(node, shard_count)].push((node, event));
+        let mut per_shard: Vec<Vec<&MergedEvent>> = vec![Vec::new(); shard_count];
+        for &event in round {
+            per_shard[shard_index(event.node, shard_count)].push(event);
         }
         let shards = std::mem::take(&mut self.shards);
         let config = &self.config;
         let sampler = &self.sampler;
         let shadow_lanes = self.shadow_policies.len();
-        let work: Vec<(Shard, Vec<(NodeId, MergedEvent)>)> =
-            shards.into_iter().zip(per_shard).collect();
+        let work: Vec<(Shard, Vec<&MergedEvent>)> = shards.into_iter().zip(per_shard).collect();
         let done = rayon::execute_owned(work, |(mut shard, events)| {
             let mut requests = Vec::new();
             let mut fatals = Vec::new();
-            for (node, event) in events {
-                let session = shard.entry(node).or_insert_with(|| {
-                    NodeSession::new(
-                        node,
-                        config.window_start,
-                        config.window_end,
-                        config.mitigation,
-                        config.seed,
-                        sampler,
-                        config.retention,
-                        shadow_lanes,
-                    )
-                });
-                match session.observe(&event) {
+            for event in events {
+                let node = event.node;
+                let session = shard
+                    .entry(node)
+                    .or_insert_with(|| new_session(node, config, sampler, shadow_lanes));
+                match session.observe(event) {
                     Observed::Request(state) => requests.push((node, state)),
                     Observed::Fatal {
                         ue_cost,
@@ -747,18 +722,9 @@ impl<P: MitigationPolicy> FleetServer<P> {
         let config = &self.config;
         let sampler = &self.sampler;
         let shadow_lanes = self.shadow_policies.len();
-        self.shards[shard].entry(node).or_insert_with(|| {
-            NodeSession::new(
-                node,
-                config.window_start,
-                config.window_end,
-                config.mitigation,
-                config.seed,
-                sampler,
-                config.retention,
-                shadow_lanes,
-            )
-        })
+        self.shards[shard]
+            .entry(node)
+            .or_insert_with(|| new_session(node, config, sampler, shadow_lanes))
     }
 
     /// The session of a node, if it has received events.
@@ -863,6 +829,25 @@ impl<P: MitigationPolicy> FleetServer<P> {
 /// id, so the routing function affects only load distribution, never results.
 fn shard_index(node: NodeId, shards: usize) -> usize {
     node.0 as usize % shards
+}
+
+/// A fresh session for `node`, built from the server's configuration.
+fn new_session(
+    node: NodeId,
+    config: &ServeConfig,
+    sampler: &NodeJobSampler,
+    shadow_lanes: usize,
+) -> NodeSession {
+    NodeSession::new(
+        node,
+        config.window_start,
+        config.window_end,
+        config.mitigation,
+        config.seed,
+        sampler,
+        config.retention,
+        shadow_lanes,
+    )
 }
 
 /// Merge a timeline set into the single fleet-wide, event-time-ordered stream a
@@ -995,6 +980,23 @@ mod tests {
         let session = server.session(NodeId(3)).unwrap();
         assert_eq!(session.mitigation_count(), 2);
         assert_eq!(session.decisions().len(), 2);
+
+        // Interleaved duplicates of several nodes in one tick: round k serves the k-th
+        // event of every node that has one, in node-id order.
+        let mut server = FleetServer::new(
+            config().with_retention(RecordRetention::Full),
+            AlwaysMitigate,
+            sampler(),
+        );
+        let mut out = Vec::new();
+        let tick = [5, 3, 5, 1, 3, 5].map(|node| event(node, 10, false));
+        server.ingest_all(tick, &mut out).unwrap();
+        let order: Vec<u32> = out.iter().map(|d| d.node.0).collect();
+        assert_eq!(order, vec![1, 3, 5, 3, 5, 5]);
+        for (node, count) in [(1, 1), (3, 2), (5, 3)] {
+            let session = server.session(NodeId(node)).unwrap();
+            assert_eq!(session.decisions().len(), count, "node {node}");
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use uerl::core::event_stream::TimelineSet;
 use uerl::core::policies::{
-    AlwaysMitigate, MyopicRfPolicy, NeverMitigate, QuantMode, RlPolicy, ThresholdRfPolicy,
+    AlwaysMitigate, MyopicRfPolicy, NeverMitigate, RlPolicy, ThresholdRfPolicy,
 };
 use uerl::core::policy::MitigationPolicy;
 use uerl::core::rf_dataset::build_rf_dataset_1day;
@@ -45,18 +45,12 @@ fn fixture() -> (TimelineSet, NodeJobSampler) {
 }
 
 /// A small trained agent wrapped as the serving policy (the paper's deployment story).
-///
-/// The inference path follows `UERL_QUANT` (default f64; CI additionally runs this
-/// whole suite with `UERL_QUANT=i8`). Because the SAME policy object drives both the
-/// server and the offline `run_policy` oracle, every bit-parity assertion holds under
-/// quantization too: the i8 run is asserted deterministic across batch sizes, shard
-/// counts and thread counts even where its decisions diverge from the f64 run's.
 fn trained_rl_policy(timelines: &TimelineSet, sampler: &NodeJobSampler) -> RlPolicy {
     let trainer = RlTrainer::new(TrainerConfig::reduced(25).with_seed(3));
     let outcome = trainer.train(timelines, sampler);
     let mut agent = outcome.agent;
     agent.compact_for_inference();
-    RlPolicy::new(agent).with_quantization(QuantMode::from_env())
+    RlPolicy::new(agent)
 }
 
 /// A small forest trained on the fixture's 1-day prediction dataset (the SC20
@@ -238,28 +232,6 @@ fn serving_is_bit_identical_across_thread_counts_and_matches_offline() {
     assert_eq!(one, four, "serving diverged across thread counts");
     assert_parity(&one, &offline);
     assert_parity(&four, &offline);
-}
-
-#[test]
-fn quantized_serving_has_exact_parity_with_the_quantized_offline_rollout() {
-    // Explicit i8 coverage independent of the UERL_QUANT environment: the quantized
-    // policy must uphold the full serving determinism contract *within its own run* —
-    // bit-parity with the offline rollout of the same quantized policy at every batch
-    // size and shard count — even though its decisions may diverge from f64.
-    let (timelines, sampler) = fixture();
-    let policy = trained_rl_policy(&timelines, &sampler).with_quantization(QuantMode::I8);
-    assert_eq!(policy.name(), "RL-i8");
-    let offline = run_policy(
-        &policy,
-        &timelines,
-        &sampler,
-        MitigationConfig::paper_default(),
-        SEED,
-    );
-    for (batch_size, shards) in [(1, 8), (7, 1), (64, 4)] {
-        let report = serve(&policy, &timelines, &sampler, batch_size, shards);
-        assert_parity(&report, &offline);
-    }
 }
 
 #[test]
