@@ -13,11 +13,12 @@
 //!   variation over 1 minute and 1 hour.
 //! * [`event_stream`] — per-node timelines of per-minute merged events, the episode
 //!   substrate for training and evaluation.
-//! * [`session_core`] — the shared per-node accounting core (cost reference point,
-//!   mitigation/UE counters and logs, record-retention knob) that both the pull-mode
-//!   environment and the push-mode serving session wrap.
-//! * [`env`] — the environment: it walks a node's timeline, assigns jobs from the job
-//!   sampler, queries a policy at every event, applies mitigations and pays UE costs.
+//! * [`session`] — the per-node session: the one event pump (features, Equation 3
+//!   cost, fatal accounting) and the cost accounts of the served and shadow lanes,
+//!   pushed by both the environment cursor and the server; plus [`PolicyRun`], the
+//!   fleet totals of one policy, folded from the per-node accounts.
+//! * [`env`] — the environment: a cursor that pushes a node's timeline through a
+//!   session, stops at every decision point and pays the Equation 4 reward.
 //! * [`policy`] / [`policies`] — the mitigation-policy interface and the eight policies
 //!   evaluated in the paper (Never, Always, SC20-RF with optimal and perturbed
 //!   thresholds, Myopic-RF, the RL agent and the Oracle).
@@ -36,7 +37,7 @@ pub mod knobs;
 pub mod policies;
 pub mod policy;
 pub mod rf_dataset;
-pub mod session_core;
+pub mod session;
 pub mod state;
 pub mod trainer;
 
@@ -48,6 +49,8 @@ pub use policies::{
     AlwaysMitigate, MyopicRfPolicy, NeverMitigate, OraclePolicy, RlPolicy, ThresholdRfPolicy,
 };
 pub use policy::MitigationPolicy;
-pub use session_core::{RecordRetention, SessionCore, UeRecord};
+pub use session::{
+    CostAccount, Decision, NodeSession, Observed, PolicyRun, RecordRetention, UeEvent, UeRecord,
+};
 pub use state::{StateFeatures, STATE_DIM};
 pub use trainer::{RlTrainer, TrainerConfig, TrainingOutcome};

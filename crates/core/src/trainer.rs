@@ -10,7 +10,7 @@ use crate::config::MitigationConfig;
 use crate::env::MitigationEnv;
 use crate::event_stream::TimelineSet;
 use crate::policies::RlPolicy;
-use crate::session_core::RecordRetention;
+use crate::session::RecordRetention;
 use crate::state::STATE_DIM;
 use rand::rngs::StdRng;
 use rand::SeedableRng;

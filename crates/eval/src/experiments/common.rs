@@ -211,6 +211,8 @@ pub fn collect_states(
         .par_iter()
         .map(|timeline| {
             let mut states = Vec::new();
+            // Not `NodeJobSampler::node_sequence`: this older `seed ^ node` draw feeds the
+            // figure numbers, and switching it would move them.
             let mut rng = StdRng::seed_from_u64(seed ^ u64::from(timeline.node().0));
             let sequence =
                 sampler.sample_sequence(timeline.window_start(), timeline.window_end(), &mut rng);

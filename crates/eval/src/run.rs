@@ -1,114 +1,32 @@
 //! Cost-benefit rollouts: replay one policy over every node timeline of a range.
 //!
 //! Fairness requirement: every policy must see exactly the same workload. The job
-//! sequence assigned to a node is therefore derived from a seed that depends only on the
-//! evaluation seed and the node id, never on the policy.
+//! sequence assigned to a node is therefore drawn by [`NodeJobSampler::node_sequence`]
+//! from a seed that depends only on the evaluation seed and the node id, never on the
+//! policy.
 //!
 //! That same contract is what makes the rollouts embarrassingly parallel: each node's
-//! job sequence and RNG are fully determined by `(seed, node_id)`, so [`run_policy`]
-//! fans the timelines out over rayon and merges the per-node results in timeline order —
-//! the outcome is bit-identical at any thread count.
+//! job sequence is fully determined by `(seed, node_id)`, so [`run_policy`] fans the
+//! timelines out over rayon and folds the per-node accounts in timeline order — the
+//! outcome is bit-identical at any thread count.
+//!
+//! The totals types live in `uerl_core::session` (the server's shadow report builds
+//! the same [`PolicyRun`]) and are re-exported here.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
-use uerl_core::env::MitigationEnv;
 use uerl_core::event_stream::TimelineSet;
 use uerl_core::policy::MitigationPolicy;
+use uerl_core::session::{CostAccount, NodeSession, Observed, RecordRetention};
 use uerl_core::MitigationConfig;
-use uerl_jobs::schedule::{node_workload_seed, NodeJobSampler};
-use uerl_trace::types::{NodeId, SimTime};
+use uerl_jobs::schedule::NodeJobSampler;
 
-/// One recorded mitigation / no-mitigation decision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Decision {
-    /// Node the decision was made on.
-    pub node: NodeId,
-    /// Timestamp of the event that triggered the decision.
-    pub time: SimTime,
-    /// Whether a mitigation was requested.
-    pub mitigated: bool,
-}
+pub use uerl_core::session::{Decision, PolicyRun, UeEvent};
 
-/// One recorded fatal event and its cost.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct UeEvent {
-    /// Node the fatal event occurred on.
-    pub node: NodeId,
-    /// Timestamp of the fatal event.
-    pub time: SimTime,
-    /// Node-hours lost.
-    pub cost: f64,
-}
-
-/// The outcome of evaluating one policy over one timeline set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PolicyRun {
-    /// Policy name.
-    pub policy: String,
-    /// Number of mitigation actions taken.
-    pub mitigations: u64,
-    /// Number of "do nothing" decisions taken.
-    pub non_mitigations: u64,
-    /// Node-hours spent on mitigation actions plus model training/validation.
-    pub mitigation_cost: f64,
-    /// Number of fatal events in the evaluated range.
-    pub ue_count: u64,
-    /// Node-hours lost to fatal events.
-    pub ue_cost: f64,
-    /// Every decision, for the classical ML metrics.
-    pub decisions: Vec<Decision>,
-    /// Every fatal event, for the classical ML metrics.
-    pub ue_events: Vec<UeEvent>,
-}
-
-impl PolicyRun {
-    /// Total cost: UE cost plus mitigation cost (including training cost).
-    pub fn total_cost(&self) -> f64 {
-        self.ue_cost + self.mitigation_cost
-    }
-
-    /// Merge another run into this one (used to accumulate across splits).
-    ///
-    /// # Panics
-    /// Panics if the runs belong to different policies.
-    pub fn merge(&mut self, other: &PolicyRun) {
-        assert_eq!(
-            self.policy, other.policy,
-            "cannot merge runs of different policies"
-        );
-        self.mitigations += other.mitigations;
-        self.non_mitigations += other.non_mitigations;
-        self.mitigation_cost += other.mitigation_cost;
-        self.ue_count += other.ue_count;
-        self.ue_cost += other.ue_cost;
-        self.decisions.extend_from_slice(&other.decisions);
-        self.ue_events.extend_from_slice(&other.ue_events);
-    }
-
-    /// An empty run for a policy (identity element of [`PolicyRun::merge`]).
-    pub fn empty(policy: impl Into<String>) -> Self {
-        Self {
-            policy: policy.into(),
-            mitigations: 0,
-            non_mitigations: 0,
-            mitigation_cost: 0.0,
-            ue_count: 0,
-            ue_cost: 0.0,
-            decisions: Vec::new(),
-            ue_events: Vec::new(),
-        }
-    }
-}
-
-/// Evaluate a policy over every timeline in `timelines`, fanning the per-node rollouts
-/// out over rayon. Results are merged in timeline order, so the run is bit-identical at
-/// any thread count.
+/// Evaluate a policy over every timeline in `timelines`: push each timeline through a
+/// [`NodeSession`] (fanned out over rayon), then fold the per-node accounts in
+/// timeline order, so the run is bit-identical at any thread count.
 ///
-/// The policy's `training_cost_node_hours` is added to the mitigation cost once, as in
-/// the paper's accounting ("the total cost of the mitigation actions plus ... the cost of
-/// all training and validation used to create the model").
+/// The policy's `training_cost_node_hours` is charged once ([`PolicyRun::for_policy`]).
 pub fn run_policy<P: MitigationPolicy + Sync + ?Sized>(
     policy: &P,
     timelines: &TimelineSet,
@@ -116,49 +34,28 @@ pub fn run_policy<P: MitigationPolicy + Sync + ?Sized>(
     config: MitigationConfig,
     seed: u64,
 ) -> PolicyRun {
-    let mut run = PolicyRun::empty(policy.name().to_string());
-    run.mitigation_cost += policy.training_cost_node_hours();
-
-    let partials: Vec<PolicyRun> = timelines
+    let accounts: Vec<CostAccount> = timelines
         .timelines()
         .par_iter()
         .map(|timeline| {
-            let mut partial = PolicyRun::empty(run.policy.clone());
-            let mut rng = StdRng::seed_from_u64(node_workload_seed(seed, timeline.node()));
-            let sequence =
-                jobs.sample_sequence(timeline.window_start(), timeline.window_end(), &mut rng);
-            let mut env = MitigationEnv::new(timeline.clone(), sequence, config, false);
-            let mut state = env.reset();
-            while let Some(s) = state {
-                let mitigate = policy.decide(&s);
-                let outcome = env.step(mitigate);
-                state = outcome.next_state;
+            let node = timeline.node();
+            let (start, end) = (timeline.window_start(), timeline.window_end());
+            let sequence = jobs.node_sequence(seed, node, start, end);
+            let mut session =
+                NodeSession::new(node, start, sequence, config, RecordRetention::Full, 0);
+            for event in timeline.events() {
+                if let Observed::Request(state) = session.observe(event) {
+                    let mitigate = policy.decide(&state);
+                    session.apply_decision(state.time, mitigate);
+                }
             }
-            partial.mitigations = env.mitigation_count();
-            partial.non_mitigations = env.non_mitigation_count();
-            partial.mitigation_cost = env.total_mitigation_cost();
-            partial.ue_count = env.ue_count();
-            partial.ue_cost = env.total_ue_cost();
-            partial
-                .decisions
-                .extend(env.decisions().iter().map(|&(time, mitigated)| Decision {
-                    node: timeline.node(),
-                    time,
-                    mitigated,
-                }));
-            partial
-                .ue_events
-                .extend(env.ue_records().iter().map(|r| UeEvent {
-                    node: timeline.node(),
-                    time: r.time,
-                    cost: r.cost,
-                }));
-            partial
+            session.account().clone()
         })
         .collect();
 
-    for partial in &partials {
-        run.merge(partial);
+    let mut run = PolicyRun::for_policy(policy);
+    for (timeline, account) in timelines.timelines().iter().zip(&accounts) {
+        run.add_node(timeline.node(), account);
     }
     run
 }

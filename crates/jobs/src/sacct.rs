@@ -87,6 +87,11 @@ pub fn from_text(text: &str) -> Result<JobLog, ParseError> {
     let machine_nodes: u32 = field("machine_nodes")?
         .parse()
         .map_err(|_| ParseError::BadHeader("bad machine_nodes".into()))?;
+    if machine_nodes == 0 {
+        return Err(ParseError::BadHeader(
+            "machine_nodes must be positive".into(),
+        ));
+    }
     let window = field("window")?;
     let (s, e) = window
         .split_once("..")
@@ -99,6 +104,9 @@ pub fn from_text(text: &str) -> Result<JobLog, ParseError> {
         e.parse()
             .map_err(|_| ParseError::BadHeader("bad window end".into()))?,
     );
+    if end <= start {
+        return Err(ParseError::BadHeader(format!("empty window {window}")));
+    }
 
     let mut records = Vec::new();
     for (idx, line) in lines {
@@ -113,26 +121,30 @@ pub fn from_text(text: &str) -> Result<JobLog, ParseError> {
                 reason: format!("expected 5 fields, got {}", fields.len()),
             });
         }
-        let parse_i64 = |s: &str, what: &str| -> Result<i64, ParseError> {
-            s.parse().map_err(|_| ParseError::BadLine {
-                line: idx + 1,
-                reason: format!("bad {what}: '{s}'"),
-            })
-        };
-        let job_id = parse_i64(fields[0], "JobID")? as u64;
-        let submit = SimTime::from_secs(parse_i64(fields[1], "Submit")?);
-        let start_t = SimTime::from_secs(parse_i64(fields[2], "Start")?);
-        let end_t = SimTime::from_secs(parse_i64(fields[3], "End")?);
-        let nodes = parse_i64(fields[4], "NNodes")? as u32;
+        let line = idx + 1;
+        let job_id: u64 = parse_field(fields[0], "JobID", line)?;
+        let submit = SimTime::from_secs(parse_field(fields[1], "Submit", line)?);
+        let start_t = SimTime::from_secs(parse_field(fields[2], "Start", line)?);
+        let end_t = SimTime::from_secs(parse_field(fields[3], "End", line)?);
+        let nodes: u32 = parse_field(fields[4], "NNodes", line)?;
         if nodes == 0 || submit > start_t || start_t > end_t {
             return Err(ParseError::BadLine {
-                line: idx + 1,
+                line,
                 reason: "inconsistent record".into(),
             });
         }
         records.push(JobRecord::new(job_id, submit, start_t, end_t, nodes));
     }
     Ok(JobLog::new(records, start, end, machine_nodes))
+}
+
+/// Parse one record field as its own type, so a negative or oversized id or node
+/// count is a typed error instead of a wrapped value.
+fn parse_field<T: std::str::FromStr>(s: &str, what: &str, line: usize) -> Result<T, ParseError> {
+    s.parse().map_err(|_| ParseError::BadLine {
+        line,
+        reason: format!("bad {what}: '{s}'"),
+    })
 }
 
 #[cfg(test)]
@@ -184,6 +196,41 @@ mod tests {
     fn rejects_inconsistent_record() {
         let text = "# uerl-jobs v1 machine_nodes=4 window=0..100\n1|50|40|60|1\n";
         assert!(matches!(from_text(text), Err(ParseError::BadLine { .. })));
+    }
+
+    #[test]
+    fn bad_headers_and_out_of_range_fields_are_typed_errors() {
+        enum Expect {
+            Ok,
+            Header,
+            Line,
+        }
+        let cases = [
+            ("machine_nodes=4 window=0..100", "1|0|0|10|1", Expect::Ok),
+            ("machine_nodes=4 window=5..5", "1|0|0|10|1", Expect::Header),
+            ("machine_nodes=4 window=9..5", "1|0|0|10|1", Expect::Header),
+            (
+                "machine_nodes=0 window=0..100",
+                "1|0|0|10|1",
+                Expect::Header,
+            ),
+            ("machine_nodes=4 window=0..100", "1|0|0|10|-1", Expect::Line),
+            (
+                "machine_nodes=4 window=0..100",
+                "1|0|0|10|4294967296",
+                Expect::Line,
+            ),
+            ("machine_nodes=4 window=0..100", "-1|0|0|10|1", Expect::Line),
+        ];
+        for (header, record, expect) in cases {
+            let text = format!("# uerl-jobs v1 {header}\n{record}\n");
+            match (from_text(&text), expect) {
+                (Ok(_), Expect::Ok)
+                | (Err(ParseError::BadHeader(_)), Expect::Header)
+                | (Err(ParseError::BadLine { line: 2, .. }), Expect::Line) => {}
+                (outcome, _) => panic!("{header} / {record}: unexpected {outcome:?}"),
+            }
+        }
     }
 
     #[test]

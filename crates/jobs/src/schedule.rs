@@ -8,7 +8,8 @@
 //! and the sequence covers the whole requested time range.
 
 use crate::job::JobLog;
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use uerl_stats::{Categorical, Distribution};
 use uerl_trace::types::{NodeId, SimTime};
@@ -207,6 +208,23 @@ impl NodeJobSampler {
         }
         JobSequence { jobs }
     }
+
+    /// The job sequence of `node` over `[range_start, range_end)` for evaluation seed
+    /// `seed`: one draw from an RNG seeded by [`node_workload_seed`] alone, so every
+    /// policy, the offline evaluator and the server see the same workload on a node.
+    ///
+    /// # Panics
+    /// Panics if the range is empty.
+    pub fn node_sequence(
+        &self,
+        seed: u64,
+        node: NodeId,
+        range_start: SimTime,
+        range_end: SimTime,
+    ) -> JobSequence {
+        let mut rng = StdRng::seed_from_u64(node_workload_seed(seed, node));
+        self.sample_sequence(range_start, range_end, &mut rng)
+    }
 }
 
 #[cfg(test)]
@@ -214,8 +232,6 @@ mod tests {
     use super::*;
     use crate::generator::{JobLogConfig, JobTraceGenerator};
     use crate::job::JobRecord;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn sample_log() -> JobLog {
         JobTraceGenerator::new(JobLogConfig::small(64, 30, 8)).generate()
@@ -323,6 +339,18 @@ mod tests {
         let a = sampler.sample_sequence(SimTime::ZERO, SimTime::from_days(2), &mut rng);
         let b = sampler.sample_sequence(SimTime::ZERO, SimTime::from_days(2), &mut rng);
         assert_ne!(a, b, "two draws should not produce the identical sequence");
+    }
+
+    #[test]
+    fn node_sequence_depends_on_seed_and_node_only() {
+        let sampler = NodeJobSampler::from_log(&sample_log());
+        let (start, end) = (SimTime::ZERO, SimTime::from_days(2));
+        let a = sampler.node_sequence(11, NodeId(3), start, end);
+        assert_eq!(a, sampler.node_sequence(11, NodeId(3), start, end));
+        let mut rng = StdRng::seed_from_u64(node_workload_seed(11, NodeId(3)));
+        assert_eq!(a, sampler.sample_sequence(start, end, &mut rng));
+        assert_ne!(a, sampler.node_sequence(11, NodeId(4), start, end));
+        assert_ne!(a, sampler.node_sequence(12, NodeId(3), start, end));
     }
 
     #[test]

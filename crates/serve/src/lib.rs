@@ -6,9 +6,6 @@
 //! event-time stream of an entire fleet's DRAM error events and answers, at every
 //! non-fatal event, whether to mitigate.
 //!
-//! * [`session`] — per-node serving sessions: the push-mode mirror of the evaluation
-//!   environment, keeping each node's incremental feature state, job assignment,
-//!   mitigation reference point and cost accounting.
 //! * [`server`] — the [`FleetServer`]: event-time ticks, sharded per-node state,
 //!   node-id-ordered **micro-batched inference** (a tick's decision requests are
 //!   stacked into one batched forward pass through
@@ -20,10 +17,12 @@
 //!   policies scored counterfactually on the identical served stream, with a live
 //!   cost-regret gauge ([`FleetServer::with_shadow_policies`]).
 //!
-//! The subsystem carries the repository's determinism contract: served decisions and
-//! accumulated mitigation/UE cost are **bit-identical** to the offline evaluator's
-//! `run_policy` rollout of the same timelines — at any micro-batch size, shard count,
-//! thread count and record-retention mode. The serving-parity test suite and the
+//! Per-node state is the core crate's [`NodeSession`] — one session type, pushed by
+//! both the offline environment cursor and this server. That is what carries the
+//! repository's determinism contract: served decisions and accumulated
+//! mitigation/UE cost are **bit-identical** to the offline evaluator's `run_policy`
+//! rollout of the same timelines — at any micro-batch size, shard count, thread count
+//! and record-retention mode. The serving-parity test suite and the
 //! `serve_throughput` stage of `perf_report` pin this.
 //!
 //! Sessions are bounded: the feature history is an O(window) ring buffer and, under
@@ -32,12 +31,10 @@
 
 pub mod metrics;
 pub mod server;
-pub mod session;
 
 pub use metrics::{serve_metrics, ServeMetrics};
 pub use server::{
     merged_fleet_stream, FleetServer, NodeServeReport, OutOfOrderEvent, ServeConfig, ServeReport,
     ServedDecision, ShadowPolicy, ShadowScore,
 };
-pub use session::{NodeSession, Observed};
-pub use uerl_core::session_core::RecordRetention;
+pub use uerl_core::session::{NodeSession, RecordRetention};

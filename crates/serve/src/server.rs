@@ -6,9 +6,9 @@
 //! tick is flushed:
 //!
 //! 1. the tick's events are routed to their node **shards** (node id modulo shard
-//!    count) and the shards absorb them in parallel over the work-stealing pool —
-//!    updating each node's incremental [`NodeSession`] and collecting the tick's
-//!    decision requests;
+//!    count) and the shards push them in parallel over the work-stealing pool into
+//!    each node's [`NodeSession`] — the one session type the offline environment
+//!    cursor pushes too — collecting the tick's decision requests;
 //! 2. the requests are assembled in **node-id order** (whatever the shard count or
 //!    thread count) and stacked into **micro-batches** of at most
 //!    [`ServeConfig::batch_size`] states, each answered by a single batched forward
@@ -16,21 +16,21 @@
 //! 3. the decisions are applied to their sessions — paying mitigation costs, moving
 //!    the Equation 3 reference points — and emitted in the same node-id order.
 //!
-//! Because batched Q-inference is bit-identical per row to single-state inference and
-//! every reduction (request assembly, decision application, fleet totals) runs in
-//! node-id order, the server's decisions and accumulated costs are **bit-identical to
-//! the offline evaluator's `run_policy` rollout** of the same timelines — at any batch
-//! size, shard count and thread count. The serving-parity suite pins this.
+//! Each node's events pass through the same [`NodeSession::observe`] the offline
+//! rollout uses, batched Q-inference is bit-identical per row to single-state
+//! inference, and every reduction (request assembly, decision application, fleet
+//! totals) runs in node-id order. So the server's decisions and accumulated costs are
+//! **bit-identical to the offline evaluator's `run_policy` rollout** of the same
+//! timelines — at any batch size, shard count and thread count. The serving-parity
+//! suite pins this.
 
 use crate::metrics::{serve_metrics, shadow_cost_gauge};
-use crate::session::{NodeSession, Observed};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use uerl_core::config::MitigationConfig;
-use uerl_core::env::UeRecord;
 use uerl_core::event_stream::TimelineSet;
 use uerl_core::policy::MitigationPolicy;
-use uerl_core::session_core::RecordRetention;
+use uerl_core::session::{NodeSession, Observed, PolicyRun, RecordRetention, UeRecord};
 use uerl_core::state::StateFeatures;
 use uerl_jobs::schedule::NodeJobSampler;
 use uerl_obs::Gauge;
@@ -211,7 +211,7 @@ impl std::fmt::Display for OutOfOrderEvent {
 
 impl std::error::Error for OutOfOrderEvent {}
 
-/// Per-node serving totals (the serving-side mirror of one offline rollout).
+/// Per-node serving totals (bit-equal to the same node's offline rollout).
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeServeReport {
     /// The node.
@@ -283,33 +283,9 @@ struct RunningCost {
     ue_cost: f64,
 }
 
-/// Fleet-wide counterfactual totals of one shadow policy, accumulated in node-id
-/// order (bit-comparable to the offline evaluator's `PolicyRun` of the same policy
-/// over the same timelines).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShadowScore {
-    /// Name of the shadow policy.
-    pub policy: String,
-    /// Mitigations the shadow policy would have ordered.
-    pub mitigations: u64,
-    /// "Do nothing" decisions the shadow policy would have taken.
-    pub non_mitigations: u64,
-    /// Counterfactual mitigation node-hours plus the policy's training cost (charged
-    /// once, exactly as the offline cost-benefit accounting does).
-    pub mitigation_cost: f64,
-    /// Fatal events (identical for every lane — fatals are decision-independent in
-    /// this counterfactual model; only their *cost* depends on the lane's reference).
-    pub ue_count: u64,
-    /// Counterfactual node-hours lost to fatal events.
-    pub ue_cost: f64,
-}
-
-impl ShadowScore {
-    /// Total counterfactual cost: UE cost plus mitigation (and training) cost.
-    pub fn total_cost(&self) -> f64 {
-        self.ue_cost + self.mitigation_cost
-    }
-}
+/// A shadow lane's fleet totals (see [`FleetServer::shadow_report`]). The alias
+/// exists only because the benchmark crate imports this name.
+pub type ShadowScore = PolicyRun;
 
 /// The online mitigation service for a fleet of nodes.
 pub struct FleetServer<P: MitigationPolicy> {
@@ -747,13 +723,7 @@ impl<P: MitigationPolicy> FleetServer<P> {
     /// Only flushed ticks are included; flush the final tick first (or ingest via
     /// [`FleetServer::ingest_all`]).
     pub fn report(&self) -> ServeReport {
-        let mut sessions: Vec<&NodeSession> = self
-            .shards
-            .iter()
-            .flat_map(|shard| shard.values())
-            .collect();
-        sessions.sort_unstable_by_key(|s| s.node().0);
-
+        let sessions = self.sessions_by_node();
         let mut report = ServeReport {
             policy: self.policy.name().to_string(),
             mitigations: 0,
@@ -766,62 +736,52 @@ impl<P: MitigationPolicy> FleetServer<P> {
             per_node: Vec::with_capacity(sessions.len()),
         };
         for session in sessions {
-            let non_mitigations = session.non_mitigation_count();
-            report.mitigations += session.mitigation_count();
-            report.non_mitigations += non_mitigations;
-            report.mitigation_cost += session.total_mitigation_cost();
-            report.ue_count += session.ue_count();
-            report.ue_cost += session.total_ue_cost();
+            let account = session.account();
+            report.mitigations += account.mitigation_count();
+            report.non_mitigations += account.non_mitigation_count();
+            report.mitigation_cost += account.total_mitigation_cost();
+            report.ue_count += account.ue_count();
+            report.ue_cost += account.total_ue_cost();
             report.per_node.push(NodeServeReport {
                 node: session.node(),
-                mitigations: session.mitigation_count(),
-                non_mitigations,
-                mitigation_cost: session.total_mitigation_cost(),
-                ue_count: session.ue_count(),
-                ue_cost: session.total_ue_cost(),
-                decisions: session.decisions().to_vec(),
-                ue_records: session.ue_records().to_vec(),
+                mitigations: account.mitigation_count(),
+                non_mitigations: account.non_mitigation_count(),
+                mitigation_cost: account.total_mitigation_cost(),
+                ue_count: account.ue_count(),
+                ue_cost: account.total_ue_cost(),
+                decisions: account.decisions().to_vec(),
+                ue_records: account.ue_records().to_vec(),
             });
         }
         report
     }
 
-    /// Counterfactual fleet totals of every shadow policy, lane order. Accumulated
-    /// per node in node-id order after charging each policy's training cost once —
-    /// the exact merge order of the offline evaluator's `run_policy` — so every float
-    /// is bit-comparable to an offline rollout of that policy over the same
-    /// timelines. Only flushed ticks are included.
-    pub fn shadow_report(&self) -> Vec<ShadowScore> {
-        let mut sessions: Vec<&NodeSession> = self
-            .shards
-            .iter()
-            .flat_map(|shard| shard.values())
-            .collect();
-        sessions.sort_unstable_by_key(|s| s.node().0);
-
+    /// Counterfactual fleet totals of every shadow policy, lane order, folded with
+    /// the offline evaluator's own merge ([`PolicyRun::for_policy`], then
+    /// [`PolicyRun::add_node`] in node-id order), so every float is bit-comparable to
+    /// `run_policy` of that policy over the same timelines. Shadow lanes keep totals
+    /// only, so the runs carry no logs. Only flushed ticks are included.
+    pub fn shadow_report(&self) -> Vec<PolicyRun> {
+        let sessions = self.sessions_by_node();
         self.shadow_policies
             .iter()
             .enumerate()
             .map(|(lane, policy)| {
-                let mut score = ShadowScore {
-                    policy: policy.name().to_string(),
-                    mitigations: 0,
-                    non_mitigations: 0,
-                    mitigation_cost: policy.training_cost_node_hours(),
-                    ue_count: 0,
-                    ue_cost: 0.0,
-                };
+                let mut run = PolicyRun::for_policy(&**policy);
                 for session in &sessions {
-                    let account = session.shadow_account(lane);
-                    score.mitigations += account.mitigation_count();
-                    score.non_mitigations += account.non_mitigation_count();
-                    score.mitigation_cost += account.total_mitigation_cost();
-                    score.ue_count += account.ue_count();
-                    score.ue_cost += account.total_ue_cost();
+                    run.add_node(session.node(), session.shadow_account(lane));
                 }
-                score
+                run
             })
             .collect()
+    }
+
+    /// Every live session, in node-id order (the order every fleet total is folded
+    /// in).
+    fn sessions_by_node(&self) -> Vec<&NodeSession> {
+        let mut sessions: Vec<&NodeSession> = self.sessions().collect();
+        sessions.sort_unstable_by_key(|s| s.node().0);
+        sessions
     }
 }
 
@@ -841,10 +801,8 @@ fn new_session(
     NodeSession::new(
         node,
         config.window_start,
-        config.window_end,
+        sampler.node_sequence(config.seed, node, config.window_start, config.window_end),
         config.mitigation,
-        config.seed,
-        sampler,
         config.retention,
         shadow_lanes,
     )
@@ -978,8 +936,8 @@ mod tests {
             .unwrap();
         assert_eq!(out.len(), 2);
         let session = server.session(NodeId(3)).unwrap();
-        assert_eq!(session.mitigation_count(), 2);
-        assert_eq!(session.decisions().len(), 2);
+        assert_eq!(session.account().mitigation_count(), 2);
+        assert_eq!(session.account().decisions().len(), 2);
 
         // Interleaved duplicates of several nodes in one tick: round k serves the k-th
         // event of every node that has one, in node-id order.
@@ -995,7 +953,7 @@ mod tests {
         assert_eq!(order, vec![1, 3, 5, 3, 5, 5]);
         for (node, count) in [(1, 1), (3, 2), (5, 3)] {
             let session = server.session(NodeId(node)).unwrap();
-            assert_eq!(session.decisions().len(), count, "node {node}");
+            assert_eq!(session.account().decisions().len(), count, "node {node}");
         }
     }
 

@@ -106,6 +106,11 @@ fn parse_header(header: &str) -> Result<(SimTime, SimTime), ParseError> {
     let end = e
         .parse::<i64>()
         .map_err(|_| ParseError::BadHeader("bad window end".into()))?;
+    if end <= start {
+        return Err(ParseError::BadHeader(format!(
+            "empty window {start}..{end}"
+        )));
+    }
     Ok((SimTime::from_secs(start), SimTime::from_secs(end)))
 }
 
@@ -244,6 +249,25 @@ mod tests {
     fn rejects_missing_header() {
         let err = from_text("60 node-0001 BOOT\n", FleetConfig::small(3)).unwrap_err();
         assert!(matches!(err, ParseError::BadHeader(_)));
+    }
+
+    #[test]
+    fn header_windows_parse_or_are_rejected_typed() {
+        let cases: [(&str, bool); 5] = [
+            ("window=0..86400", true),
+            ("window=-60..60", true),
+            ("window=5..5", false),
+            ("window=9..5", false),
+            ("window=5..", false),
+        ];
+        for (window, accepted) in cases {
+            let text = format!("# uerl-trace v1 nodes=3 dimms=12 {window}\n60 node-0001 BOOT\n");
+            match from_text(&text, FleetConfig::small(3)) {
+                Ok(_) => assert!(accepted, "{window} must be rejected"),
+                Err(ParseError::BadHeader(_)) => assert!(!accepted, "{window} must parse"),
+                Err(other) => panic!("{window}: unexpected {other:?}"),
+            }
+        }
     }
 
     #[test]

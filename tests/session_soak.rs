@@ -5,14 +5,12 @@
 //! same timeline. The bound is asserted at every event, so a regression that lets the
 //! history grow with the stream (the pre-ring-buffer behavior) fails immediately.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use uerl::core::event_stream::NodeTimeline;
+use uerl::core::session::{NodeSession, Observed, RecordRetention};
 use uerl::core::state::StateFeatures;
 use uerl::core::{MitigationConfig, MitigationEnv};
-use uerl::jobs::schedule::{node_workload_seed, NodeJobSampler};
+use uerl::jobs::schedule::{JobSequence, NodeJobSampler};
 use uerl::jobs::{JobLogConfig, JobTraceGenerator};
-use uerl::serve::{NodeSession, Observed, RecordRetention};
 use uerl::trace::events::{CeDetail, Detector};
 use uerl::trace::log::MergedEvent;
 use uerl::trace::types::{CellLocation, DimmId, NodeId, SimTime};
@@ -63,9 +61,26 @@ fn soak_stream() -> Vec<MergedEvent> {
     events
 }
 
-fn sampler() -> NodeJobSampler {
+/// The node's two-year job sequence, drawn as the evaluator and the server draw it.
+fn sequence() -> JobSequence {
     let jobs = JobTraceGenerator::new(JobLogConfig::small(64, 30, 11)).generate();
-    NodeJobSampler::from_log(&jobs)
+    NodeJobSampler::from_log(&jobs).node_sequence(
+        SEED,
+        NODE,
+        SimTime::ZERO,
+        SimTime::from_days(SOAK_DAYS),
+    )
+}
+
+fn new_session(retention: RecordRetention) -> NodeSession {
+    NodeSession::new(
+        NODE,
+        SimTime::ZERO,
+        sequence(),
+        MitigationConfig::paper_default(),
+        retention,
+        0,
+    )
 }
 
 /// The same policy-free, state-dependent rule the session parity tests use: it
@@ -75,17 +90,7 @@ fn rule(s: &StateFeatures) -> bool {
 }
 
 fn replay_session(events: &[MergedEvent], retention: RecordRetention) -> (NodeSession, usize) {
-    let sampler = sampler();
-    let mut session = NodeSession::new(
-        NODE,
-        SimTime::ZERO,
-        SimTime::from_days(SOAK_DAYS),
-        MitigationConfig::paper_default(),
-        SEED,
-        &sampler,
-        retention,
-        0,
-    );
+    let mut session = new_session(retention);
     let mut max_history = 0usize;
     for event in events {
         if let Observed::Request(state) = session.observe(event) {
@@ -110,21 +115,24 @@ fn two_year_session_stays_bounded_and_bit_identical_to_offline() {
 
     // Offline reference: the pull-mode environment over the identical timeline,
     // workload and decision rule (full retention, no termination on fatals).
-    let sampler = sampler();
-    let mut rng = StdRng::seed_from_u64(node_workload_seed(SEED, NODE));
-    let sequence = sampler.sample_sequence(SimTime::ZERO, SimTime::from_days(SOAK_DAYS), &mut rng);
     let timeline = NodeTimeline::new(
         NODE,
         SimTime::ZERO,
         SimTime::from_days(SOAK_DAYS),
         events.clone(),
     );
-    let mut env = MitigationEnv::new(timeline, sequence, MitigationConfig::paper_default(), false);
+    let mut env = MitigationEnv::new(
+        timeline,
+        sequence(),
+        MitigationConfig::paper_default(),
+        false,
+    );
     let mut state = env.reset();
     while let Some(s) = state {
         let outcome = env.step(rule(&s));
         state = outcome.next_state;
     }
+    let env = env.account();
     assert!(env.ue_count() > 10, "the soak must contain fatal events");
     assert!(
         env.mitigation_count() > 0 && env.non_mitigation_count() > 0,
@@ -136,6 +144,7 @@ fn two_year_session_stays_bounded_and_bit_identical_to_offline() {
         max_history <= HISTORY_BOUND,
         "peak history {max_history} exceeds the window bound {HISTORY_BOUND}"
     );
+    let session = session.account();
     assert_eq!(session.decision_count(), env.decision_count());
     assert_eq!(session.mitigation_count(), env.mitigation_count());
     assert_eq!(session.non_mitigation_count(), env.non_mitigation_count());
@@ -162,17 +171,7 @@ fn totals_only_soak_footprint_stops_growing_after_warmup() {
     // Replay the first half, note the footprint, replay the rest: by mid-stream the
     // ring buffer, the 64-cell location sets and the job sequence are all saturated,
     // so another year of events must not add a single byte.
-    let sampler = sampler();
-    let mut session = NodeSession::new(
-        NODE,
-        SimTime::ZERO,
-        SimTime::from_days(SOAK_DAYS),
-        MitigationConfig::paper_default(),
-        SEED,
-        &sampler,
-        RecordRetention::TotalsOnly,
-        0,
-    );
+    let mut session = new_session(RecordRetention::TotalsOnly);
     let drive = |chunk: &[MergedEvent], session: &mut NodeSession| {
         for event in chunk {
             if let Observed::Request(state) = session.observe(event) {
@@ -198,10 +197,10 @@ fn totals_only_soak_footprint_stops_growing_after_warmup() {
         "mid-stream history {warm_history} already exceeded the bound"
     );
     assert!(
-        session.decisions().is_empty() && session.ue_records().is_empty(),
+        session.account().decisions().is_empty() && session.account().ue_records().is_empty(),
         "totals-only must keep no per-event logs"
     );
-    assert!(session.decision_count() > 100_000);
+    assert!(session.account().decision_count() > 100_000);
     // The footprint is dominated by the two-year job schedule, which is sampled up
     // front and never grows (~85 KB here); the ring buffer and location sets are a
     // few KB. The bound guards against any per-event accumulation creeping back in.
