@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the substrates the evaluation pipeline is built on: synthetic log
 //! generation, per-minute merging, RF prediction, Q-network inference and one DQN
-//! training step. These are the ablation-level numbers behind the end-to-end figure
-//! benchmarks.
+//! training step. These are the ablation-level numbers behind the figure pipelines that
+//! `perf_report` times end to end.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;

@@ -2,12 +2,12 @@
 //!
 //! Times a `pool_overhead` microbench (many tiny parallel calls through the persistent
 //! work-stealing pool), every figure/table pipeline, the two-round RL hyperparameter
-//! search, a `halving_vs_exhaustive` comparison (the paper's 60+20 candidate search
-//! run once through the successive-halving driver and once exhaustively, with the
-//! survivor trace in the fingerprint), a `matmul_kernels` microbench (the cache-blocked
-//! `Matrix` kernel family at serving- and training-shaped GEMMs, with the output bits
-//! in the fingerprint and GFLOP/s plus the dispatched instruction-set level in the
-//! JSON), a `serve_throughput` stage (a scaled-up
+//! search, a `halving_vs_exhaustive` comparison (the paper's 60+20 candidate search,
+//! whose training steps are compared against training each of its candidates to
+//! completion, with the survivor trace in the fingerprint), a `matmul_kernels`
+//! microbench (the cache-blocked `Matrix` kernel family at serving- and training-shaped
+//! GEMMs, with the output bits in the fingerprint and GFLOP/s plus the dispatched
+//! instruction-set level in the JSON), a `serve_throughput` stage (a scaled-up
 //! synthetic fleet streamed through the online `uerl-serve` subsystem, with the
 //! serving-vs-offline parity verdict in the fingerprint) and a `session_memory` stage (a totals-only serving fleet measured at half-stream and at
 //! the end: bytes/node, feature-history extremes and the O(window) verdict — the
@@ -21,8 +21,8 @@
 //! with per-stage wall times,
 //! the thread count, the speedup, whether the stage output was byte-identical across
 //! thread counts (it must be: every parallel fan-out in the engine merges in
-//! deterministic order), the halving-vs-exhaustive training-step totals (halving must
-//! train strictly fewer) and the serving events/sec + parity flag (served decisions and
+//! deterministic order), the halving-vs-exhaustive training-step totals (the search
+//! must train strictly fewer) and the serving events/sec + parity flag (served decisions and
 //! costs must be bit-identical to the offline evaluator).
 //!
 //! The checked-in baseline may come from a **single-core container**, where every
@@ -54,7 +54,7 @@ use uerl_core::rf_dataset::build_rf_dataset_1day;
 use uerl_core::state::STATE_DIM;
 use uerl_core::trainer::{RlTrainer, TrainerConfig, TRAIN_COST_SECONDS_PER_STEP};
 use uerl_core::MitigationConfig;
-use uerl_eval::evaluator::{dqn_candidate_evaluator, dqn_candidate_session_factory};
+use uerl_eval::evaluator::{dqn_candidate_session_factory, estimated_full_steps};
 use uerl_eval::experiments::common::clear_prefix_cache;
 use uerl_eval::experiments::{fig3, fig4, fig5, fig6, fig7, table2};
 use uerl_eval::run::run_policy;
@@ -62,7 +62,7 @@ use uerl_eval::scenario::ExperimentContext;
 use uerl_forest::{RandomForest, RandomForestConfig};
 use uerl_jobs::{JobLogConfig, JobTraceGenerator, NodeJobSampler};
 use uerl_nn::{kernel_isa, Matrix};
-use uerl_rl::HyperSearch;
+use uerl_rl::{HyperSearch, Trainable};
 use uerl_serve::{merged_fleet_stream, FleetServer, RecordRetention, ServeConfig, ShadowPolicy};
 use uerl_trace::generator::{SyntheticLogConfig, TraceGenerator};
 use uerl_trace::reduction::preprocess;
@@ -122,24 +122,26 @@ fn main() {
         )
     };
 
-    // The parallel two-round hyperparameter search (the per-split RL stage of the
-    // evaluation protocol): enough candidates to expose the fan-out even at the small
-    // scale, with a fingerprint covering the winner, the charged search cost and a
-    // probe of the winning network's Q-values.
+    // The two-round hyperparameter search (the per-split RL stage of the evaluation
+    // protocol): enough candidates to expose the fan-out even at the small scale, with
+    // a fingerprint covering the winner, the charged search cost and a probe of the
+    // winning network's Q-values.
     let hyper_stage = |ctx: &ExperimentContext| -> String {
         let sampler = ctx.job_sampler(1.0);
         let seed = ctx.seed ^ 0x5EA7;
         let search = HyperSearch::reduced(8, 4);
         let mut rng = StdRng::seed_from_u64(seed);
-        let outcome = search.run_parallel(
+        let episodes = ctx.budget.rl_episodes;
+        let outcome = search.run(
             &mut rng,
-            dqn_candidate_evaluator(
+            estimated_full_steps(&ctx.timelines, episodes),
+            dqn_candidate_session_factory(
                 &ctx.timelines,
                 &ctx.timelines,
                 &sampler,
                 ctx.mitigation,
                 seed,
-                ctx.budget.rl_episodes,
+                episodes,
             ),
         );
         let probe = vec![0.25; STATE_DIM];
@@ -156,12 +158,13 @@ fn main() {
     };
 
     // Halving-vs-exhaustive comparison at the paper's search breadth (60 broad + 20
-    // narrowed candidates, episode budget of the selected scale): both drivers run on
-    // identical pre-drawn candidates from the same search seed, and the fingerprint
-    // covers each driver's winner, charged cost, the halving survivor trace (so the
-    // serial-vs-parallel byte compare pins rung-level determinism across thread
-    // counts) and the derived training-step totals. The step totals of the last run
-    // land in `halving_stats` for the JSON summary: the halving search must train
+    // narrowed candidates, episode budget of the selected scale): the search runs once,
+    // and the exhaustive reference trains each of its recorded candidates to
+    // completion through the same session factory, costs summed in candidate order.
+    // The fingerprint covers the search winner, both charged costs, the survivor trace
+    // (so the serial-vs-parallel byte compare pins rung-level determinism across
+    // thread counts) and the derived training-step totals. The step totals of the last
+    // run land in `halving_stats` for the JSON summary: the halving search must train
     // strictly fewer steps at the paper budget.
     let halving_stats: Arc<Mutex<Option<(u64, u64, bool)>>> = Arc::new(Mutex::new(None));
     let halving_stage = {
@@ -173,38 +176,24 @@ fn main() {
             let episodes = ctx.budget.rl_episodes;
             let steps_of = |cost: f64| (cost * 3600.0 / TRAIN_COST_SECONDS_PER_STEP).round() as u64;
 
-            let full_steps = uerl_eval::evaluator::estimated_full_steps(&ctx.timelines, episodes);
-            let halving = {
-                let mut rng = StdRng::seed_from_u64(seed);
-                search.run_halving(
-                    &mut rng,
-                    full_steps,
-                    dqn_candidate_session_factory(
-                        &ctx.timelines,
-                        &ctx.timelines,
-                        &sampler,
-                        ctx.mitigation,
-                        seed,
-                        episodes,
-                    ),
-                )
-            };
-            let exhaustive = {
-                let mut rng = StdRng::seed_from_u64(seed);
-                search.run_parallel(
-                    &mut rng,
-                    dqn_candidate_evaluator(
-                        &ctx.timelines,
-                        &ctx.timelines,
-                        &sampler,
-                        ctx.mitigation,
-                        seed,
-                        episodes,
-                    ),
-                )
-            };
-            let halving_steps = steps_of(halving.search.total_cost);
-            let exhaustive_steps = steps_of(exhaustive.total_cost);
+            let factory = dqn_candidate_session_factory(
+                &ctx.timelines,
+                &ctx.timelines,
+                &sampler,
+                ctx.mitigation,
+                seed,
+                episodes,
+            );
+            let full_steps = estimated_full_steps(&ctx.timelines, episodes);
+            let halving = search.run(&mut StdRng::seed_from_u64(seed), full_steps, &factory);
+            let exhaustive_costs: Vec<f64> = halving
+                .candidates
+                .par_iter()
+                .map(|c| factory(&c.params, c.trainer_seed).train_to(u64::MAX))
+                .collect();
+            let exhaustive_cost = exhaustive_costs.iter().fold(0.0f64, |sum, c| sum + c);
+            let halving_steps = steps_of(halving.total_cost);
+            let exhaustive_steps = steps_of(exhaustive_cost);
             *stats.lock().expect("halving stats poisoned") = Some((
                 halving_steps,
                 exhaustive_steps,
@@ -225,16 +214,12 @@ fn main() {
                 .collect();
             format!(
                 "halving: best={} lr={:.12e} score={:.12} cost={:.12} steps={halving_steps} | \
-                 exhaustive: best={} lr={:.12e} score={:.12} cost={:.12} steps={exhaustive_steps} | \
+                 exhaustive: cost={exhaustive_cost:.12} steps={exhaustive_steps} | \
                  fewer={} trace={trace}",
-                halving.search.best_index,
-                halving.search.best_params.learning_rate,
-                halving.search.best_score,
-                halving.search.total_cost,
-                exhaustive.best_index,
-                exhaustive.best_params.learning_rate,
-                exhaustive.best_score,
-                exhaustive.total_cost,
+                halving.best_index,
+                halving.best_params.learning_rate,
+                halving.best_score,
+                halving.total_cost,
                 halving_steps < exhaustive_steps,
             )
         }

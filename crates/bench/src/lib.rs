@@ -1,8 +1,8 @@
 //! Shared helpers for the UERL benchmark suite and the figure-regeneration binaries.
 //!
-//! Every paper artefact (Figure 3–7, Table 2) has both a Criterion benchmark (measuring
-//! how long the reproduction pipeline takes) and a binary that prints the regenerated
-//! table/series. Both use the same scale selection so results are comparable:
+//! Every paper artefact (Figure 3–7, Table 2) has a binary that prints the regenerated
+//! table/series; `perf_report` times the same pipelines, one stage per artefact. Both
+//! use the same scale selection so results are comparable:
 //!
 //! * `small` (default) — a dense-fault ~40-node fleet over ~3 months, tiny training
 //!   budget; finishes in seconds and reproduces the qualitative shape.
@@ -77,12 +77,6 @@ pub fn context(scale: Scale, seed: u64) -> ExperimentContext {
     }
 }
 
-/// The context used by the Criterion benchmarks (always the small scale so `cargo bench`
-/// terminates promptly; the binaries honour `UERL_SCALE`).
-pub fn bench_context(seed: u64) -> ExperimentContext {
-    context(Scale::Small, seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,7 +88,7 @@ mod tests {
 
     #[test]
     fn small_context_builds_quickly_and_has_errors() {
-        let ctx = bench_context(1);
+        let ctx = context(Scale::Small, 1);
         assert!(!ctx.timelines.is_empty());
         assert!(ctx.timelines.total_fatal() > 0);
     }

@@ -4,9 +4,8 @@
 //! workspace's dependency-free leaf, so even `uerl-rl` could use them); this module
 //! re-exports them under the crate most consumers already depend on and adds the
 //! gate accessor for the metrics knob. Knobs routed through here: `UERL_RETENTION`
-//! ([`crate::session::RecordRetention`]), `UERL_HYPER_SEARCH` (the evaluator's
-//! search strategy), `UERL_SCALE` (the bench harness) and `UERL_METRICS` (the
-//! observability gate).
+//! ([`crate::session::RecordRetention`]), `UERL_SCALE` (the bench harness) and
+//! `UERL_METRICS` (the observability gate).
 
 pub use uerl_obs::knob::{choice, env_choice};
 

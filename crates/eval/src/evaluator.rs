@@ -9,7 +9,7 @@ use crate::splits::{nested_splits, SplitSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use uerl_core::event_stream::TimelineSet;
 use uerl_core::policies::{
     AlwaysMitigate, MyopicRfPolicy, NeverMitigate, OraclePolicy, RlPolicy, RlPolicyView,
@@ -24,9 +24,7 @@ use uerl_forest::{
     optimal_threshold, perturb_threshold, Dataset, RandomForest, RandomForestConfig,
 };
 use uerl_jobs::schedule::NodeJobSampler;
-use uerl_rl::{
-    better_score, AgentConfig, HyperParams, HyperSearch, RungTrace, SearchOutcome, Trainable,
-};
+use uerl_rl::{better_score, AgentConfig, HyperParams, HyperSearch, SearchOutcome, Trainable};
 
 /// The canonical policy ordering used in every figure and table.
 pub const POLICY_ORDER: [&str; 8] = [
@@ -390,53 +388,15 @@ fn train_rl_agent(
     seed: u64,
 ) -> RlPolicy {
     let search = rl_hyper_search(ctx, train_tl, validate_tl, sampler, config, seed);
-    search
-        .outcome
-        .best
-        .with_training_cost(search.outcome.total_cost)
-}
-
-/// Whether the hyperparameter search should run the successive-halving schedule.
-/// The per-process `UERL_HYPER_SEARCH` environment variable (`halving` / `exhaustive`,
-/// read once) overrides the budget's [`EvalBudget::hyper_halving`] flag — CI uses it to
-/// run the determinism suite under both strategies.
-pub fn halving_enabled(budget: &EvalBudget) -> bool {
-    static OVERRIDE: OnceLock<Option<bool>> = OnceLock::new();
-    OVERRIDE
-        .get_or_init(|| {
-            uerl_core::knobs::env_choice(
-                "UERL_HYPER_SEARCH",
-                &[
-                    ("", None),
-                    ("halving", Some(true)),
-                    ("exhaustive", Some(false)),
-                ],
-                None,
-            )
-        })
-        .unwrap_or(budget.hyper_halving)
-}
-
-/// A completed RL hyperparameter search: the winner/trace/cost outcome shared by both
-/// drivers, plus the rung-by-rung elimination trace when successive halving ran
-/// (empty for the exhaustive strategy).
-#[derive(Debug, Clone)]
-pub struct RlSearch {
-    /// Winner policy, candidate trace and the charged search cost.
-    pub outcome: SearchOutcome<RlPolicy>,
-    /// The halving rung trace (empty when the exhaustive driver ran).
-    pub rungs: Vec<RungTrace>,
-    /// Which strategy actually ran (after the environment override).
-    pub halving: bool,
+    search.best.with_training_cost(search.total_cost)
 }
 
 /// The split-level hyperparameter search behind [`train_rl_agent`], exposed with its
 /// full candidate and rung traces for the cost-accounting and determinism tests.
 ///
-/// Candidate parameters and per-candidate trainer seeds are pre-drawn by the generic
-/// two-round driver, so the candidates of a round train and score in parallel while the
-/// outcome stays bit-identical at any thread count — under both strategies. With
-/// halving enabled ([`halving_enabled`]), candidates train rung by rung through
+/// Candidate parameters and per-candidate trainer seeds are pre-drawn by the two-round
+/// driver, so the candidates of a round train and score in parallel while the outcome
+/// stays bit-identical at any thread count. Candidates train rung by rung through
 /// resumable sessions and losers stop early; the deterministic step-count cost model
 /// charges only the steps actually trained.
 pub fn rl_hyper_search(
@@ -446,7 +406,7 @@ pub fn rl_hyper_search(
     sampler: &NodeJobSampler,
     config: MitigationConfig,
     seed: u64,
-) -> RlSearch {
+) -> SearchOutcome<RlPolicy> {
     // Model selection set: validation if it contains UEs, training otherwise.
     let selection_tl = if validate_tl.total_fatal() > 0 {
         validate_tl
@@ -465,9 +425,10 @@ pub fn rl_hyper_search(
     )
 }
 
-/// The strategy dispatch every RL search call site (the evaluator's per-split stage and
-/// the figure pipelines' prefix training) goes through, so halving-vs-exhaustive is
-/// decided in exactly one place.
+/// The search every RL call site (the evaluator's per-split stage and the figure
+/// pipelines' prefix training) goes through: [`HyperSearch::run`] over
+/// [`dqn_candidate_session_factory`] candidates, with rung 0 scaled by
+/// [`estimated_full_steps`].
 pub fn run_rl_search(
     budget: &EvalBudget,
     rng: &mut StdRng,
@@ -476,45 +437,19 @@ pub fn run_rl_search(
     sampler: &NodeJobSampler,
     config: MitigationConfig,
     seed: u64,
-) -> RlSearch {
-    let search = HyperSearch::reduced(budget.hyper_initial, budget.hyper_refined);
-    if halving_enabled(budget) {
-        let full_steps = estimated_full_steps(train_tl, budget.rl_episodes);
-        let halving = search.run_halving(
-            rng,
-            full_steps,
-            dqn_candidate_session_factory(
-                train_tl,
-                selection_tl,
-                sampler,
-                config,
-                seed,
-                budget.rl_episodes,
-            ),
-        );
-        RlSearch {
-            outcome: halving.search,
-            rungs: halving.rungs,
-            halving: true,
-        }
-    } else {
-        let outcome = search.run_parallel(
-            rng,
-            dqn_candidate_evaluator(
-                train_tl,
-                selection_tl,
-                sampler,
-                config,
-                seed,
-                budget.rl_episodes,
-            ),
-        );
-        RlSearch {
-            outcome,
-            rungs: Vec::new(),
-            halving: false,
-        }
-    }
+) -> SearchOutcome<RlPolicy> {
+    HyperSearch::reduced(budget.hyper_initial, budget.hyper_refined).run(
+        rng,
+        estimated_full_steps(train_tl, budget.rl_episodes),
+        dqn_candidate_session_factory(
+            train_tl,
+            selection_tl,
+            sampler,
+            config,
+            seed,
+            budget.rl_episodes,
+        ),
+    )
 }
 
 /// Deterministic estimate of a full training run's environment steps, used to scale
@@ -537,44 +472,6 @@ pub fn estimated_full_steps(train_tl: &TimelineSet, episodes: usize) -> u64 {
     episodes.max(1) as u64 * mean_events as u64
 }
 
-/// The candidate-evaluation closure every hyper-search call site feeds to
-/// [`HyperSearch::run_parallel`]: train a DQN with the candidate's hyperparameters
-/// (trainer seed mixed as `seed ^ seed_draw`), score it as the negated total cost of a
-/// replay on `selection_tl`, and charge the deterministic step-based training cost.
-/// Centralised so the evaluator, the figure pipelines and the benchmarks cannot drift
-/// apart in seed-mixing or scoring semantics.
-pub fn dqn_candidate_evaluator<'a>(
-    train_tl: &'a TimelineSet,
-    selection_tl: &'a TimelineSet,
-    sampler: &'a NodeJobSampler,
-    config: MitigationConfig,
-    seed: u64,
-    episodes: usize,
-) -> impl Fn(&HyperParams, u64) -> (RlPolicy, f64, f64) + Sync + 'a {
-    let base_agent = AgentConfig::small(STATE_DIM);
-    move |params, seed_draw| {
-        let trainer_config = TrainerConfig {
-            episodes: episodes.max(1),
-            agent: params.apply_to(&base_agent).with_seed(seed),
-            mitigation: config,
-            seed: seed ^ seed_draw,
-        };
-        let outcome = RlTrainer::new(trainer_config).train(train_tl, sampler);
-        let cost = outcome.training_cost_node_hours();
-        // Compact before wrapping: a round of candidates is held alive until the
-        // reduction, and the filled replay buffer dominates each agent's footprint.
-        let mut agent = outcome.agent;
-        agent.compact_for_inference();
-        let policy = RlPolicy::new(agent);
-        let score = if selection_tl.is_empty() {
-            0.0
-        } else {
-            -run_policy(&policy, selection_tl, sampler, config, seed).total_cost()
-        };
-        (policy, score, cost)
-    }
-}
-
 /// One live successive-halving candidate: a resumable DQN training session plus the
 /// data needed to score it at each rung and finish it into a policy.
 ///
@@ -582,7 +479,8 @@ pub fn dqn_candidate_evaluator<'a>(
 /// episode budget); each increment is charged through the deterministic step-count cost
 /// model, so the search bills exactly the steps actually trained. Scoring borrows the
 /// live agent through [`RlPolicyView`] — no clone, no compaction — and the final
-/// artifact is compacted exactly like the exhaustive path's candidates.
+/// artifact is compacted: the filled replay buffer dominates an agent's footprint and
+/// inference never reads it.
 pub struct DqnCandidateSession<'a> {
     session: TrainingSession,
     train_tl: &'a TimelineSet,
@@ -590,13 +488,6 @@ pub struct DqnCandidateSession<'a> {
     sampler: &'a NodeJobSampler,
     config: MitigationConfig,
     seed: u64,
-}
-
-impl DqnCandidateSession<'_> {
-    /// Environment steps this candidate has trained so far.
-    pub fn total_steps(&self) -> u64 {
-        self.session.total_steps()
-    }
 }
 
 impl Trainable for DqnCandidateSession<'_> {
@@ -635,10 +526,12 @@ impl Trainable for DqnCandidateSession<'_> {
     }
 }
 
-/// The candidate factory the halving driver uses: same seed-mixing and agent base
-/// configuration as [`dqn_candidate_evaluator`], but the candidate comes back as a
-/// resumable session instead of being trained to completion up front. Centralised next
-/// to the exhaustive closure so the two strategies cannot drift apart in semantics.
+/// The candidate factory every hyper-search call site feeds to [`HyperSearch::run`]: a
+/// resumable DQN training session with the candidate's hyperparameters (trainer seed
+/// mixed as `seed ^ seed_draw`), scored as the negated total cost of a replay on
+/// `selection_tl` and charged the deterministic step-based training cost. Centralised
+/// so the evaluator, the figure pipelines and the benchmarks cannot drift apart in
+/// seed-mixing or scoring semantics.
 pub fn dqn_candidate_session_factory<'a>(
     train_tl: &'a TimelineSet,
     selection_tl: &'a TimelineSet,
@@ -765,86 +658,6 @@ mod tests {
         (ctx, train_tl, validate_tl)
     }
 
-    /// The strategy-pinned tests below require one concrete search strategy; the
-    /// per-process `UERL_HYPER_SEARCH` override (CI's determinism passes set it)
-    /// deliberately trumps every budget flag, so skip them when it is active rather
-    /// than fail on assertions about the strategy they could not choose.
-    fn strategy_override_active() -> bool {
-        std::env::var("UERL_HYPER_SEARCH").is_ok()
-    }
-
-    #[test]
-    fn search_cost_is_the_sum_over_all_candidates_in_candidate_order() {
-        if strategy_override_active() {
-            return;
-        }
-        // Multiple candidates in both rounds, tiny training budget. This test pins the
-        // *exhaustive* strategy's cost semantics (every candidate fully trained), so it
-        // opts out of halving explicitly.
-        let budget = EvalBudget {
-            rl_episodes: 8,
-            hyper_initial: 3,
-            hyper_refined: 2,
-            rf_trees: 4,
-            cv_parts: 3,
-            threshold_grid: 4,
-            hyper_halving: false,
-        };
-        let (ctx, train_tl, validate_tl) = search_fixture(budget, 71);
-        let sampler = ctx.job_sampler(1.0);
-        let seed = 1234u64;
-
-        let outcome = rl_hyper_search(
-            &ctx,
-            &train_tl,
-            &validate_tl,
-            &sampler,
-            ctx.mitigation,
-            seed,
-        )
-        .outcome;
-        // The paper's budget semantics: the default point counts as one of
-        // `hyper_initial`, so exactly initial + refined candidates are trained.
-        assert_eq!(
-            outcome.candidates.len(),
-            budget.hyper_initial + budget.hyper_refined
-        );
-
-        // The charged search cost is the in-order sum of the per-candidate costs, and
-        // each recorded cost is reproducible by retraining that candidate from its
-        // recorded parameters and pre-drawn trainer seed.
-        let base_agent = AgentConfig::small(STATE_DIM);
-        let mut recomputed = 0.0f64;
-        for candidate in &outcome.candidates {
-            let trainer_config = TrainerConfig {
-                episodes: budget.rl_episodes,
-                agent: candidate.params.apply_to(&base_agent).with_seed(seed),
-                mitigation: ctx.mitigation,
-                seed: seed ^ candidate.trainer_seed,
-            };
-            let trained = RlTrainer::new(trainer_config).train(&train_tl, &sampler);
-            let cost = trained.training_cost_node_hours();
-            assert_eq!(cost.to_bits(), candidate.cost.to_bits());
-            recomputed += cost;
-        }
-        assert_eq!(outcome.total_cost.to_bits(), recomputed.to_bits());
-        assert!(outcome.total_cost > 0.0);
-
-        // And `train_rl_agent` charges exactly that cost to the returned policy.
-        let policy = train_rl_agent(
-            &ctx,
-            &train_tl,
-            &validate_tl,
-            &sampler,
-            ctx.mitigation,
-            seed,
-        );
-        assert_eq!(
-            policy.training_cost_node_hours().to_bits(),
-            outcome.total_cost.to_bits()
-        );
-    }
-
     /// The halving budget used by the halving-specific tests below: enough candidates
     /// for several rungs, tiny training.
     fn halving_budget() -> EvalBudget {
@@ -855,15 +668,11 @@ mod tests {
             rf_trees: 4,
             cv_parts: 3,
             threshold_grid: 4,
-            hyper_halving: true,
         }
     }
 
     #[test]
     fn halving_search_charges_the_in_order_sum_of_steps_actually_trained() {
-        if strategy_override_active() {
-            return;
-        }
         let (ctx, train_tl, validate_tl) = search_fixture(halving_budget(), 72);
         let sampler = ctx.job_sampler(1.0);
         let seed = 4321u64;
@@ -875,9 +684,8 @@ mod tests {
             ctx.mitigation,
             seed,
         );
-        assert!(search.halving);
         assert!(!search.rungs.is_empty());
-        let outcome = &search.outcome;
+        let outcome = &search;
         assert_eq!(
             outcome.candidates.len(),
             ctx.budget.hyper_initial + ctx.budget.hyper_refined
@@ -956,9 +764,6 @@ mod tests {
 
     #[test]
     fn halving_trains_strictly_fewer_steps_than_exhaustive() {
-        if strategy_override_active() {
-            return;
-        }
         let (ctx, train_tl, validate_tl) = search_fixture(halving_budget(), 73);
         let sampler = ctx.job_sampler(1.0);
         let seed = 99u64;
@@ -970,34 +775,26 @@ mod tests {
             ctx.mitigation,
             seed,
         );
-        let mut exhaustive_ctx = ctx.clone();
-        exhaustive_ctx.budget = exhaustive_ctx.budget.with_halving(false);
-        let exhaustive = rl_hyper_search(
-            &exhaustive_ctx,
+        // The exhaustive reference: every recorded candidate trained to completion
+        // through the same factory, costs summed in candidate order.
+        let factory = dqn_candidate_session_factory(
             &train_tl,
             &validate_tl,
             &sampler,
             ctx.mitigation,
             seed,
+            ctx.budget.rl_episodes,
         );
-        assert!(halving.halving && !exhaustive.halving);
-        // Same pre-drawn candidate sets in the broad round (the refined round may
-        // differ if the two strategies anchor on different broad winners).
-        let broad = ctx.budget.hyper_initial;
-        for (a, b) in halving.outcome.candidates[..broad]
-            .iter()
-            .zip(&exhaustive.outcome.candidates[..broad])
-        {
-            assert_eq!(a.params, b.params);
-            assert_eq!(a.trainer_seed, b.trainer_seed);
-        }
+        let exhaustive_cost = halving.candidates.iter().fold(0.0f64, |sum, c| {
+            sum + factory(&c.params, c.trainer_seed).train_to(u64::MAX)
+        });
         assert!(
-            halving.outcome.total_cost < exhaustive.outcome.total_cost,
+            halving.total_cost < exhaustive_cost,
             "halving ({}) must train strictly fewer steps than exhaustive ({})",
-            halving.outcome.total_cost,
-            exhaustive.outcome.total_cost
+            halving.total_cost,
+            exhaustive_cost
         );
-        assert!(halving.outcome.total_cost > 0.0);
+        assert!(halving.total_cost > 0.0);
     }
 
     #[test]

@@ -114,11 +114,11 @@ pub fn clear_prefix_cache() {
 ///
 /// The RL agent goes through the same two-round random hyperparameter search as the
 /// cross-validation protocol (`budget.hyper_initial` broad + `budget.hyper_refined`
-/// narrowed candidates, trained in parallel — successive-halving or exhaustive, exactly
-/// as the evaluator resolves it through [`run_rl_search`]). Model selection scores
-/// candidates on the training prefix itself — the held-out remainder of the window is
-/// the figures' evaluation data and must stay unseen — and the whole search, not just
-/// the winner, is charged as the policy's training cost.
+/// narrowed candidates, trained in parallel through the same [`run_rl_search`] as the
+/// evaluator). Model selection scores candidates on the training prefix itself — the
+/// held-out remainder of the window is the figures' evaluation data and must stay
+/// unseen — and the whole search, not just the winner, is charged as the policy's
+/// training cost.
 ///
 /// Results are memoized per `(ctx, fraction)` fingerprint: the training is a pure
 /// function of those inputs, so callers that share a context (fig6 and table2 both
@@ -169,8 +169,7 @@ fn train_models_on_prefix_uncached(ctx: &ExperimentContext, train_fraction: f64)
     }
     let forest = RandomForest::fit(&dataset, &rf_config);
 
-    // RL agent on the same prefix, with the full two-round hyperparameter search
-    // (halving or exhaustive, resolved exactly as the evaluator resolves it).
+    // RL agent on the same prefix, with the full two-round hyperparameter search.
     let mut rng = StdRng::seed_from_u64(ctx.seed ^ 0x0F16);
     let search = run_rl_search(
         &ctx.budget,
@@ -183,10 +182,7 @@ fn train_models_on_prefix_uncached(ctx: &ExperimentContext, train_fraction: f64)
     );
     TrainedModels {
         forest,
-        rl: search
-            .outcome
-            .best
-            .with_training_cost(search.outcome.total_cost),
+        rl: search.best.with_training_cost(search.total_cost),
         train_end,
     }
 }

@@ -18,7 +18,7 @@
 //! * [`experiments`] — one driver per paper artefact: Figure 3, Figure 4, Figure 5,
 //!   Figure 6, Table 2 and Figure 7a/7b.
 //! * [`report`] — plain-text rendering of experiment results (the tables printed by the
-//!   `uerl-bench` binaries and recorded in EXPERIMENTS.md).
+//!   `uerl-bench` figure binaries; see "Reproducing the experiments" in the README).
 
 pub mod evaluator;
 pub mod experiments;

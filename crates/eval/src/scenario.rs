@@ -15,8 +15,8 @@ use uerl_trace::types::Manufacturer;
 /// The protocol (nested cross-validation, random hyperparameter search, 20,000-episode
 /// agents) is identical at every budget; only the counts change. The paper-scale budget
 /// reproduces the published setup; the laptop and test budgets shrink it so the full
-/// pipeline runs in minutes or seconds respectively (documented per experiment in
-/// EXPERIMENTS.md).
+/// pipeline runs in minutes or seconds respectively (see "Reproducing the experiments"
+/// in the README and the `uerl-bench` figure binaries).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EvalBudget {
     /// RL training episodes per agent.
@@ -31,12 +31,6 @@ pub struct EvalBudget {
     pub cv_parts: usize,
     /// Candidate thresholds scanned when giving SC20-RF its optimal threshold.
     pub threshold_grid: usize,
-    /// Run the hyperparameter search with the successive-halving rung schedule
-    /// (`HyperSearch::run_halving`) instead of training every candidate to the full
-    /// budget. Same pre-drawn candidates, bit-identical at any thread count, strictly
-    /// fewer training steps. Overridable per process with `UERL_HYPER_SEARCH=halving` /
-    /// `=exhaustive`.
-    pub hyper_halving: bool,
 }
 
 impl EvalBudget {
@@ -49,7 +43,6 @@ impl EvalBudget {
             rf_trees: 100,
             cv_parts: 6,
             threshold_grid: 41,
-            hyper_halving: true,
         }
     }
 
@@ -62,7 +55,6 @@ impl EvalBudget {
             rf_trees: 40,
             cv_parts: 6,
             threshold_grid: 21,
-            hyper_halving: true,
         }
     }
 
@@ -75,14 +67,7 @@ impl EvalBudget {
             rf_trees: 8,
             cv_parts: 3,
             threshold_grid: 6,
-            hyper_halving: true,
         }
-    }
-
-    /// A copy with the halving/exhaustive search strategy overridden.
-    pub fn with_halving(mut self, halving: bool) -> Self {
-        self.hyper_halving = halving;
-        self
     }
 }
 

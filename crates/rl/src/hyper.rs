@@ -4,9 +4,9 @@
 //! search draws 60 hyperparameter sets (learning rate, discount factor, network update
 //! and synchronisation frequencies, PER batch size, ...), the best agent on the training
 //! data seeds a second, narrowed round, and the best agent on the validation set is kept.
-//! This module provides the hyperparameter vector, its samplers, and a generic two-round
-//! search driver that the evaluation harness feeds with a "train and score this
-//! configuration" closure.
+//! This module provides the hyperparameter vector, its samplers, and the two-round
+//! successive-halving search driver that the evaluation harness feeds with resumable
+//! [`Trainable`] candidates.
 
 use crate::dqn::AgentConfig;
 use rand::Rng;
@@ -141,7 +141,8 @@ pub struct EvaluatedCandidate {
     pub refined: bool,
 }
 
-/// The result of a two-round search: the winning artifact plus the full candidate trace.
+/// The result of a two-round search: the winning artifact plus the full candidate and
+/// rung traces.
 #[derive(Debug, Clone)]
 pub struct SearchOutcome<P> {
     /// The artifact (e.g. trained policy) returned by the winning candidate.
@@ -152,11 +153,15 @@ pub struct SearchOutcome<P> {
     pub best_score: f64,
     /// Index of the winner in [`SearchOutcome::candidates`].
     pub best_index: usize,
-    /// Sum of every candidate's cost, accumulated in candidate order (the whole
-    /// search is charged, not just the winner).
+    /// Sum of every rung increment actually trained, accumulated rung by rung in
+    /// candidate order (the whole search is charged, not just the winner).
     pub total_cost: f64,
-    /// Every evaluated candidate, in evaluation order (broad round first).
+    /// Every evaluated candidate, in evaluation order (broad round first). Each
+    /// candidate's `score` is from the last rung it reached and its `cost` is the sum
+    /// of its per-rung increments.
     pub candidates: Vec<EvaluatedCandidate>,
+    /// Every rung of both rounds, in execution order (broad round first).
+    pub rungs: Vec<RungTrace>,
 }
 
 /// Deterministic "strictly better" for score reductions (higher wins): finite scores
@@ -222,18 +227,6 @@ pub struct RungTrace {
     pub costs: Vec<f64>,
 }
 
-/// The result of a successive-halving search: the usual [`SearchOutcome`] plus the
-/// rung-by-rung elimination trace.
-#[derive(Debug, Clone)]
-pub struct HalvingOutcome<P> {
-    /// Winner, candidate trace and total charged cost, as in the exhaustive driver.
-    /// Each candidate's recorded `score` is from the last rung it reached and its
-    /// `cost` is the sum of its per-rung increments.
-    pub search: SearchOutcome<P>,
-    /// Every rung of both rounds, in execution order (broad round first).
-    pub rungs: Vec<RungTrace>,
-}
-
 /// A two-round random hyperparameter search.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct HyperSearch {
@@ -261,91 +254,19 @@ impl HyperSearch {
         }
     }
 
-    /// Run the search with a parallel fan-out over the candidates of each round.
-    ///
-    /// Every candidate's parameters and per-candidate seed material are pre-drawn from
-    /// `rng` up front (in candidate order, parameters before seed), so the evaluation
-    /// closure never touches the shared RNG and the candidates of a round are
-    /// embarrassingly parallel: each round is one plain indexed fan-out over the
-    /// persistent work-stealing pool, which also balances the search against whatever
-    /// else is running (e.g. the evaluator trains it concurrently with the SC20-RF
-    /// threshold scan, and every candidate's rollouts nest inside it) without any
-    /// per-level thread budgeting. `evaluate` maps a candidate and its pre-drawn seed
-    /// to `(artifact, score, cost)`; higher scores win, ties keep the earliest
-    /// candidate, and costs are accumulated in candidate order — the outcome is
-    /// **bit-identical at any thread count** and identical to a serial evaluation.
-    ///
-    /// The default point counts as the first of the `initial_round` broad candidates,
-    /// so exactly `initial_round + refined_round` configurations are evaluated.
-    pub fn run_parallel<P, R, F>(&self, rng: &mut R, evaluate: F) -> SearchOutcome<P>
-    where
-        P: Send,
-        R: Rng + ?Sized,
-        F: Fn(&HyperParams, u64) -> (P, f64, f64) + Sync,
-    {
-        let initial = self.initial_round.max(1);
-        let mut candidates = Vec::with_capacity(initial + self.refined_round);
-        let mut total_cost = 0.0f64;
-        let mut best: Option<(usize, P, f64)> = None;
-
-        // Broad round: the default point plus `initial - 1` samples from the full space.
-        let mut round: Vec<(HyperParams, u64)> = Vec::with_capacity(initial);
-        let default = HyperParams::default_point();
-        round.push((default, rng.next_u64()));
-        for _ in 1..initial {
-            let params = HyperParams::sample(rng);
-            round.push((params, rng.next_u64()));
-        }
-        reduce_round(
-            &round,
-            false,
-            &evaluate,
-            &mut candidates,
-            &mut total_cost,
-            &mut best,
-        );
-
-        // Narrowed round, anchored at the broad round's winner.
-        let anchor = best
-            .as_ref()
-            .map(|&(i, _, _)| candidates[i].params)
-            .expect("the broad round evaluated at least one candidate");
-        let mut round: Vec<(HyperParams, u64)> = Vec::with_capacity(self.refined_round);
-        for _ in 0..self.refined_round {
-            let params = anchor.narrowed(rng);
-            round.push((params, rng.next_u64()));
-        }
-        reduce_round(
-            &round,
-            true,
-            &evaluate,
-            &mut candidates,
-            &mut total_cost,
-            &mut best,
-        );
-
-        let (best_index, best_artifact, best_score) = best.expect("at least one candidate");
-        SearchOutcome {
-            best: best_artifact,
-            best_params: candidates[best_index].params,
-            best_score,
-            best_index,
-            total_cost,
-            candidates,
-        }
-    }
-
     /// Run the two-round search with a **successive-halving** schedule inside each
     /// round, so hopeless candidates stop training early.
     ///
-    /// Candidate parameters and per-candidate seed material are pre-drawn from `rng`
-    /// exactly as in [`HyperSearch::run_parallel`] (same draws, same order), so the two
-    /// drivers explore identical candidate sets. Each round then runs
-    /// `ceil(log2(n)) + 1` rungs: every alive candidate is trained to the rung's
-    /// cumulative budget (doubling per rung; the last rung is `u64::MAX`, i.e. trained
-    /// to completion) and scored, and the top half —
-    /// `ceil(alive / 2)`, ranked by score with non-finite scores last and ties keeping
-    /// the earliest candidate — survives to the next rung. Training happens in parallel
+    /// Every candidate's parameters and per-candidate seed material are pre-drawn from
+    /// `rng` (in candidate order, parameters before seed), so `init` never touches the
+    /// shared RNG. The default point counts as the first of the `initial_round` broad
+    /// candidates, so exactly `initial_round + refined_round` configurations are
+    /// explored; the narrowed round is anchored at the broad round's winner. Each round
+    /// then runs `ceil(log2(n)) + 1` rungs: every alive candidate is trained to the
+    /// rung's cumulative budget (doubling per rung; the last rung is `u64::MAX`, i.e.
+    /// trained to completion) and scored, and the top half — `ceil(alive / 2)`, ranked
+    /// by score with non-finite scores last and ties keeping the earliest candidate —
+    /// survives to the next rung. Training happens in parallel
     /// over the work-stealing pool, but eliminations, cost accumulation and every other
     /// reduction happen in candidate order, so the outcome is **bit-identical at any
     /// thread count**. The winner of each round is its last survivor, trained to
@@ -360,12 +281,7 @@ impl HyperSearch {
     ///
     /// The charged `total_cost` is the in-order sum of every rung increment actually
     /// trained — the whole point: most candidates only ever pay the early, cheap rungs.
-    pub fn run_halving<C, R, F>(
-        &self,
-        rng: &mut R,
-        full_budget: u64,
-        init: F,
-    ) -> HalvingOutcome<C::Artifact>
+    pub fn run<C, R, F>(&self, rng: &mut R, full_budget: u64, init: F) -> SearchOutcome<C::Artifact>
     where
         C: Trainable + Send,
         C::Artifact: Send,
@@ -377,7 +293,7 @@ impl HyperSearch {
         let mut rungs = Vec::new();
         let mut total_cost = 0.0f64;
 
-        // Broad round: identical pre-draws to `run_parallel`.
+        // Broad round: the default point plus `initial - 1` samples from the full space.
         let mut round: Vec<(HyperParams, u64)> = Vec::with_capacity(initial);
         round.push((HyperParams::default_point(), rng.next_u64()));
         for _ in 1..initial {
@@ -419,67 +335,14 @@ impl HyperSearch {
             Some(refined) if better_score(refined.2, broad.2) => refined,
             _ => broad,
         };
-        HalvingOutcome {
-            search: SearchOutcome {
-                best: best_artifact,
-                best_params: candidates[best_index].params,
-                best_score,
-                best_index,
-                total_cost,
-                candidates,
-            },
+        SearchOutcome {
+            best: best_artifact,
+            best_params: candidates[best_index].params,
+            best_score,
+            best_index,
+            total_cost,
+            candidates,
             rungs,
-        }
-    }
-
-    /// Run the search with a score-only closure (higher is better) and return the best
-    /// hyperparameters together with their score. Convenience wrapper over
-    /// [`HyperSearch::run_parallel`] with no artifact and no cost accounting.
-    ///
-    /// The search is deterministic given `rng` and a deterministic scoring closure.
-    pub fn run<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        score: impl Fn(&HyperParams) -> f64 + Sync,
-    ) -> (HyperParams, f64) {
-        let outcome = self.run_parallel(rng, |params, _seed| ((), score(params), 0.0));
-        (outcome.best_params, outcome.best_score)
-    }
-}
-
-/// Evaluate one pre-drawn round as a plain indexed fan-out over the work-stealing pool
-/// and fold it into the running search state in candidate order (deterministic best
-/// selection and cost accumulation). Results land in candidate-index slots, so the
-/// fold order never depends on which worker trained which candidate.
-fn reduce_round<P, F>(
-    round: &[(HyperParams, u64)],
-    refined: bool,
-    evaluate: &F,
-    candidates: &mut Vec<EvaluatedCandidate>,
-    total_cost: &mut f64,
-    best: &mut Option<(usize, P, f64)>,
-) where
-    P: Send,
-    F: Fn(&HyperParams, u64) -> (P, f64, f64) + Sync,
-{
-    let evaluated: Vec<(P, f64, f64)> =
-        rayon::execute_indexed(round.len(), |i| evaluate(&round[i].0, round[i].1));
-    for ((params, seed), (artifact, score, cost)) in round.iter().zip(evaluated) {
-        let index = candidates.len();
-        *total_cost += cost;
-        candidates.push(EvaluatedCandidate {
-            params: *params,
-            trainer_seed: *seed,
-            score,
-            cost,
-            refined,
-        });
-        let better = best
-            .as_ref()
-            .map(|&(_, _, s)| better_score(score, s))
-            .unwrap_or(true);
-        if better {
-            *best = Some((index, artifact, score));
         }
     }
 }
@@ -743,14 +606,64 @@ mod tests {
         assert_eq!(config.state_dim, base.state_dim);
     }
 
+    /// A score-only candidate: its score is fixed when it is created and its whole cost
+    /// is charged on the first `train_to`. Later calls charge `0.0`, which the
+    /// [`Trainable`] contract reads as "state unchanged", so the driver reuses the score.
+    struct ScoredCandidate {
+        score: f64,
+        cost: f64,
+        trained: bool,
+    }
+
+    impl Trainable for ScoredCandidate {
+        type Artifact = ();
+
+        fn train_to(&mut self, _budget: u64) -> f64 {
+            if std::mem::replace(&mut self.trained, true) {
+                0.0
+            } else {
+                self.cost
+            }
+        }
+
+        fn trained_units(&self) -> u64 {
+            u64::from(self.trained)
+        }
+
+        fn score(&self) -> f64 {
+            self.score
+        }
+
+        fn into_artifact(self) {}
+    }
+
+    /// Run the search over score-only candidates; `evaluate` maps a candidate's
+    /// parameters to its `(score, cost)`.
+    fn run_scored(
+        search: HyperSearch,
+        rng: &mut StdRng,
+        evaluate: impl Fn(&HyperParams) -> (f64, f64) + Sync,
+    ) -> SearchOutcome<()> {
+        search.run(rng, 1, |h, _| {
+            let (score, cost) = evaluate(h);
+            ScoredCandidate {
+                score,
+                cost,
+                trained: false,
+            }
+        })
+    }
+
     #[test]
     fn search_finds_a_known_optimum() {
         // Score favours a learning rate near 3e-3 and gamma near 0.99.
         let mut rng = StdRng::seed_from_u64(3);
         let search = HyperSearch::reduced(40, 20);
-        let (best, score) = search.run(&mut rng, |h| {
-            -((h.learning_rate.log10() - (-2.5)).powi(2)) - (h.gamma - 0.99).powi(2)
+        let outcome = run_scored(search, &mut rng, |h| {
+            let score = -((h.learning_rate.log10() - (-2.5)).powi(2)) - (h.gamma - 0.99).powi(2);
+            (score, 0.0)
         });
+        let (best, score) = (outcome.best_params, outcome.best_score);
         assert!(score > -0.3, "score {score}");
         assert!(
             best.learning_rate > 1e-3 && best.learning_rate < 1e-2,
@@ -763,7 +676,7 @@ mod tests {
     fn search_with_zero_refined_round_still_works() {
         let mut rng = StdRng::seed_from_u64(4);
         let search = HyperSearch::reduced(5, 0);
-        let (_, score) = search.run(&mut rng, |h| h.gamma);
+        let score = run_scored(search, &mut rng, |h| (h.gamma, 0.0)).best_score;
         assert!(score >= 0.9);
     }
 
@@ -778,13 +691,13 @@ mod tests {
         // default point as candidate 0 — not one extra candidate on top of it.
         let mut rng = StdRng::seed_from_u64(11);
         let search = HyperSearch::reduced(5, 3);
-        let outcome = search.run_parallel(&mut rng, |h, _| ((), h.gamma, 1.0));
+        let outcome = run_scored(search, &mut rng, |h| (h.gamma, 1.0));
         assert_eq!(outcome.candidates.len(), 5 + 3);
         assert_eq!(outcome.candidates[0].params, HyperParams::default_point());
         assert!(outcome.candidates[..5].iter().all(|c| !c.refined));
         assert!(outcome.candidates[5..].iter().all(|c| c.refined));
         let paper = HyperSearch::paper();
-        let outcome = paper.run_parallel(&mut StdRng::seed_from_u64(12), |h, _| ((), h.gamma, 0.0));
+        let outcome = run_scored(paper, &mut StdRng::seed_from_u64(12), |h| (h.gamma, 0.0));
         assert_eq!(outcome.candidates.len(), 60 + 20);
         assert_eq!(
             outcome.candidates.iter().filter(|c| !c.refined).count(),
@@ -797,7 +710,7 @@ mod tests {
     fn equal_scores_keep_the_earliest_candidate() {
         let mut rng = StdRng::seed_from_u64(13);
         let search = HyperSearch::reduced(8, 4);
-        let outcome = search.run_parallel(&mut rng, |_, _| ((), 1.0, 0.0));
+        let outcome = run_scored(search, &mut rng, |_| (1.0, 0.0));
         assert_eq!(outcome.best_index, 0);
         assert_eq!(outcome.best_params, HyperParams::default_point());
     }
@@ -807,7 +720,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(14);
         let search = HyperSearch::reduced(7, 5);
         let cost_of = |h: &HyperParams| h.learning_rate * 1e3 + h.per_alpha;
-        let outcome = search.run_parallel(&mut rng, |h, _| ((), -h.gamma, cost_of(h)));
+        let outcome = run_scored(search, &mut rng, |h| (-h.gamma, cost_of(h)));
         let mut expected = 0.0f64;
         for c in &outcome.candidates {
             expected += cost_of(&c.params);
@@ -836,11 +749,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(31);
         let search = HyperSearch::reduced(6, 3);
         // The default point (candidate 0) scores NaN; everything else is finite.
-        let outcome = search.run_parallel(&mut rng, |h, _| {
+        let outcome = run_scored(search, &mut rng, |h| {
             if h.learning_rate == HyperParams::default_point().learning_rate {
-                ((), f64::NAN, 0.0)
+                (f64::NAN, 0.0)
             } else {
-                ((), h.gamma, 0.0)
+                (h.gamma, 0.0)
             }
         });
         assert!(
@@ -901,44 +814,45 @@ mod tests {
     #[test]
     fn halving_explores_the_same_candidates_but_trains_strictly_less() {
         let search = HyperSearch::reduced(12, 6);
-        let halving = search.run_halving(&mut StdRng::seed_from_u64(41), FAKE_CAP, |h, s| {
+        let halving = search.run(&mut StdRng::seed_from_u64(41), FAKE_CAP, |h, s| {
             FakeCandidate::new(h, s, FAKE_CAP)
         });
-        let exhaustive = search.run_parallel(&mut StdRng::seed_from_u64(41), |h, s| {
-            let mut c = FakeCandidate::new(h, s, FAKE_CAP);
-            let cost = c.train_to(u64::MAX);
-            let score = c.score();
-            (c.into_artifact(), score, cost)
-        });
-        // Same pre-drawn candidate sets (the whole point of sharing the draw order).
-        assert_eq!(halving.search.candidates.len(), exhaustive.candidates.len());
-        for (a, b) in halving.search.candidates.iter().zip(&exhaustive.candidates) {
-            assert_eq!(a.params, b.params);
-            assert_eq!(a.trainer_seed, b.trainer_seed);
+        // The exhaustive reference: every recorded candidate trained to completion,
+        // costs summed and the best score kept in candidate order.
+        let mut exhaustive_cost = 0.0f64;
+        let mut exhaustive_best: Option<(usize, f64, (u64, u64))> = None;
+        for (i, c) in halving.candidates.iter().enumerate() {
+            let mut candidate = FakeCandidate::new(&c.params, c.trainer_seed, FAKE_CAP);
+            exhaustive_cost += candidate.train_to(u64::MAX);
+            let score = candidate.score();
+            if exhaustive_best
+                .as_ref()
+                .is_none_or(|&(_, best, _)| better_score(score, best))
+            {
+                exhaustive_best = Some((i, score, candidate.into_artifact()));
+            }
         }
+        let (exhaustive_index, _, exhaustive_artifact) = exhaustive_best.expect("candidates");
         // The quality ordering is training-invariant here, so both pick the same winner,
         // trained to completion — but halving charges strictly less total training.
-        assert_eq!(halving.search.best_index, exhaustive.best_index);
-        assert_eq!(halving.search.best.0, exhaustive.best.0);
-        assert_eq!(
-            halving.search.best.1, FAKE_CAP,
-            "winner trained to completion"
-        );
+        assert_eq!(halving.best_index, exhaustive_index);
+        assert_eq!(halving.best.0, exhaustive_artifact.0);
+        assert_eq!(halving.best.1, FAKE_CAP, "winner trained to completion");
         assert!(
-            halving.search.total_cost < exhaustive.total_cost,
+            halving.total_cost < exhaustive_cost,
             "halving {} must train strictly fewer units than exhaustive {}",
-            halving.search.total_cost,
-            exhaustive.total_cost
+            halving.total_cost,
+            exhaustive_cost
         );
         // Charged cost is exactly the in-order sum of the per-rung increments.
         let rung_sum: f64 = halving.rungs.iter().flat_map(|r| r.costs.iter()).sum();
-        assert_eq!(halving.search.total_cost.to_bits(), rung_sum.to_bits());
+        assert_eq!(halving.total_cost.to_bits(), rung_sum.to_bits());
     }
 
     #[test]
     fn halving_rungs_halve_survivors_and_double_budgets() {
         let search = HyperSearch::reduced(12, 5);
-        let outcome = search.run_halving(&mut StdRng::seed_from_u64(42), FAKE_CAP, |h, s| {
+        let outcome = search.run(&mut StdRng::seed_from_u64(42), FAKE_CAP, |h, s| {
             FakeCandidate::new(h, s, FAKE_CAP)
         });
         let broad: Vec<&RungTrace> = outcome.rungs.iter().filter(|r| !r.refined).collect();
@@ -1006,7 +920,7 @@ mod tests {
         // budget = FAKE_CAP >> 3 = 128) the observed maximum is 141 and rung 1 must be
         // 2 × 141 = 282 — not the a-priori 256.
         let search = HyperSearch::reduced(8, 0);
-        let outcome = search.run_halving(&mut StdRng::seed_from_u64(47), FAKE_CAP, |h, s| {
+        let outcome = search.run(&mut StdRng::seed_from_u64(47), FAKE_CAP, |h, s| {
             OvershootCandidate {
                 inner: FakeCandidate::new(h, s, 1 << 20),
                 overshoot: 13,
@@ -1036,24 +950,18 @@ mod tests {
                 .build()
                 .expect("pool");
             pool.install(|| {
-                search.run_halving(&mut StdRng::seed_from_u64(43), FAKE_CAP, |h, s| {
+                search.run(&mut StdRng::seed_from_u64(43), FAKE_CAP, |h, s| {
                     FakeCandidate::new(h, s, FAKE_CAP)
                 })
             })
         };
         let one = run(1);
         let four = run(4);
-        assert_eq!(one.search.best_index, four.search.best_index);
-        assert_eq!(one.search.best_params, four.search.best_params);
-        assert_eq!(
-            one.search.best_score.to_bits(),
-            four.search.best_score.to_bits()
-        );
-        assert_eq!(
-            one.search.total_cost.to_bits(),
-            four.search.total_cost.to_bits()
-        );
-        assert_eq!(one.search.candidates, four.search.candidates);
+        assert_eq!(one.best_index, four.best_index);
+        assert_eq!(one.best_params, four.best_params);
+        assert_eq!(one.best_score.to_bits(), four.best_score.to_bits());
+        assert_eq!(one.total_cost.to_bits(), four.total_cost.to_bits());
+        assert_eq!(one.candidates, four.candidates);
         assert_eq!(
             one.rungs, four.rungs,
             "rung traces diverged across thread counts"
@@ -1091,7 +999,7 @@ mod tests {
         // Every candidate saturates its tiny cap at rung 0 (the rung-0 budget is
         // already above it), so rungs 1..3 train nothing and must not re-score.
         let cap = 4;
-        let outcome = search.run_halving(&mut StdRng::seed_from_u64(46), FAKE_CAP, {
+        let outcome = search.run(&mut StdRng::seed_from_u64(46), FAKE_CAP, {
             let calls = Arc::clone(&calls);
             move |h, s| CountingCandidate {
                 inner: FakeCandidate::new(h, s, cap),
@@ -1109,7 +1017,7 @@ mod tests {
             assert!(rung.costs.iter().all(|&c| c == 0.0));
             for (survivor, score) in rung.survivors.iter().zip(&rung.scores) {
                 assert_eq!(
-                    outcome.search.candidates[*survivor].score.to_bits(),
+                    outcome.candidates[*survivor].score.to_bits(),
                     score.to_bits()
                 );
             }
@@ -1120,14 +1028,14 @@ mod tests {
     fn halving_handles_degenerate_round_sizes() {
         // One broad candidate, no refined round: a single "train to completion" rung.
         let search = HyperSearch::reduced(1, 0);
-        let outcome = search.run_halving(&mut StdRng::seed_from_u64(44), FAKE_CAP, |h, s| {
+        let outcome = search.run(&mut StdRng::seed_from_u64(44), FAKE_CAP, |h, s| {
             FakeCandidate::new(h, s, FAKE_CAP)
         });
-        assert_eq!(outcome.search.candidates.len(), 1);
+        assert_eq!(outcome.candidates.len(), 1);
         assert_eq!(outcome.rungs.len(), 1);
         assert_eq!(outcome.rungs[0].budget, u64::MAX);
-        assert_eq!(outcome.search.best.1, FAKE_CAP);
-        assert_eq!(outcome.search.best_index, 0);
+        assert_eq!(outcome.best.1, FAKE_CAP);
+        assert_eq!(outcome.best_index, 0);
     }
 
     #[test]
@@ -1155,18 +1063,13 @@ mod tests {
             }
         }
         let search = HyperSearch::reduced(10, 0);
-        let outcome = search.run_halving(&mut StdRng::seed_from_u64(45), FAKE_CAP, |h, s| {
+        let outcome = search.run(&mut StdRng::seed_from_u64(45), FAKE_CAP, |h, s| {
             NanCandidate(FakeCandidate::new(h, s, FAKE_CAP))
         });
-        let winner = &outcome.search.candidates[outcome.search.best_index];
-        if outcome
-            .search
-            .candidates
-            .iter()
-            .any(|c| c.trainer_seed % 2 == 1)
-        {
+        let winner = &outcome.candidates[outcome.best_index];
+        if outcome.candidates.iter().any(|c| c.trainer_seed % 2 == 1) {
             assert_eq!(winner.trainer_seed % 2, 1, "a NaN-scoring candidate won");
-            assert!(outcome.search.best_score.is_finite());
+            assert!(outcome.best_score.is_finite());
         }
         // Whenever finite candidates were alive in a rung, no NaN candidate outlived one.
         for pair in outcome.rungs.windows(2) {
@@ -1185,32 +1088,5 @@ mod tests {
                 "a NaN candidate survived past a finite one"
             );
         }
-    }
-
-    #[test]
-    fn parallel_search_is_bit_identical_across_thread_counts() {
-        let search = HyperSearch::reduced(12, 6);
-        let score = |h: &HyperParams, seed: u64| {
-            // A deterministic, seed-sensitive score so any RNG-order or reduction-order
-            // difference across thread counts would show up.
-            -((h.learning_rate.log10() + 3.0).powi(2)) - ((seed % 997) as f64) * 1e-6
-        };
-        let run = |threads: usize| {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .expect("pool");
-            pool.install(|| {
-                let mut rng = StdRng::seed_from_u64(15);
-                search.run_parallel(&mut rng, |h, s| ((), score(h, s), h.gamma))
-            })
-        };
-        let one = run(1);
-        let four = run(4);
-        assert_eq!(one.best_index, four.best_index);
-        assert_eq!(one.best_params, four.best_params);
-        assert_eq!(one.best_score.to_bits(), four.best_score.to_bits());
-        assert_eq!(one.total_cost.to_bits(), four.total_cost.to_bits());
-        assert_eq!(one.candidates, four.candidates);
     }
 }

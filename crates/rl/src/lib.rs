@@ -15,9 +15,8 @@
 //!   double DQN (DDDQN) configuration used in the paper, with target-network
 //!   synchronisation and Huber-loss TD updates;
 //! * [`hyper`] — the hyperparameter set and the two-round random search used during
-//!   time-series nested cross-validation, with both an exhaustive driver
-//!   ([`HyperSearch::run_parallel`]) and a successive-halving driver
-//!   ([`HyperSearch::run_halving`]) that stops training losing candidates early.
+//!   time-series nested cross-validation. Its one driver, [`HyperSearch::run`], runs
+//!   successive halving inside each round, so losing candidates stop training early.
 
 pub mod dqn;
 pub mod hyper;
@@ -30,8 +29,7 @@ pub mod transition;
 
 pub use dqn::{greedy_action, AgentCheckpoint, AgentConfig, DqnAgent, InferenceScratch};
 pub use hyper::{
-    better_score, EvaluatedCandidate, HalvingOutcome, HyperParams, HyperSearch, RungTrace,
-    SearchOutcome, Trainable,
+    better_score, EvaluatedCandidate, HyperParams, HyperSearch, RungTrace, SearchOutcome, Trainable,
 };
 pub use per::PrioritizedReplay;
 pub use replay::UniformReplay;

@@ -161,26 +161,28 @@ fn parse_line(line: &str) -> Result<LogEvent, String> {
     let tag = parts.next().ok_or("missing event tag")?;
     let kv: HashMap<&str, &str> = parts.filter_map(|p| p.split_once('=')).collect();
 
-    let get_u32 = |key: &str| -> Result<u32, String> {
+    // Each field parses at its stored width, so an out-of-range value is rejected
+    // instead of wrapping.
+    fn field<T: std::str::FromStr>(kv: &HashMap<&str, &str>, key: &str) -> Result<T, String> {
         kv.get(key)
             .ok_or_else(|| format!("missing {key}="))?
             .parse()
             .map_err(|_| format!("bad {key}="))
-    };
+    }
 
     let kind = match tag {
         "CE" => {
-            let count = get_u32("count")?;
+            let count = field(&kv, "count")?;
             let detail = if kv.contains_key("dimm") {
                 let detector = Detector::from_label(kv.get("det").copied().unwrap_or("demand"))
                     .ok_or("bad det=")?;
                 Some(CeDetail {
-                    dimm: DimmId::new(node, get_u32("dimm")? as u8),
+                    dimm: DimmId::new(node, field(&kv, "dimm")?),
                     location: CellLocation::new(
-                        get_u32("rank")? as u8,
-                        get_u32("bank")? as u8,
-                        get_u32("row")?,
-                        get_u32("col")?,
+                        field(&kv, "rank")?,
+                        field(&kv, "bank")?,
+                        field(&kv, "row")?,
+                        field(&kv, "col")?,
                     ),
                     detector,
                 })
@@ -193,7 +195,7 @@ fn parse_line(line: &str) -> Result<LogEvent, String> {
             let detector = Detector::from_label(kv.get("det").copied().unwrap_or("demand"))
                 .ok_or("bad det=")?;
             EventKind::UncorrectedError {
-                dimm: DimmId::new(node, get_u32("dimm")? as u8),
+                dimm: DimmId::new(node, field(&kv, "dimm")?),
                 detector,
             }
         }
@@ -205,7 +207,7 @@ fn parse_line(line: &str) -> Result<LogEvent, String> {
         }
         "BOOT" => EventKind::NodeBoot,
         "RETIRE" => EventKind::DimmRetirement {
-            slot: get_u32("slot")? as u8,
+            slot: field(&kv, "slot")?,
         },
         other => return Err(format!("unknown event tag '{other}'")),
     };
@@ -288,6 +290,33 @@ mod tests {
         let text = "# uerl-trace v1 nodes=3 dimms=12 window=0..86400\n60 node-0001 CE\n";
         let err = from_text(text, FleetConfig::small(3)).unwrap_err();
         assert!(matches!(err, ParseError::BadLine { .. }));
+    }
+
+    #[test]
+    fn u8_fields_accept_255_and_reject_256() {
+        let lines: [(&str, &str); 5] = [
+            ("dimm", "CE count=1 dimm={} rank=0 bank=0 row=1 col=1"),
+            ("rank", "CE count=1 dimm=0 rank={} bank=0 row=1 col=1"),
+            ("bank", "CE count=1 dimm=0 rank=0 bank={} row=1 col=1"),
+            ("dimm", "UE dimm={}"),
+            ("slot", "RETIRE slot={}"),
+        ];
+        for (key, line) in lines {
+            let parse = |value: &str| {
+                let text = format!(
+                    "# uerl-trace v1 nodes=3 dimms=12 window=0..86400\n60 node-0001 {}\n",
+                    line.replace("{}", value)
+                );
+                from_text(&text, FleetConfig::small(3))
+            };
+            assert!(parse("255").is_ok(), "{line}: 255 must parse");
+            match parse("256") {
+                Err(ParseError::BadLine { line: 2, reason }) => {
+                    assert!(reason.contains(key), "{line}: reason {reason:?}")
+                }
+                other => panic!("{line}: 256 must be a BadLine, got {other:?}"),
+            }
+        }
     }
 
     #[test]

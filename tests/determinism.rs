@@ -13,11 +13,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use uerl::core::policies::RlPolicy;
 use uerl::core::state::STATE_DIM;
-use uerl::eval::evaluator::{dqn_candidate_evaluator, rl_hyper_search, Evaluator, RlSearch};
+use uerl::eval::evaluator::{rl_hyper_search, Evaluator};
 use uerl::eval::experiments::fig3;
 use uerl::eval::scenario::{EvalBudget, ExperimentContext};
 use uerl::forest::{Dataset, RandomForest, RandomForestConfig};
-use uerl::rl::{HyperSearch, SearchOutcome};
+use uerl::rl::SearchOutcome;
 
 fn pool(threads: usize) -> rayon::ThreadPool {
     rayon::ThreadPoolBuilder::new()
@@ -83,60 +83,9 @@ fn figure3_smoke_output_is_byte_identical_across_thread_counts() {
     assert!(serial.contains("Figure 3"));
 }
 
-/// The two-round hyperparameter search with the production DQN candidate-evaluation
-/// closure ([`dqn_candidate_evaluator`]), at a fixed thread count. This is exactly what
-/// the evaluator's RL stage runs per split.
-fn run_hyper_search(ctx: &ExperimentContext, threads: usize) -> SearchOutcome<RlPolicy> {
-    let sampler = ctx.job_sampler(1.0);
-    let seed = 4711u64;
-    let search = HyperSearch::reduced(4, 2);
-    pool(threads).install(|| {
-        let mut rng = StdRng::seed_from_u64(seed);
-        search.run_parallel(
-            &mut rng,
-            dqn_candidate_evaluator(
-                &ctx.timelines,
-                &ctx.timelines,
-                &sampler,
-                ctx.mitigation,
-                seed,
-                6,
-            ),
-        )
-    })
-}
-
-#[test]
-fn parallel_hyper_search_is_bit_identical_across_thread_counts() {
-    let ctx = ExperimentContext::synthetic_small(18, 50, EvalBudget::tiny(), 2026);
-    let one = run_hyper_search(&ctx, 1);
-    let four = run_hyper_search(&ctx, 4);
-
-    // Same winner, same score, same search cost — to the bit.
-    assert_eq!(one.best_index, four.best_index);
-    assert_eq!(one.best_params, four.best_params);
-    assert_eq!(one.best_score.to_bits(), four.best_score.to_bits());
-    assert_eq!(one.total_cost.to_bits(), four.total_cost.to_bits());
-    assert_eq!(one.candidates, four.candidates, "candidate traces diverged");
-
-    // Same trained network: the winning policy's Q-values agree bit-for-bit on a
-    // grid of probe states.
-    let mut rng = StdRng::seed_from_u64(9);
-    for _ in 0..16 {
-        let probe: Vec<f64> = (0..STATE_DIM).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let qa = one.best.agent().q_values(&probe);
-        let qb = four.best.agent().q_values(&probe);
-        assert_eq!(qa.len(), qb.len());
-        for (a, b) in qa.iter().zip(&qb) {
-            assert_eq!(a.to_bits(), b.to_bits(), "Q-values diverged: {a} vs {b}");
-        }
-    }
-}
-
-/// The production RL search exactly as the evaluator runs it per split — halving or
-/// exhaustive, whichever the budget (and the `UERL_HYPER_SEARCH` override CI uses to
-/// exercise both) resolves to — at a fixed thread count.
-fn run_production_search(ctx: &ExperimentContext, threads: usize) -> RlSearch {
+/// The production RL search exactly as the evaluator runs it per split, at a fixed
+/// thread count.
+fn run_production_search(ctx: &ExperimentContext, threads: usize) -> SearchOutcome<RlPolicy> {
     let sampler = ctx.job_sampler(1.0);
     let window = ctx.timelines.window_end() - ctx.timelines.window_start();
     let mid = ctx
@@ -152,7 +101,7 @@ fn run_production_search(ctx: &ExperimentContext, threads: usize) -> RlSearch {
 #[test]
 fn halving_search_is_bit_identical_across_thread_counts() {
     // Enough candidates for several elimination rungs in both rounds.
-    let mut budget = EvalBudget::tiny().with_halving(true);
+    let mut budget = EvalBudget::tiny();
     budget.rl_episodes = 6;
     budget.hyper_initial = 6;
     budget.hyper_refined = 3;
@@ -160,20 +109,13 @@ fn halving_search_is_bit_identical_across_thread_counts() {
 
     let one = run_production_search(&ctx, 1);
     let four = run_production_search(&ctx, 4);
-    assert_eq!(one.halving, four.halving);
 
     // Winner, full candidate trace and charged search cost — to the bit.
-    assert_eq!(one.outcome.best_index, four.outcome.best_index);
-    assert_eq!(one.outcome.best_params, four.outcome.best_params);
-    assert_eq!(
-        one.outcome.best_score.to_bits(),
-        four.outcome.best_score.to_bits()
-    );
-    assert_eq!(
-        one.outcome.total_cost.to_bits(),
-        four.outcome.total_cost.to_bits()
-    );
-    assert_eq!(one.outcome.candidates, four.outcome.candidates);
+    assert_eq!(one.best_index, four.best_index);
+    assert_eq!(one.best_params, four.best_params);
+    assert_eq!(one.best_score.to_bits(), four.best_score.to_bits());
+    assert_eq!(one.total_cost.to_bits(), four.total_cost.to_bits());
+    assert_eq!(one.candidates, four.candidates);
 
     // The survivor sets of every rung (and their per-rung scores and charged costs)
     // must agree exactly: which candidates were eliminated when is part of the
@@ -199,12 +141,11 @@ fn halving_search_is_bit_identical_across_thread_counts() {
     for _ in 0..16 {
         let probe: Vec<f64> = (0..STATE_DIM).map(|_| rng.gen_range(-1.0..1.0)).collect();
         for (a, b) in one
-            .outcome
             .best
             .agent()
             .q_values(&probe)
             .iter()
-            .zip(four.outcome.best.agent().q_values(&probe))
+            .zip(four.best.agent().q_values(&probe))
         {
             assert_eq!(a.to_bits(), b.to_bits(), "Q-values diverged: {a} vs {b}");
         }
