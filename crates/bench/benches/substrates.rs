@@ -31,7 +31,7 @@ fn bench_substrates(c: &mut Criterion) {
 
     let log = TraceGenerator::new(SyntheticLogConfig::small(60, 90, 2)).generate();
     group.bench_function("per_minute_merge", |b| {
-        b.iter(|| std::hint::black_box(log.merged_events().len()))
+        b.iter(|| std::hint::black_box(log.merged_by_node().len()))
     });
 
     let timelines = TimelineSet::from_log(&preprocess(&log));

@@ -7,7 +7,11 @@
 //! completion, with the survivor trace in the fingerprint), a `matmul_kernels`
 //! microbench (the cache-blocked `Matrix` kernel family at serving- and training-shaped
 //! GEMMs, with the output bits in the fingerprint and GFLOP/s plus the dispatched
-//! instruction-set level in the JSON), a `serve_throughput` stage (a scaled-up
+//! instruction-set level in the JSON), a `setup_text` stage (the scale's error and job
+//! logs rendered to text once, untimed, then parsed and indexed as a deployment starts:
+//! mcelog parse, preprocess, timelines, sacct parse and job sampler, with a digest of
+//! the timeline set in the fingerprint and the step times plus the mcelog parse rate in
+//! the JSON), a `serve_throughput` stage (a scaled-up
 //! synthetic fleet streamed through the online `uerl-serve` subsystem, with the
 //! serving-vs-offline parity verdict in the fingerprint) and a `session_memory` stage (a totals-only serving fleet measured at half-stream and at
 //! the end: bytes/node, feature-history extremes and the O(window) verdict — the
@@ -35,6 +39,7 @@
 //! UERL_SCALE=small cargo run --release -p uerl-bench --bin perf_report
 //! RAYON_NUM_THREADS=8 cargo run --release -p uerl-bench --bin perf_report
 //! cargo run --release -p uerl-bench --bin perf_report -- --stage serve_throughput
+//! UERL_SCALE=paper cargo run --release -p uerl-bench --bin perf_report -- --stage setup_text
 //! ```
 //!
 //! `--stage <name>` (repeatable) runs only the named stages; the JSON then contains
@@ -43,7 +48,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 use uerl_bench::Scale;
 use uerl_core::event_stream::TimelineSet;
@@ -60,11 +65,12 @@ use uerl_eval::experiments::{fig3, fig4, fig5, fig6, fig7, table2};
 use uerl_eval::run::run_policy;
 use uerl_eval::scenario::ExperimentContext;
 use uerl_forest::{RandomForest, RandomForestConfig};
-use uerl_jobs::{JobLogConfig, JobTraceGenerator, NodeJobSampler};
+use uerl_jobs::{sacct, JobLogConfig, JobTraceGenerator, NodeJobSampler};
 use uerl_nn::{kernel_isa, Matrix};
 use uerl_rl::{HyperSearch, Trainable};
 use uerl_serve::{merged_fleet_stream, FleetServer, RecordRetention, ServeConfig, ShadowPolicy};
 use uerl_trace::generator::{SyntheticLogConfig, TraceGenerator};
+use uerl_trace::mcelog;
 use uerl_trace::reduction::preprocess;
 
 struct StageReport {
@@ -81,6 +87,22 @@ impl StageReport {
         } else {
             1.0
         }
+    }
+}
+
+/// Sizes and step times of the last `setup_text` run.
+struct SetupStats {
+    mcelog_bytes: usize,
+    sacct_bytes: usize,
+    parse_secs: f64,
+    preprocess_secs: f64,
+    timelines_secs: f64,
+    jobs_secs: f64,
+}
+
+impl SetupStats {
+    fn total_secs(&self) -> f64 {
+        self.parse_secs + self.preprocess_secs + self.timelines_secs + self.jobs_secs
     }
 }
 
@@ -559,12 +581,6 @@ fn main() {
     let matmul_stage = {
         let stats = Arc::clone(&kernel_stats);
         move || -> String {
-            fn fnv(digest: &mut u64, bits: u64) {
-                for byte in bits.to_le_bytes() {
-                    *digest ^= u64::from(byte);
-                    *digest = digest.wrapping_mul(0x0000_0100_0000_01B3);
-                }
-            }
             fn fill(rows: usize, cols: usize, salt: usize) -> Matrix {
                 Matrix::from_fn(rows, cols, |i, j| {
                     ((i * 31 + j * 17 + salt) as f64 * 0.193).sin()
@@ -654,9 +670,79 @@ fn main() {
         format!("acc={acc}")
     };
 
+    // Set-up from text: the scale's raw error log and job log are rendered to text once,
+    // on the untimed warm-up run, and every run then parses and indexes them the way a
+    // deployment starts (mcelog parse, preprocess, timelines, sacct parse, job sampler).
+    // The fingerprint is a digest of the timeline set plus the event counts; the step
+    // times and the parse rate of the last run land in `setup_stats` for the JSON.
+    let setup_stats: Arc<Mutex<Option<SetupStats>>> = Arc::new(Mutex::new(None));
+    let setup_text_stage = {
+        let stats = Arc::clone(&setup_stats);
+        let texts = OnceLock::new();
+        move || -> String {
+            let (mcelog_text, sacct_text, fleet) = texts.get_or_init(|| {
+                let (error_log, job_log) = uerl_bench::logs(scale, 2024);
+                let fleet = error_log.fleet().clone();
+                (mcelog::to_text(&error_log), sacct::to_text(&job_log), fleet)
+            });
+            let t0 = Instant::now();
+            let raw =
+                mcelog::from_text(mcelog_text, fleet.clone()).expect("rendered mcelog parses");
+            let t1 = Instant::now();
+            let log = preprocess(&raw);
+            let t2 = Instant::now();
+            let timelines = TimelineSet::from_log(&log);
+            let t3 = Instant::now();
+            let jobs = sacct::from_text(sacct_text).expect("rendered sacct parses");
+            let sampler = NodeJobSampler::from_log(&jobs);
+            let t4 = Instant::now();
+            std::hint::black_box(&sampler);
+
+            let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+            for timeline in timelines.timelines() {
+                fnv(&mut digest, u64::from(timeline.node().0));
+                for m in timeline.events() {
+                    fnv(&mut digest, m.time.0 as u64);
+                    for word in [m.ce_count, m.ue_warnings, m.boots, u32::from(m.fatal)] {
+                        fnv(&mut digest, u64::from(word));
+                    }
+                    fnv(&mut digest, m.ue_detector.map_or(0, |d| 1 + d as u64));
+                    for d in &m.ce_details {
+                        let l = d.location;
+                        for word in [d.dimm.slot, l.rank, l.bank, d.detector as u8] {
+                            fnv(&mut digest, u64::from(word));
+                        }
+                        fnv(&mut digest, u64::from(l.row) << 32 | u64::from(l.column));
+                    }
+                    for &slot in &m.retired_slots {
+                        fnv(&mut digest, u64::from(slot));
+                    }
+                }
+            }
+            let secs = |a: Instant, b: Instant| (b - a).as_secs_f64();
+            *stats.lock().expect("setup stats poisoned") = Some(SetupStats {
+                mcelog_bytes: mcelog_text.len(),
+                sacct_bytes: sacct_text.len(),
+                parse_secs: secs(t0, t1),
+                preprocess_secs: secs(t1, t2),
+                timelines_secs: secs(t2, t3),
+                jobs_secs: secs(t3, t4),
+            });
+            format!(
+                "raw_events={} events={} nodes={} merged_events={} jobs={} digest={digest:016x}",
+                raw.len(),
+                log.len(),
+                timelines.len(),
+                timelines.total_events(),
+                jobs.records().len(),
+            )
+        }
+    };
+
     let stages: Vec<(&'static str, Stage)> = vec![
         ("pool_overhead", Box::new(pool_overhead_stage)),
         ("matmul_kernels", Box::new(matmul_stage)),
+        ("setup_text", Box::new(setup_text_stage)),
         ("forest_fit_100_trees", {
             let ctx = ctx.clone();
             Box::new(move || forest_stage(&ctx))
@@ -777,6 +863,7 @@ fn main() {
     let kernels = *kernel_stats.lock().expect("kernel stats poisoned");
     let session_memory = *session_stats.lock().expect("session stats poisoned");
     let obs = obs_stats.lock().expect("obs stats poisoned").clone();
+    let setup = setup_stats.lock().expect("setup stats poisoned").take();
 
     let mut json = String::new();
     json.push_str("{\n");
@@ -800,6 +887,19 @@ fn main() {
         json.push_str(&format!(
             "  \"matmul_kernels\": {{\"kernel_isa\": \"{}\", \"nn_gflops\": {nn:.3}, \"tn_acc_gflops\": {tn:.3}, \"nt_gflops\": {nt:.3}}},\n",
             kernel_isa()
+        ));
+    }
+    if let Some(setup) = &setup {
+        json.push_str(&format!(
+            "  \"setup_text\": {{\"mcelog_bytes\": {}, \"sacct_bytes\": {}, \"mcelog_parse_secs\": {:.6}, \"mcelog_parse_mb_per_sec\": {:.1}, \"preprocess_secs\": {:.6}, \"timelines_from_log_secs\": {:.6}, \"sacct_and_sampler_secs\": {:.6}, \"setup_secs\": {:.6}}},\n",
+            setup.mcelog_bytes,
+            setup.sacct_bytes,
+            setup.parse_secs,
+            setup.mcelog_bytes as f64 / 1e6 / setup.parse_secs.max(1e-9),
+            setup.preprocess_secs,
+            setup.timelines_secs,
+            setup.jobs_secs,
+            setup.total_secs(),
         ));
     }
     if let Some((sessions, warm_bytes, warm_max_hist, end_bytes, end_max_hist, bound, bounded)) =
@@ -862,6 +962,16 @@ fn main() {
             kernel_isa()
         );
     }
+    if let Some(setup) = &setup {
+        eprintln!(
+            "[perf_report] set-up from text: {:.3} s ({:.1} MB mcelog parsed at {:.0} MB/s, \
+             timelines built in {:.3} s)",
+            setup.total_secs(),
+            setup.mcelog_bytes as f64 / 1e6,
+            setup.mcelog_bytes as f64 / 1e6 / setup.parse_secs.max(1e-9),
+            setup.timelines_secs,
+        );
+    }
     if let Some((sessions, _, _, end_bytes, end_max_hist, bound, bounded)) = session_memory {
         eprintln!(
             "[perf_report] session memory: {sessions} sessions, {:.0} bytes/node, \
@@ -920,6 +1030,14 @@ fn main() {
             );
             std::process::exit(1);
         }
+    }
+}
+
+/// Fold one word into an FNV-1a digest, byte by byte.
+fn fnv(digest: &mut u64, bits: u64) {
+    for byte in bits.to_le_bytes() {
+        *digest ^= u64::from(byte);
+        *digest = digest.wrapping_mul(0x0000_0100_0000_01B3);
     }
 }
 

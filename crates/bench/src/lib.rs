@@ -13,8 +13,9 @@
 //! Select with the `UERL_SCALE` environment variable (`small` / `laptop` / `paper`).
 
 use uerl_eval::scenario::{EvalBudget, ExperimentContext};
-use uerl_jobs::{JobLogConfig, JobTraceGenerator};
+use uerl_jobs::{JobLog, JobLogConfig, JobTraceGenerator};
 use uerl_trace::generator::{SyntheticLogConfig, TraceGenerator};
+use uerl_trace::log::ErrorLog;
 
 /// The evaluation scale selected through `UERL_SCALE`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,27 +55,44 @@ impl Scale {
     }
 }
 
+/// The raw error log and job log of a scale.
+pub fn logs(scale: Scale, seed: u64) -> (ErrorLog, JobLog) {
+    match scale {
+        Scale::Small => (
+            TraceGenerator::new(SyntheticLogConfig::small(40, 90, seed)).generate(),
+            JobTraceGenerator::new(JobLogConfig::small(40, 60, seed)).generate(),
+        ),
+        // A mid-size fleet over one year: large enough that every cross-validation part
+        // holds errors, small enough for minutes-long runs.
+        Scale::Laptop => (
+            TraceGenerator::new(SyntheticLogConfig::small(300, 365, seed)).generate(),
+            JobTraceGenerator::new(JobLogConfig::small(512, 180, seed)).generate(),
+        ),
+        // The 3056-node, two-year reconstructed error log and the 3456-node, one-year
+        // job log.
+        Scale::Paper => (
+            TraceGenerator::new(SyntheticLogConfig::marenostrum3(seed)).generate(),
+            JobTraceGenerator::new(JobLogConfig::marenostrum4(seed)).generate(),
+        ),
+    }
+}
+
 /// Build the experiment context for a scale.
 pub fn context(scale: Scale, seed: u64) -> ExperimentContext {
-    match scale {
-        Scale::Small => ExperimentContext::synthetic_small(40, 90, EvalBudget::tiny(), seed),
-        Scale::Laptop => {
-            // A mid-size fleet over one year with the laptop budget: large enough that
-            // every cross-validation part holds errors, small enough for minutes-long runs.
-            let error_log =
-                TraceGenerator::new(SyntheticLogConfig::small(300, 365, seed)).generate();
-            let job_log = JobTraceGenerator::new(JobLogConfig::small(512, 180, seed)).generate();
-            ExperimentContext::from_logs(
-                error_log,
-                job_log,
-                uerl_core::MitigationConfig::paper_default(),
-                EvalBudget::laptop(),
-                seed,
-                "Synthetic/Laptop",
-            )
-        }
-        Scale::Paper => ExperimentContext::marenostrum(EvalBudget::paper(), seed),
-    }
+    let (error_log, job_log) = logs(scale, seed);
+    let (budget, label) = match scale {
+        Scale::Small => (EvalBudget::tiny(), "Synthetic/Small"),
+        Scale::Laptop => (EvalBudget::laptop(), "Synthetic/Laptop"),
+        Scale::Paper => (EvalBudget::paper(), "MN/All"),
+    };
+    ExperimentContext::from_logs(
+        error_log,
+        job_log,
+        uerl_core::MitigationConfig::paper_default(),
+        budget,
+        seed,
+        label,
+    )
 }
 
 #[cfg(test)]

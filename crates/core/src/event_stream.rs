@@ -113,23 +113,19 @@ impl TimelineSet {
 
     /// Build the timeline set of a (preprocessed) error log. Only nodes with at least one
     /// merged event are included.
+    ///
+    /// Costs O(events) through one pass of [`ErrorLog::merged_by_node`], and allocates
+    /// every timeline, and the set itself, at its exact size.
     pub fn from_log(log: &ErrorLog) -> Self {
-        let mut timelines = Vec::new();
-        for node in log.nodes_with_events() {
-            let events = log.merged_events_for_node(node);
-            if !events.is_empty() {
-                timelines.push(NodeTimeline::new(
-                    node,
-                    log.window_start(),
-                    log.window_end(),
-                    events,
-                ));
-            }
-        }
+        let (window_start, window_end) = (log.window_start(), log.window_end());
         Self {
-            window_start: log.window_start(),
-            window_end: log.window_end(),
-            timelines,
+            window_start,
+            window_end,
+            timelines: log
+                .merged_by_node()
+                .into_iter()
+                .map(|(node, events)| NodeTimeline::new(node, window_start, window_end, events))
+                .collect(),
         }
     }
 
@@ -218,7 +214,7 @@ mod tests {
         let pre = preprocess(&log);
         let set = TimelineSet::from_log(&pre);
         assert_eq!(set.len(), pre.nodes_with_events().len());
-        assert_eq!(set.total_events(), pre.merged_events().len());
+        assert_eq!(set.total_events(), pre.merged_event_count());
         assert!(set.total_fatal() > 0);
     }
 

@@ -132,21 +132,6 @@ impl ExperimentContext {
         )
     }
 
-    /// The full MareNostrum-scale context: the 3056-node, two-year reconstructed error
-    /// log and the 3456-node, one-year job log.
-    pub fn marenostrum(budget: EvalBudget, seed: u64) -> Self {
-        let error_log = TraceGenerator::new(SyntheticLogConfig::marenostrum3(seed)).generate();
-        let job_log = JobTraceGenerator::new(JobLogConfig::marenostrum4(seed)).generate();
-        Self::from_logs(
-            error_log,
-            job_log,
-            MitigationConfig::paper_default(),
-            budget,
-            seed,
-            "MN/All",
-        )
-    }
-
     /// A copy with a different mitigation cost (Figure 3's 2 / 5 / 10 node-minutes).
     pub fn with_mitigation_cost_minutes(&self, minutes: f64) -> Self {
         let mut ctx = self.clone();

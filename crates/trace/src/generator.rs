@@ -421,7 +421,7 @@ mod tests {
             (30..=130).contains(&effective),
             "effective UEs {effective} outside calibration band"
         );
-        let merged = log.merged_events().len();
+        let merged = log.merged_event_count();
         assert!(
             (100_000..=600_000).contains(&merged),
             "merged events {merged} outside calibration band"

@@ -4,7 +4,6 @@ use crate::events::{CeDetail, Detector, EventKind, LogEvent};
 use crate::fleet::FleetConfig;
 use crate::types::{Manufacturer, NodeId, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// A complete error log: the fleet it was collected on, the observation window, and the
 /// time-ordered sequence of events.
@@ -83,8 +82,9 @@ impl ErrorLog {
     /// The set of nodes that have at least one event.
     pub fn nodes_with_events(&self) -> Vec<NodeId> {
         let mut nodes: Vec<NodeId> = self.events.iter().map(|e| e.node).collect();
-        nodes.sort();
+        nodes.sort_unstable();
         nodes.dedup();
+        nodes.shrink_to_fit();
         nodes
     }
 
@@ -139,46 +139,121 @@ impl ErrorLog {
     /// Merge the log into per-node, per-minute [`MergedEvent`]s, as required by the MDP
     /// formulation ("there is a minimum wallclock time between state transitions of one
     /// minute, so that events occurring within the same minute are combined").
-    pub fn merged_events(&self) -> Vec<MergedEvent> {
-        let mut buckets: BTreeMap<(SimTime, NodeId), MergedEvent> = BTreeMap::new();
-        for event in &self.events {
-            let key = (event.time.floor_minute(), event.node);
-            let merged = buckets.entry(key).or_insert_with(|| MergedEvent {
-                time: key.0,
-                node: key.1,
-                ce_count: 0,
-                ce_details: Vec::new(),
-                ue_warnings: 0,
-                boots: 0,
-                retired_slots: Vec::new(),
-                fatal: false,
-                ue_detector: None,
-            });
-            merged.absorb(event);
-        }
-        buckets.into_values().collect()
+    ///
+    /// Returns one entry per node with events, in ascending node order, each holding the
+    /// node's minutes in time order. Costs O(events): a stable counting sort of the event
+    /// indices by node, then one minute-merge per node. Every vector is allocated at its
+    /// exact size. A minute absorbs its events in log order, which is sorted by
+    /// [`LogEvent::sort_key`].
+    pub fn merged_by_node(&self) -> Vec<(NodeId, Vec<MergedEvent>)> {
+        NodeRuns::of(self)
+            .iter()
+            .map(|(node, run)| {
+                let minutes = minute_groups(&self.events, run);
+                let mut merged = Vec::with_capacity(minutes.clone().count());
+                for minute in minutes {
+                    let (mut details, mut retired) = (0, 0);
+                    for &i in minute {
+                        match self.events[i as usize].kind {
+                            EventKind::CorrectedError {
+                                detail: Some(_), ..
+                            } => details += 1,
+                            EventKind::DimmRetirement { .. } => retired += 1,
+                            _ => {}
+                        }
+                    }
+                    let mut bucket = MergedEvent {
+                        time: self.events[minute[0] as usize].time.floor_minute(),
+                        node,
+                        ce_count: 0,
+                        ce_details: Vec::with_capacity(details),
+                        ue_warnings: 0,
+                        boots: 0,
+                        retired_slots: Vec::with_capacity(retired),
+                        fatal: false,
+                        ue_detector: None,
+                    };
+                    for &i in minute {
+                        bucket.absorb(&self.events[i as usize]);
+                    }
+                    merged.push(bucket);
+                }
+                (node, merged)
+            })
+            .collect()
     }
 
-    /// Merge the events of a single node into per-minute [`MergedEvent`]s.
-    pub fn merged_events_for_node(&self, node: NodeId) -> Vec<MergedEvent> {
-        let mut buckets: BTreeMap<SimTime, MergedEvent> = BTreeMap::new();
-        for event in self.events_for_node(node) {
-            let key = event.time.floor_minute();
-            let merged = buckets.entry(key).or_insert_with(|| MergedEvent {
-                time: key,
-                node,
-                ce_count: 0,
-                ce_details: Vec::new(),
-                ue_warnings: 0,
-                boots: 0,
-                retired_slots: Vec::new(),
-                fatal: false,
-                ue_detector: None,
-            });
-            merged.absorb(event);
-        }
-        buckets.into_values().collect()
+    /// Number of per-node, per-minute [`MergedEvent`]s, i.e. the length of
+    /// [`ErrorLog::merged_by_node`] summed over nodes, without building them.
+    pub fn merged_event_count(&self) -> usize {
+        NodeRuns::of(self)
+            .iter()
+            .map(|(_, run)| minute_groups(&self.events, run).count())
+            .sum()
     }
+}
+
+/// The indices of a log's events grouped by node: a stable counting sort by node rank,
+/// so each node's run keeps the log's time order. Nothing is sized by the node ids.
+struct NodeRuns {
+    /// The distinct nodes, ascending.
+    nodes: Vec<NodeId>,
+    /// `order[starts[r]..starts[r + 1]]` are the event indices of `nodes[r]`.
+    starts: Vec<usize>,
+    order: Vec<u32>,
+}
+
+impl NodeRuns {
+    fn of(log: &ErrorLog) -> Self {
+        let events = log.events();
+        assert!(
+            events.len() <= u32::MAX as usize,
+            "event indices must fit in u32"
+        );
+        let nodes = log.nodes_with_events();
+        let rank = |node| {
+            nodes
+                .binary_search(&node)
+                .expect("every event's node is listed")
+        };
+        let mut starts = vec![0usize; nodes.len() + 1];
+        for event in events {
+            starts[rank(event.node) + 1] += 1;
+        }
+        for r in 0..nodes.len() {
+            starts[r + 1] += starts[r];
+        }
+        let mut next = starts.clone();
+        let mut order = vec![0u32; events.len()];
+        for (i, event) in events.iter().enumerate() {
+            let slot = &mut next[rank(event.node)];
+            order[*slot] = i as u32;
+            *slot += 1;
+        }
+        Self {
+            nodes,
+            starts,
+            order,
+        }
+    }
+
+    /// Each node with its run of event indices.
+    fn iter(&self) -> impl Iterator<Item = (NodeId, &[u32])> {
+        self.nodes
+            .iter()
+            .zip(self.starts.windows(2))
+            .map(|(&node, w)| (node, &self.order[w[0]..w[1]]))
+    }
+}
+
+/// Split one node's time-ordered run of event indices into its minutes.
+fn minute_groups<'a>(
+    events: &'a [LogEvent],
+    run: &'a [u32],
+) -> impl Iterator<Item = &'a [u32]> + Clone {
+    run.chunk_by(move |&a, &b| {
+        events[a as usize].time.floor_minute() == events[b as usize].time.floor_minute()
+    })
 }
 
 /// All events of one node within one minute, combined into a single observation.
@@ -344,6 +419,14 @@ mod tests {
             .all(|n| n.manufacturer == Manufacturer::A));
     }
 
+    fn merged_of(log: &ErrorLog, node: u32) -> Vec<MergedEvent> {
+        log.merged_by_node()
+            .into_iter()
+            .find(|(n, _)| *n == NodeId(node))
+            .map(|(_, merged)| merged)
+            .unwrap_or_default()
+    }
+
     #[test]
     fn merging_combines_same_minute_same_node() {
         // Two CE records and a warning for node 1 in the same minute, a boot for node 2.
@@ -353,22 +436,23 @@ mod tests {
             warning(1, 110),
             boot(2, 70),
         ]);
-        let merged = log.merged_events();
-        assert_eq!(merged.len(), 2);
-        let node1 = merged.iter().find(|m| m.node == NodeId(1)).unwrap();
-        assert_eq!(node1.time, SimTime::from_minutes(1));
-        assert_eq!(node1.ce_count, 7);
-        assert_eq!(node1.ce_details.len(), 2);
-        assert_eq!(node1.ue_warnings, 1);
-        assert!(!node1.fatal);
-        let node2 = merged.iter().find(|m| m.node == NodeId(2)).unwrap();
-        assert_eq!(node2.boots, 1);
+        assert_eq!(log.merged_event_count(), 2);
+        let node1 = merged_of(&log, 1);
+        assert_eq!(node1.len(), 1);
+        assert_eq!(node1[0].time, SimTime::from_minutes(1));
+        assert_eq!(node1[0].ce_count, 7);
+        assert_eq!(node1[0].ce_details.len(), 2);
+        assert_eq!(node1[0].ue_warnings, 1);
+        assert!(!node1[0].fatal);
+        let node2 = merged_of(&log, 2);
+        assert_eq!(node2.len(), 1);
+        assert_eq!(node2[0].boots, 1);
     }
 
     #[test]
     fn merging_keeps_separate_minutes_separate() {
         let log = small_log(vec![ce(1, 30, 1), ce(1, 90, 1)]);
-        let merged = log.merged_events_for_node(NodeId(1));
+        let merged = merged_of(&log, 1);
         assert_eq!(merged.len(), 2);
         assert_eq!(merged[0].time, SimTime::ZERO);
         assert_eq!(merged[1].time, SimTime::from_minutes(1));
@@ -377,7 +461,7 @@ mod tests {
     #[test]
     fn merging_marks_fatal_minutes() {
         let log = small_log(vec![ce(1, 30, 1), ue(1, 45)]);
-        let merged = log.merged_events_for_node(NodeId(1));
+        let merged = merged_of(&log, 1);
         assert_eq!(merged.len(), 1);
         assert!(merged[0].fatal);
         assert_eq!(merged[0].ue_detector, Some(Detector::PatrolScrub));
@@ -385,13 +469,19 @@ mod tests {
     }
 
     #[test]
-    fn merged_events_are_globally_time_ordered() {
-        let log = small_log(vec![ce(2, 300, 1), ce(1, 30, 1), ce(1, 600, 1)]);
-        let merged = log.merged_events();
-        let times: Vec<i64> = merged.iter().map(|m| m.time.as_secs()).collect();
-        let mut sorted = times.clone();
-        sorted.sort();
-        assert_eq!(times, sorted);
+    fn merged_runs_are_node_ordered_and_time_ordered() {
+        let log = small_log(vec![
+            ce(2, 300, 1),
+            ce(1, 30, 1),
+            ce(1, 600, 1),
+            ce(1, 45, 1),
+        ]);
+        let merged = log.merged_by_node();
+        let nodes: Vec<NodeId> = merged.iter().map(|(node, _)| *node).collect();
+        assert_eq!(nodes, vec![NodeId(1), NodeId(2)]);
+        let times: Vec<i64> = merged[0].1.iter().map(|m| m.time.as_secs()).collect();
+        assert_eq!(times, vec![0, 600]);
+        assert_eq!(log.merged_event_count(), 3);
     }
 
     #[test]

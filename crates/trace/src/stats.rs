@@ -100,7 +100,7 @@ impl LogStatistics {
             uncorrected_errors: fatal_events.len(),
             ue_by_manufacturer,
             silent_ue_count,
-            merged_event_count: log.merged_events().len(),
+            merged_event_count: log.merged_event_count(),
             window_days: log.window_days(),
         }
     }
