@@ -249,7 +249,7 @@ fn main() {
 
     // Online-serving throughput: a scaled-up synthetic fleet (the paper scale streams
     // the full ~million-event two-year reconstruction) served end-to-end through
-    // `uerl-serve` — sharded per-node state, event-time ticks, micro-batched DQN
+    // `uerl-serve` — one session map, serial absorb, event-time ticks, micro-batched DQN
     // inference — with the offline `run_policy` rollout of the same timelines as the
     // parity oracle. The fingerprint covers the decision/cost totals (bit patterns), a
     // digest of every served decision and the parity verdict, so the serial-vs-parallel

@@ -33,7 +33,7 @@ impl Scale {
     /// knob this is strict: an unrecognised value panics instead of silently running
     /// the small scale under a label the operator never asked for.
     pub fn from_env() -> Self {
-        uerl_core::knobs::env_choice(
+        uerl_obs::knob::env_choice(
             "UERL_SCALE",
             &[
                 ("", Scale::Small),

@@ -25,15 +25,12 @@
 //! * [`rf_dataset`] — construction of the supervised training set for the SC20-RF
 //!   baseline (1-day prediction window).
 //! * [`trainer`] — the RL training loop over randomly drawn node episodes.
-//! * [`knobs`] — unified `UERL_*` environment-knob parsing (re-exported from
-//!   `uerl_obs::knob`) and the `UERL_METRICS` gate accessor.
 
 pub mod config;
 pub mod cost;
 pub mod env;
 pub mod event_stream;
 pub mod features;
-pub mod knobs;
 pub mod policies;
 pub mod policy;
 pub mod rf_dataset;

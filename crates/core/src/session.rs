@@ -78,7 +78,7 @@ impl RecordRetention {
     /// Panics on any other value — a silently misread knob would invalidate a
     /// measurement run.
     pub fn from_env() -> Self {
-        crate::knobs::env_choice(
+        uerl_obs::knob::env_choice(
             "UERL_RETENTION",
             RETENTION_CHOICES,
             RecordRetention::TotalsOnly,
@@ -631,7 +631,8 @@ mod tests {
 
     #[test]
     fn retention_parses_like_the_other_knobs() {
-        let parse = |value: &str| crate::knobs::choice("UERL_RETENTION", value, RETENTION_CHOICES);
+        let parse =
+            |value: &str| uerl_obs::knob::choice("UERL_RETENTION", value, RETENTION_CHOICES);
         assert_eq!(parse("full"), RecordRetention::Full);
         assert_eq!(parse("totals"), RecordRetention::TotalsOnly);
         assert_eq!(parse(""), RecordRetention::TotalsOnly);

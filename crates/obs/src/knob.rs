@@ -5,8 +5,8 @@
 //! a silently misread knob would invalidate a measurement run. Before this module the
 //! contract was copy-pasted (and had already drifted: some parsers panicked, others
 //! silently defaulted); now `UERL_RETENTION`, `UERL_SCALE` and `UERL_METRICS` all
-//! route through [`choice`] / [`env_choice`], so per-crate drift cannot happen. `uerl_core::knobs` re-exports these for the crates
-//! that sit above `uerl-core`.
+//! route through [`choice`] / [`env_choice`], so per-crate drift cannot happen. Every
+//! crate that reads a knob calls these directly.
 
 /// Map a knob's raw value onto one of its accepted choices.
 ///

@@ -26,7 +26,7 @@
 //! * [`MetricClass::EventTime`] — derived from the event stream or a seeded
 //!   computation (event counts, decision counts, accumulated node-hour costs,
 //!   shadow-policy regret, TD errors). These are deterministic: bit-identical at any
-//!   thread count, and — for the serving metrics — at any shard count and batch size.
+//!   thread count, and — for the serving metrics — at any batch size.
 //!   They are covered by [`MetricsSnapshot::fingerprint`].
 //! * [`MetricClass::WallClock`] — timings and scheduler-dependent statistics (span
 //!   durations, work-stealing pool steal counts, queue depths). These legitimately
@@ -538,8 +538,8 @@ impl MetricsSnapshot {
 
     /// FNV-1a digest of every [`MetricClass::EventTime`] entry (name, labels, value
     /// bits). Wall-clock metrics are excluded by construction, so the fingerprint is
-    /// bit-stable across thread counts and, for the serving metrics, across shard and
-    /// batch configurations.
+    /// bit-stable across thread counts and, for the serving metrics, across batch
+    /// sizes.
     pub fn fingerprint(&self) -> u64 {
         let mut hash = 0xcbf2_9ce4_8422_2325u64;
         let mut eat = |bytes: &[u8]| {

@@ -6,9 +6,9 @@
 //! event-time stream of an entire fleet's DRAM error events and answers, at every
 //! non-fatal event, whether to mitigate.
 //!
-//! * [`server`] — the [`FleetServer`]: event-time ticks, sharded per-node state,
-//!   node-id-ordered **micro-batched inference** (a tick's decision requests are
-//!   stacked into one batched forward pass through
+//! * [`server`] — the [`FleetServer`]: event-time ticks, one session map with a
+//!   serial absorb in node-id order, **micro-batched inference** (a tick's decision
+//!   requests are stacked into one batched forward pass through
 //!   [`uerl_core::policy::MitigationPolicy::decide_batch`]), and the out-of-order
 //!   ingestion guard.
 //! * [`metrics`] — the serving instruments (tick tracing, decision counters,
@@ -21,8 +21,8 @@
 //! both the offline environment cursor and this server. That is what carries the
 //! repository's determinism contract: served decisions and accumulated
 //! mitigation/UE cost are **bit-identical** to the offline evaluator's `run_policy`
-//! rollout of the same timelines — at any micro-batch size, shard count, thread count
-//! and record-retention mode. The serving-parity test suite and the
+//! rollout of the same timelines — at any micro-batch size, thread count and
+//! record-retention mode. The serving-parity test suite and the
 //! `serve_throughput` stage of `perf_report` pin this.
 //!
 //! Sessions are bounded: the feature history is an O(window) ring buffer and, under

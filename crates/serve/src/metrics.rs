@@ -4,8 +4,8 @@
 //!
 //! * **Event-time** instruments derive only from the served event stream (event
 //!   counts, decision counts, duplicate-timestamp rounds, accumulated Equation 3
-//!   costs, shadow-policy totals). They are bit-identical at any thread count, shard
-//!   count and batch size — except `uerl_serve_batch_size`, which is deterministic
+//!   costs, shadow-policy totals). They are bit-identical at any thread count and
+//!   batch size — except `uerl_serve_batch_size`, which is deterministic
 //!   *per configuration* (the batch boundaries are part of the configuration) — and
 //!   they participate in the snapshot fingerprint.
 //! * **Wall-clock** instruments (tick durations, work-stealing pool statistics) vary

@@ -1,18 +1,17 @@
-//! The fleet server: event-time ticks, shard fan-out and micro-batched inference.
+//! The fleet server: event-time ticks, one session map and micro-batched inference.
 //!
 //! [`FleetServer`] consumes the fleet-merged, event-time-ordered stream of per-minute
 //! merged error events and serves one mitigation decision per non-fatal event. Events
 //! carrying the same timestamp form one **tick**; when a newer timestamp arrives the
 //! tick is flushed:
 //!
-//! 1. the tick's events are routed to their node **shards** (node id modulo shard
-//!    count) and the shards push them in parallel over the work-stealing pool into
-//!    each node's [`NodeSession`] — the one session type the offline environment
-//!    cursor pushes too — collecting the tick's decision requests;
-//! 2. the requests are assembled in **node-id order** (whatever the shard count or
-//!    thread count) and stacked into **micro-batches** of at most
-//!    [`ServeConfig::batch_size`] states, each answered by a single batched forward
-//!    pass through [`MitigationPolicy::decide_batch`];
+//! 1. the tick's events are absorbed serially, in **node-id order**, into each node's
+//!    [`NodeSession`] — the one session type the offline environment cursor pushes
+//!    too — held in one node-id-keyed session map, collecting the tick's decision
+//!    requests;
+//! 2. the requests, already in node-id order, are stacked into **micro-batches** of
+//!    at most [`ServeConfig::batch_size`] states, each answered by a single batched
+//!    forward pass through [`MitigationPolicy::decide_batch`];
 //! 3. the decisions are applied to their sessions — paying mitigation costs, moving
 //!    the Equation 3 reference points — and emitted in the same node-id order.
 //!
@@ -21,8 +20,8 @@
 //! inference, and every reduction (request assembly, decision application, fleet
 //! totals) runs in node-id order. So the server's decisions and accumulated costs are
 //! **bit-identical to the offline evaluator's `run_policy` rollout** of the same
-//! timelines — at any batch size, shard count and thread count. The serving-parity
-//! suite pins this.
+//! timelines — at any batch size and thread count. The serving-parity suite pins
+//! this.
 
 use crate::metrics::{serve_metrics, shadow_cost_gauge};
 use std::collections::BTreeMap;
@@ -39,17 +38,6 @@ use uerl_trace::types::{NodeId, SimTime};
 
 /// A policy scored counterfactually alongside the served one.
 pub type ShadowPolicy = Arc<dyn MitigationPolicy + Send + Sync>;
-
-/// One node shard: the sessions of every node routed to it, keyed (and iterated) in
-/// node-id order.
-type Shard = BTreeMap<NodeId, NodeSession>;
-
-/// Below this many events, a tick is absorbed serially: the parallel fan-out's
-/// dispatch overhead would dominate. The threshold depends only on the tick size, so
-/// the serial and parallel paths are taken identically at every thread count — and
-/// they produce identical state either way (the per-node work is the same; only the
-/// request-assembly order differs, and both end in node-id order).
-const PARALLEL_TICK_THRESHOLD: usize = 64;
 
 /// Sample rate of the wall-clock tick-duration span: one tick in this many reads the
 /// clock. Most ticks of a per-minute merged stream hold a single event, so timing
@@ -79,8 +67,6 @@ pub struct ServeConfig {
     pub seed: u64,
     /// Maximum decision requests stacked into one batched forward pass.
     pub batch_size: usize,
-    /// Number of node shards the per-node state is partitioned into.
-    pub shards: usize,
     /// Record retention of the node sessions ([`ServeConfig::new`] seeds it from
     /// `UERL_RETENTION`, defaulting to totals-only: a fleet session keeps counters
     /// and cost totals, not per-event logs, so its footprint is O(1) in the node's
@@ -89,7 +75,7 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// A configuration with the default batching knobs (batch 64, 8 shards).
+    /// A configuration with the default micro-batch size (64).
     pub fn new(
         window_start: SimTime,
         window_end: SimTime,
@@ -106,7 +92,6 @@ impl ServeConfig {
             mitigation,
             seed,
             batch_size: 64,
-            shards: 8,
             retention: RecordRetention::from_env(),
         }
     }
@@ -152,16 +137,6 @@ impl ServeConfig {
     pub fn with_batch_size(mut self, batch_size: usize) -> Self {
         assert!(batch_size > 0, "batch size must be positive");
         self.batch_size = batch_size;
-        self
-    }
-
-    /// Set the shard count.
-    ///
-    /// # Panics
-    /// Panics if `shards` is zero.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        assert!(shards > 0, "shard count must be positive");
-        self.shards = shards;
         self
     }
 
@@ -266,17 +241,9 @@ impl ServeReport {
     }
 }
 
-/// The costs one fatal event charged: the served lane's and each shadow lane's.
-#[derive(Debug, Clone)]
-struct FatalCost {
-    node: NodeId,
-    ue_cost: f64,
-    shadow_ue_costs: Vec<f64>,
-}
-
 /// Cumulative cost totals accumulated in served event order (deterministic at any
-/// thread, shard and batch configuration — the accumulation order is node-id order
-/// within each round).
+/// thread count and batch size — the accumulation order is node-id order within each
+/// round).
 #[derive(Debug, Clone, Copy, Default)]
 struct RunningCost {
     mitigation_cost: f64,
@@ -292,7 +259,7 @@ pub struct FleetServer<P: MitigationPolicy> {
     config: ServeConfig,
     policy: P,
     sampler: NodeJobSampler,
-    shards: Vec<Shard>,
+    sessions: BTreeMap<NodeId, NodeSession>,
     tick_time: Option<SimTime>,
     tick_events: Vec<MergedEvent>,
     events_ingested: u64,
@@ -308,12 +275,11 @@ impl<P: MitigationPolicy> FleetServer<P> {
     /// Create a server. The policy is queried greedily (its training, if any, is
     /// already done); the sampler provides the per-node job sequences.
     pub fn new(config: ServeConfig, policy: P, sampler: NodeJobSampler) -> Self {
-        let shards = (0..config.shards).map(|_| BTreeMap::new()).collect();
         Self {
             config,
             policy,
             sampler,
-            shards,
+            sessions: BTreeMap::new(),
             tick_time: None,
             tick_events: Vec::new(),
             events_ingested: 0,
@@ -381,7 +347,7 @@ impl<P: MitigationPolicy> FleetServer<P> {
 
     /// Nodes with live sessions.
     pub fn live_nodes(&self) -> usize {
-        self.shards.iter().map(BTreeMap::len).sum()
+        self.sessions.len()
     }
 
     /// Ingest one event of the merged fleet stream. Decisions become available once
@@ -433,7 +399,7 @@ impl<P: MitigationPolicy> FleetServer<P> {
         Ok(())
     }
 
-    /// Flush the open tick: absorb its events shard-parallel, answer its decision
+    /// Flush the open tick: absorb its events in node-id order, answer its decision
     /// requests in node-id-ordered micro-batches, apply and emit the decisions.
     /// Called automatically when a later tick starts; call it after the last event of
     /// a stream (or use [`FleetServer::ingest_all`], which does). An explicit flush
@@ -535,16 +501,7 @@ impl<P: MitigationPolicy> FleetServer<P> {
     /// micro-batch the resulting decision requests, apply and emit the decisions,
     /// then replay the same requests through every shadow lane.
     fn serve_round(&mut self, round: &[&MergedEvent], out: &mut Vec<ServedDecision>) {
-        let (nodes, states, fatals) = self.observe_round(round);
-        // Fold the round's fatal costs into the running totals in node-id order
-        // (observe_round returns them sorted), keeping the f64 accumulation order —
-        // and therefore every gauge bit — independent of shard and thread count.
-        for fatal in &fatals {
-            self.served_running.ue_cost += fatal.ue_cost;
-            for (lane, &cost) in fatal.shadow_ue_costs.iter().enumerate() {
-                self.shadow_running[lane].ue_cost += cost;
-            }
-        }
+        let (nodes, states) = self.observe_round(round);
         let metrics = serve_metrics();
         let batch = self.config.batch_size;
         let mut mitigated = 0u64;
@@ -608,111 +565,51 @@ impl<P: MitigationPolicy> FleetServer<P> {
     }
 
     /// Absorb one round of events into the node sessions and return the decision
-    /// requests — and the fatal costs paid — in node-id order. Large rounds fan the
-    /// shards out over the work-stealing pool; the result is identical either way.
-    #[allow(clippy::type_complexity)]
-    fn observe_round(
-        &mut self,
-        round: &[&MergedEvent],
-    ) -> (Vec<NodeId>, Vec<StateFeatures>, Vec<FatalCost>) {
-        if round.len() < PARALLEL_TICK_THRESHOLD || self.config.shards == 1 {
-            let mut nodes = Vec::new();
-            let mut states = Vec::new();
-            let mut fatals = Vec::new();
-            for event in round {
-                let node = event.node;
-                match self.session_mut(node).observe(event) {
-                    Observed::Request(state) => {
-                        nodes.push(node);
-                        states.push(state);
+    /// requests in node-id order (the round's order). Each fatal's served and shadow
+    /// UE costs are folded into the running totals as it is observed, so the f64
+    /// accumulation order — and therefore every gauge bit — is node-id order too.
+    fn observe_round(&mut self, round: &[&MergedEvent]) -> (Vec<NodeId>, Vec<StateFeatures>) {
+        let mut nodes = Vec::new();
+        let mut states = Vec::new();
+        for event in round {
+            let node = event.node;
+            match self.session_mut(node).observe(event) {
+                Observed::Request(state) => {
+                    nodes.push(node);
+                    states.push(state);
+                }
+                Observed::Fatal {
+                    ue_cost,
+                    shadow_ue_costs,
+                } => {
+                    self.served_running.ue_cost += ue_cost;
+                    for (running, cost) in self.shadow_running.iter_mut().zip(shadow_ue_costs) {
+                        running.ue_cost += cost;
                     }
-                    Observed::Fatal {
-                        ue_cost,
-                        shadow_ue_costs,
-                    } => fatals.push(FatalCost {
-                        node,
-                        ue_cost,
-                        shadow_ue_costs,
-                    }),
                 }
             }
-            return (nodes, states, fatals);
         }
-
-        // Partition the round by shard, fan the shards out (each owns a disjoint set
-        // of nodes), then merge the per-shard requests back into node-id order.
-        let shard_count = self.shards.len();
-        let mut per_shard: Vec<Vec<&MergedEvent>> = vec![Vec::new(); shard_count];
-        for &event in round {
-            per_shard[shard_index(event.node, shard_count)].push(event);
-        }
-        let shards = std::mem::take(&mut self.shards);
-        let config = &self.config;
-        let sampler = &self.sampler;
-        let shadow_lanes = self.shadow_policies.len();
-        let work: Vec<(Shard, Vec<&MergedEvent>)> = shards.into_iter().zip(per_shard).collect();
-        let done = rayon::execute_owned(work, |(mut shard, events)| {
-            let mut requests = Vec::new();
-            let mut fatals = Vec::new();
-            for event in events {
-                let node = event.node;
-                let session = shard
-                    .entry(node)
-                    .or_insert_with(|| new_session(node, config, sampler, shadow_lanes));
-                match session.observe(event) {
-                    Observed::Request(state) => requests.push((node, state)),
-                    Observed::Fatal {
-                        ue_cost,
-                        shadow_ue_costs,
-                    } => fatals.push(FatalCost {
-                        node,
-                        ue_cost,
-                        shadow_ue_costs,
-                    }),
-                }
-            }
-            (shard, requests, fatals)
-        });
-        let mut requests = Vec::new();
-        let mut fatals = Vec::new();
-        self.shards = done
-            .into_iter()
-            .map(|(shard, shard_requests, shard_fatals)| {
-                requests.extend(shard_requests);
-                fatals.extend(shard_fatals);
-                shard
-            })
-            .collect();
-        // Shards interleave node ids (modulo routing), so restore global node order;
-        // ids are unique within a round, making the order — and therefore the batch
-        // boundaries and the cost-accumulation order — independent of shard count and
-        // thread count.
-        requests.sort_unstable_by_key(|(node, _)| node.0);
-        fatals.sort_unstable_by_key(|fatal| fatal.node.0);
-        let (nodes, states) = requests.into_iter().unzip();
-        (nodes, states, fatals)
+        (nodes, states)
     }
 
     fn session_mut(&mut self, node: NodeId) -> &mut NodeSession {
-        let shard = shard_index(node, self.shards.len());
         let config = &self.config;
         let sampler = &self.sampler;
         let shadow_lanes = self.shadow_policies.len();
-        self.shards[shard]
+        self.sessions
             .entry(node)
             .or_insert_with(|| new_session(node, config, sampler, shadow_lanes))
     }
 
     /// The session of a node, if it has received events.
     pub fn session(&self, node: NodeId) -> Option<&NodeSession> {
-        self.shards[shard_index(node, self.shards.len())].get(&node)
+        self.sessions.get(&node)
     }
 
-    /// Every live session, in node-id order within each shard (shards iterate in
-    /// shard order; use this for fleet-wide introspection such as memory accounting,
-    /// where per-session order does not matter).
+    /// Every live session, in node-id order (the order every fleet total is folded
+    /// in).
     pub fn sessions(&self) -> impl Iterator<Item = &NodeSession> {
-        self.shards.iter().flat_map(|shard| shard.values())
+        self.sessions.values()
     }
 
     /// Fleet-wide report, accumulated in node-id order so every floating-point total
@@ -723,7 +620,6 @@ impl<P: MitigationPolicy> FleetServer<P> {
     /// Only flushed ticks are included; flush the final tick first (or ingest via
     /// [`FleetServer::ingest_all`]).
     pub fn report(&self) -> ServeReport {
-        let sessions = self.sessions_by_node();
         let mut report = ServeReport {
             policy: self.policy.name().to_string(),
             mitigations: 0,
@@ -733,9 +629,9 @@ impl<P: MitigationPolicy> FleetServer<P> {
             ue_cost: 0.0,
             events: self.events_ingested,
             retention: self.config.retention,
-            per_node: Vec::with_capacity(sessions.len()),
+            per_node: Vec::with_capacity(self.sessions.len()),
         };
-        for session in sessions {
+        for session in self.sessions() {
             let account = session.account();
             report.mitigations += account.mitigation_count();
             report.non_mitigations += account.non_mitigation_count();
@@ -762,33 +658,18 @@ impl<P: MitigationPolicy> FleetServer<P> {
     /// `run_policy` of that policy over the same timelines. Shadow lanes keep totals
     /// only, so the runs carry no logs. Only flushed ticks are included.
     pub fn shadow_report(&self) -> Vec<PolicyRun> {
-        let sessions = self.sessions_by_node();
         self.shadow_policies
             .iter()
             .enumerate()
             .map(|(lane, policy)| {
                 let mut run = PolicyRun::for_policy(&**policy);
-                for session in &sessions {
+                for session in self.sessions() {
                     run.add_node(session.node(), session.shadow_account(lane));
                 }
                 run
             })
             .collect()
     }
-
-    /// Every live session, in node-id order (the order every fleet total is folded
-    /// in).
-    fn sessions_by_node(&self) -> Vec<&NodeSession> {
-        let mut sessions: Vec<&NodeSession> = self.sessions().collect();
-        sessions.sort_unstable_by_key(|s| s.node().0);
-        sessions
-    }
-}
-
-/// Shard routing: node id modulo shard count. The request assembly re-sorts by node
-/// id, so the routing function affects only load distribution, never results.
-fn shard_index(node: NodeId, shards: usize) -> usize {
-    node.0 as usize % shards
 }
 
 /// A fresh session for `node`, built from the server's configuration.
@@ -988,6 +869,8 @@ mod tests {
         assert!((report.mitigation_cost - 2.5).abs() < 1e-12);
         let ids: Vec<u32> = report.per_node.iter().map(|n| n.node.0).collect();
         assert_eq!(ids, vec![1, 3, 5]);
+        let session_ids: Vec<u32> = server.sessions().map(|s| s.node().0).collect();
+        assert_eq!(session_ids, vec![1, 3, 5]);
         assert_eq!(report.events, 3);
     }
 
@@ -1052,76 +935,50 @@ mod tests {
     }
 
     #[test]
-    fn wide_ticks_take_the_shard_parallel_path_and_match_the_serial_one() {
-        // A tick wider than PARALLEL_TICK_THRESHOLD fans the shards out over the pool;
-        // a single-shard server always takes the serial path. Both must produce
-        // identical decisions, reports and decision order (node-id ascending), and a
-        // mixed fatal/non-fatal wide tick must account every fatal exactly once.
-        let wide_tick = |minute: i64| -> Vec<MergedEvent> {
-            (0..(2 * PARALLEL_TICK_THRESHOLD as u32))
-                .map(|node| event(node, minute, node % 9 == 0))
-                .collect()
-        };
-        let run = |shards: usize| {
-            let mut server =
-                FleetServer::new(config().with_shards(shards), AlwaysMitigate, sampler());
-            let mut out = Vec::new();
-            for minute in [10, 20, 30] {
-                for e in wide_tick(minute) {
-                    server.ingest(e, &mut out).unwrap();
-                }
+    fn wide_ticks_account_every_fatal_once_and_emit_decisions_in_node_id_order() {
+        // Three 128-node ticks mixing fatal and non-fatal events, each ingested in
+        // descending node order: every fatal must be accounted exactly once, and each
+        // tick's decisions must come out in ascending node id, one per non-fatal event.
+        const NODES: u32 = 128;
+        let mut server = FleetServer::new(config(), AlwaysMitigate, sampler());
+        let mut out = Vec::new();
+        for minute in [10, 20, 30] {
+            for node in (0..NODES).rev() {
+                server
+                    .ingest(event(node, minute, node % 9 == 0), &mut out)
+                    .unwrap();
             }
-            server.flush(&mut out);
-            (out, server.report())
-        };
-        let (serial_out, serial_report) = run(1);
-        let (parallel_out, parallel_report) = run(8);
-        assert_eq!(serial_out, parallel_out);
-        assert_eq!(serial_report, parallel_report);
-        let fatal_nodes = (0..(2 * PARALLEL_TICK_THRESHOLD as u32))
-            .filter(|n| n % 9 == 0)
-            .count() as u64;
-        assert_eq!(parallel_report.ue_count, 3 * fatal_nodes);
-        // Per tick, decisions come out in node-id order.
-        let first_tick: Vec<u32> = parallel_out
-            .iter()
-            .take_while(|d| d.time == SimTime::from_minutes(10))
-            .map(|d| d.node.0)
-            .collect();
-        assert!(first_tick.windows(2).all(|w| w[0] < w[1]));
-        assert_eq!(
-            first_tick.len() as u64,
-            2 * PARALLEL_TICK_THRESHOLD as u64 - fatal_nodes
-        );
+        }
+        server.flush(&mut out);
+        let fatal_nodes = (0..NODES).filter(|n| n % 9 == 0).count() as u64;
+        assert_eq!(server.report().ue_count, 3 * fatal_nodes);
+        let ticks: Vec<&[ServedDecision]> = out.chunk_by(|a, b| a.time == b.time).collect();
+        assert_eq!(ticks.len(), 3);
+        for tick in ticks {
+            assert!(tick.windows(2).all(|w| w[0].node < w[1].node));
+            assert_eq!(tick.len() as u64, u64::from(NODES) - fatal_nodes);
+        }
     }
 
     #[test]
     fn shadow_lanes_score_baselines_on_the_served_stream() {
         // Serve NeverMitigate with Always/Never shadows. The "never" lane sees the
         // exact stream the served policy sees, so its score must equal the served
-        // report; the "always" lane must pay one mitigation per decision. The scores
-        // must be identical on the serial and shard-parallel paths.
-        let run = |shards: usize| {
-            let mut server =
-                FleetServer::new(config().with_shards(shards), NeverMitigate, sampler())
-                    .with_shadow_policies(vec![
-                        Arc::new(AlwaysMitigate) as ShadowPolicy,
-                        Arc::new(NeverMitigate) as ShadowPolicy,
-                    ]);
-            let mut out = Vec::new();
-            let events: Vec<MergedEvent> = (10..20)
-                .flat_map(|minute| {
-                    (0..(2 * PARALLEL_TICK_THRESHOLD as u32))
-                        .map(move |node| event(node, minute * 60, node % 13 == 0 && minute == 15))
-                })
-                .collect();
-            server.ingest_all(events, &mut out).unwrap();
-            server.flush(&mut out);
-            (server.report(), server.shadow_report())
-        };
-        let (report, shadows) = run(1);
-        let (_, shadows_parallel) = run(8);
-        assert_eq!(shadows, shadows_parallel);
+        // report; the "always" lane must pay one mitigation per decision.
+        let mut server =
+            FleetServer::new(config(), NeverMitigate, sampler()).with_shadow_policies(vec![
+                Arc::new(AlwaysMitigate) as ShadowPolicy,
+                Arc::new(NeverMitigate) as ShadowPolicy,
+            ]);
+        let mut out = Vec::new();
+        let events: Vec<MergedEvent> = (10..20)
+            .flat_map(|minute| {
+                (0..128).map(move |node| event(node, minute * 60, node % 13 == 0 && minute == 15))
+            })
+            .collect();
+        server.ingest_all(events, &mut out).unwrap();
+        server.flush(&mut out);
+        let (report, shadows) = (server.report(), server.shadow_report());
 
         assert_eq!(shadows.len(), 2);
         let always = &shadows[0];

@@ -59,9 +59,7 @@ fn main() {
     let policy = RlPolicy::new(agent);
 
     // --- Online: mount the agent in a fleet server and stream the events -------------
-    let config = ServeConfig::for_timelines(&timelines, mitigation, seed)
-        .with_batch_size(32)
-        .with_shards(8);
+    let config = ServeConfig::for_timelines(&timelines, mitigation, seed).with_batch_size(32);
     let mut server = FleetServer::new(config, policy.clone(), sampler.clone())
         .with_shadow_policies(vec![
             Arc::new(AlwaysMitigate) as ShadowPolicy,

@@ -20,7 +20,7 @@
 //! * [`eval`] — evaluation harness: time-series nested cross-validation, cost–benefit
 //!   analysis, classical ML metrics and drivers for every figure and table of the paper.
 //! * [`serve`] — online fleet-serving subsystem: a long-running mitigation service with
-//!   sharded per-node incremental state and micro-batched DQN inference, bit-identical
+//!   one session map, serial absorb and micro-batched DQN inference, bit-identical
 //!   to the offline evaluator on the same timelines.
 //! * [`obs`] — observability substrate: the metrics registry, span timers and the
 //!   unified `UERL_*` knob parser, runtime-gated by `UERL_METRICS` and provably inert

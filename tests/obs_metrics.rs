@@ -42,8 +42,7 @@ fn serve_fixture(
     shadows: Vec<ShadowPolicy>,
 ) -> ServeReport {
     let config = ServeConfig::for_timelines(timelines, MitigationConfig::paper_default(), SEED)
-        .with_batch_size(16)
-        .with_shards(4);
+        .with_batch_size(16);
     let mut server =
         FleetServer::new(config, AlwaysMitigate, sampler.clone()).with_shadow_policies(shadows);
     let mut decisions = Vec::new();

@@ -1,12 +1,11 @@
 //! Serving parity: the online fleet server must reproduce the offline evaluator's
 //! `run_policy` rollout **bit-for-bit** — decisions, per-node costs and fleet totals —
-//! at every micro-batch size, shard count, thread count and record-retention mode.
+//! at every micro-batch size, thread count and record-retention mode.
 //!
 //! This is the determinism contract of the serving subsystem: micro-batching a tick's
-//! decision requests into one forward pass, sharding the per-node state, fanning
-//! ticks out over the work-stealing pool and dropping per-event logs (totals-only
-//! retention) are pure execution-strategy choices that must never change a single
-//! decision or cost bit.
+//! decision requests into one forward pass, running on any pool size and dropping
+//! per-event logs (totals-only retention) are pure execution-strategy choices that
+//! must never change a single decision or cost bit.
 //!
 //! The suite honors `UERL_RETENTION` (CI runs it under both `full` and `totals`):
 //! totals and counters are bit-compared in every mode, the per-node logs are compared
@@ -73,13 +72,11 @@ fn serve<P: MitigationPolicy + Clone>(
     timelines: &TimelineSet,
     sampler: &NodeJobSampler,
     batch_size: usize,
-    shards: usize,
 ) -> ServeReport {
     // Retention follows `UERL_RETENTION` (the ServeConfig::new default), so CI's
     // two-mode matrix drives this whole suite through both retention modes.
     let config = ServeConfig::for_timelines(timelines, MitigationConfig::paper_default(), SEED)
-        .with_batch_size(batch_size)
-        .with_shards(shards);
+        .with_batch_size(batch_size);
     serve_with(config, policy, timelines, sampler)
 }
 
@@ -190,22 +187,8 @@ fn served_rl_decisions_are_bit_identical_to_offline_rollout_at_every_batch_size(
         "the fixture must contain decisions"
     );
     for batch_size in [1, 7, 64] {
-        let report = serve(&policy, &timelines, &sampler, batch_size, 8);
+        let report = serve(&policy, &timelines, &sampler, batch_size);
         assert_parity(&report, &offline);
-    }
-}
-
-#[test]
-fn serving_is_bit_identical_across_shard_counts() {
-    let (timelines, sampler) = fixture();
-    let policy = trained_rl_policy(&timelines, &sampler);
-    let reference = serve(&policy, &timelines, &sampler, 7, 1);
-    for shards in [2, 4, 16] {
-        let report = serve(&policy, &timelines, &sampler, 7, shards);
-        assert_eq!(
-            report, reference,
-            "shard count {shards} changed the outcome"
-        );
     }
 }
 
@@ -225,7 +208,7 @@ fn serving_is_bit_identical_across_thread_counts_and_matches_offline() {
             .num_threads(threads)
             .build()
             .expect("pool");
-        pool.install(|| serve(&policy, &timelines, &sampler, 64, 8))
+        pool.install(|| serve(&policy, &timelines, &sampler, 64))
     };
     let one = run(1);
     let four = run(4);
@@ -248,7 +231,7 @@ fn non_rl_policies_also_serve_with_exact_parity() {
         SEED,
     );
     assert_parity(
-        &serve(&AlwaysMitigate, &timelines, &sampler, 7, 4),
+        &serve(&AlwaysMitigate, &timelines, &sampler, 7),
         &offline_always,
     );
 
@@ -265,7 +248,7 @@ fn non_rl_policies_also_serve_with_exact_parity() {
     );
     for batch_size in [1, 7, 64] {
         assert_parity(
-            &serve(&myopic, &timelines, &sampler, batch_size, 4),
+            &serve(&myopic, &timelines, &sampler, batch_size),
             &offline_myopic,
         );
     }
@@ -286,7 +269,6 @@ fn full_retention_serving_matches_offline_logs_regardless_of_environment() {
     );
     let config = ServeConfig::for_timelines(&timelines, MitigationConfig::paper_default(), SEED)
         .with_batch_size(16)
-        .with_shards(4)
         .with_retention(RecordRetention::Full);
     let report = serve_with(config, &AlwaysMitigate, &timelines, &sampler);
     assert_eq!(report.retention, RecordRetention::Full);
@@ -304,8 +286,7 @@ fn totals_only_retention_matches_full_on_every_total_and_keeps_no_logs() {
     // retention run of the same stream — and the logs must actually be gone.
     let (timelines, sampler) = fixture();
     let base = ServeConfig::for_timelines(&timelines, MitigationConfig::paper_default(), SEED)
-        .with_batch_size(16)
-        .with_shards(4);
+        .with_batch_size(16);
     let full = serve_with(
         base.with_retention(RecordRetention::Full),
         &AlwaysMitigate,
@@ -346,11 +327,10 @@ fn streaming_in_prefix_chunks_matches_one_shot_ingestion() {
     // anything relative to ingesting the whole stream in one call.
     let (timelines, sampler) = fixture();
     let policy = trained_rl_policy(&timelines, &sampler);
-    let one_shot = serve(&policy, &timelines, &sampler, 16, 4);
+    let one_shot = serve(&policy, &timelines, &sampler, 16);
 
     let config = ServeConfig::for_timelines(&timelines, MitigationConfig::paper_default(), SEED)
-        .with_batch_size(16)
-        .with_shards(4);
+        .with_batch_size(16);
     let mut server = FleetServer::new(config, policy, sampler.clone());
     let stream = merged_fleet_stream(&timelines);
     let mut decisions = Vec::new();
@@ -380,9 +360,9 @@ fn serving_with_metrics_enabled_keeps_bit_parity_with_offline() {
     );
     let was_enabled = uerl::obs::enabled();
     uerl::obs::set_enabled(true);
-    let reports: Vec<ServeReport> = [(1, 8), (16, 1), (64, 4)]
+    let reports: Vec<ServeReport> = [1, 16, 64]
         .iter()
-        .map(|&(batch_size, shards)| serve(&policy, &timelines, &sampler, batch_size, shards))
+        .map(|&batch_size| serve(&policy, &timelines, &sampler, batch_size))
         .collect();
     uerl::obs::set_enabled(was_enabled);
     for report in &reports {
@@ -413,9 +393,7 @@ fn shadow_scores_are_bit_identical_to_offline_rollouts_of_each_shadow() {
         )),
     ];
 
-    let serve_config = ServeConfig::for_timelines(&timelines, config, SEED)
-        .with_batch_size(16)
-        .with_shards(4);
+    let serve_config = ServeConfig::for_timelines(&timelines, config, SEED).with_batch_size(16);
     let mut server = FleetServer::new(serve_config, policy, sampler.clone())
         .with_shadow_policies(shadows.clone());
     let mut decisions = Vec::new();
