@@ -17,7 +17,7 @@ use uerl::eval::evaluator::{rl_hyper_search, Evaluator};
 use uerl::eval::experiments::fig3;
 use uerl::eval::scenario::{EvalBudget, ExperimentContext};
 use uerl::forest::{Dataset, RandomForest, RandomForestConfig};
-use uerl::rl::SearchOutcome;
+use uerl::rl::{AgentConfig, DqnAgent, SearchOutcome, Transition};
 
 fn pool(threads: usize) -> rayon::ThreadPool {
     rayon::ThreadPoolBuilder::new()
@@ -204,3 +204,83 @@ fn sequential_evaluator_mode_matches_parallel_mode_exactly() {
     let seq = Evaluator::new().sequential().evaluate(&ctx);
     assert_eq!(par.totals, seq.totals);
 }
+
+/// The Q-value and last-loss bits of a trained agent, in a fixed probe order.
+fn agent_bits(agent: &DqnAgent, probes: &[Vec<f64>]) -> Vec<u64> {
+    let mut bits: Vec<u64> = probes
+        .iter()
+        .flat_map(|p| agent.q_values(p))
+        .map(f64::to_bits)
+        .collect();
+    bits.push(agent.last_loss().expect("the agent trained").to_bits());
+    bits
+}
+
+fn assert_bits(label: &str, got: &[u64], want: &[u64]) {
+    let hex: Vec<String> = got.iter().map(|b| format!("0x{b:016x}")).collect();
+    assert_eq!(
+        got,
+        want,
+        "{label} training bits moved; now [{}]",
+        hex.join(", ")
+    );
+}
+
+/// Training bits pinned across commits, not only across thread counts: the small agent
+/// on a two-context bandit whose steps chain into the other context (so double-DQN
+/// bootstrapping runs), and a few updates of the paper's 256-256-128-64 agent on random
+/// transitions. A change that means to keep every training bit must leave these
+/// constants alone; one that moves training on purpose re-captures them.
+#[test]
+fn agent_training_bits_are_pinned() {
+    let mut small = DqnAgent::new(AgentConfig::small(2).with_seed(31));
+    let contexts = [vec![1.0, 0.0], vec![0.0, 1.0]];
+    for step in 0..600 {
+        let s = contexts[step % 2].clone();
+        let a = small.act(&s);
+        let reward = if a == step % 2 { 1.0 } else { -1.0 };
+        let next = contexts[(step + 1) % 2].clone();
+        small.observe(if step % 4 == 3 {
+            Transition::terminal(s, a, reward)
+        } else {
+            Transition::new(s, a, reward, next)
+        });
+    }
+    let probes = [contexts[0].clone(), contexts[1].clone(), vec![0.3, -0.7]];
+    assert_bits("small", &agent_bits(&small, &probes), &SMALL_BITS);
+
+    let mut paper = DqnAgent::new(AgentConfig::paper(STATE_DIM).with_seed(32));
+    let mut rng = StdRng::seed_from_u64(33);
+    let mut state = || -> Vec<f64> { (0..STATE_DIM).map(|_| rng.gen_range(-1.0..1.0)).collect() };
+    for i in 0..96 {
+        let (s, next) = (state(), state());
+        let reward = -((i % 5) as f64);
+        paper.observe(if i % 3 == 0 {
+            Transition::terminal(s, i % 2, reward)
+        } else {
+            Transition::new(s, i % 2, reward, next)
+        });
+    }
+    for _ in 0..3 {
+        paper.train_step().expect("replay holds a batch");
+    }
+    let probes = [state(), state()];
+    assert_bits("paper", &agent_bits(&paper, &probes), &PAPER_BITS);
+}
+
+const SMALL_BITS: [u64; 7] = [
+    0x400b88f41308516a,
+    0x3ff73424c55983ba,
+    0x3fde8fd4381db770,
+    0x4004107ce1beea14,
+    0x3ff9e0c93e722114,
+    0x3fe49350d2d647d4,
+    0x3fb126ff858752cd,
+];
+const PAPER_BITS: [u64; 5] = [
+    0x3fec6131304ee60e,
+    0xbfe585e85883b11e,
+    0xbfe147b99f1f50cf,
+    0xbfd0e76ac6d918ba,
+    0x3fe9099eddcff982,
+];
