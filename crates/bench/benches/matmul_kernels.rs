@@ -8,7 +8,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Duration;
 use uerl_core::state::STATE_DIM;
-use uerl_nn::{DuelingQNetwork, Matrix, MlpConfig};
+use uerl_nn::{DuelingQNetwork, Matrix};
 
 fn fill(rows: usize, cols: usize, seed: usize) -> Matrix {
     Matrix::from_fn(rows, cols, |i, j| {
@@ -56,7 +56,7 @@ fn bench_matmul_kernels(c: &mut Criterion) {
 
     // Full-network forward passes at serving batch sizes.
     let mut rng = StdRng::seed_from_u64(7);
-    let network = DuelingQNetwork::new(&MlpConfig::paper_q_network(STATE_DIM, 2), 2, &mut rng);
+    let network = DuelingQNetwork::paper(STATE_DIM, &mut rng);
     for (label, rows) in [("batch1", 1), ("batch64", 64)] {
         let x = fill(rows, STATE_DIM, 11);
         group.bench_function(&format!("dueling_forward_f64_{label}"), |bch| {

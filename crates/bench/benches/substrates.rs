@@ -11,7 +11,7 @@ use uerl_core::event_stream::TimelineSet;
 use uerl_core::rf_dataset::build_rf_dataset_1day;
 use uerl_core::state::STATE_DIM;
 use uerl_forest::{RandomForest, RandomForestConfig};
-use uerl_nn::{DuelingQNetwork, Matrix, MlpConfig};
+use uerl_nn::{DuelingQNetwork, Matrix};
 use uerl_rl::{AgentConfig, DqnAgent, Transition};
 use uerl_trace::generator::{SyntheticLogConfig, TraceGenerator};
 use uerl_trace::reduction::preprocess;
@@ -43,7 +43,7 @@ fn bench_substrates(c: &mut Criterion) {
     });
 
     let mut rng = StdRng::seed_from_u64(3);
-    let network = DuelingQNetwork::new(&MlpConfig::paper_q_network(STATE_DIM, 2), 2, &mut rng);
+    let network = DuelingQNetwork::paper(STATE_DIM, &mut rng);
     let batch = Matrix::from_vec(32, STATE_DIM, vec![0.1; 32 * STATE_DIM]);
     group.bench_function("dueling_q_network_forward_batch32", |b| {
         b.iter(|| std::hint::black_box(network.forward(&batch).rows()))

@@ -115,6 +115,30 @@ fn time_run(f: &dyn Fn() -> String) -> (f64, String) {
     (t0.elapsed().as_secs_f64(), output)
 }
 
+/// The synthetic fleet the serving stages stream: `nodes` nodes' generated error log
+/// over `days` days, preprocessed into timelines, plus a job sampler over a 512-node,
+/// 180-day job log, all seeded by `seed`.
+fn serving_fleet(nodes: u32, days: i64, seed: u64) -> (TimelineSet, NodeJobSampler) {
+    let log = TraceGenerator::new(SyntheticLogConfig::small(nodes, days, seed)).generate();
+    let timelines = TimelineSet::from_log(&preprocess(&log));
+    let jobs = JobTraceGenerator::new(JobLogConfig::small(512, 180, seed)).generate();
+    (timelines, NodeJobSampler::from_log(&jobs))
+}
+
+/// The serving stages' policy: a small agent trained for 12 episodes on the fleet and
+/// compacted for inference. The stages measure inference-side throughput, not
+/// training.
+fn briefly_trained_policy(
+    timelines: &TimelineSet,
+    sampler: &NodeJobSampler,
+    seed: u64,
+) -> RlPolicy {
+    let trainer = RlTrainer::new(TrainerConfig::reduced(12).with_seed(seed));
+    let mut agent = trainer.train(timelines, sampler).agent;
+    agent.compact_for_inference();
+    RlPolicy::new(agent)
+}
+
 fn main() {
     let scale = Scale::from_env();
     let threads = rayon::current_num_threads();
@@ -265,22 +289,13 @@ fn main() {
                 Scale::Laptop => (1200, 730),
                 Scale::Paper => (3056, 730),
             };
-            let log = TraceGenerator::new(SyntheticLogConfig::small(nodes, days, seed)).generate();
-            let timelines = TimelineSet::from_log(&preprocess(&log));
-            let jobs = JobTraceGenerator::new(JobLogConfig::small(512, 180, seed)).generate();
-            let sampler = NodeJobSampler::from_log(&jobs);
+            let (timelines, sampler) = serving_fleet(nodes, days, seed);
             let mitigation = MitigationConfig::paper_default();
-
-            // A small agent trained briefly on the fleet is the serving policy: the
-            // stage measures inference-side throughput, not training.
-            let trainer = RlTrainer::new(TrainerConfig::reduced(12).with_seed(seed));
-            let mut agent = trainer.train(&timelines, &sampler).agent;
-            agent.compact_for_inference();
+            let policy = briefly_trained_policy(&timelines, &sampler, seed);
             // Full retention: the parity oracle compares the per-node decision logs
             // entry for entry.
             let config = ServeConfig::for_timelines(&timelines, mitigation, seed)
                 .with_retention(RecordRetention::Full);
-            let policy = RlPolicy::new(agent);
 
             let stream = merged_fleet_stream(&timelines);
             let events = stream.len() as u64;
@@ -352,10 +367,7 @@ fn main() {
                 Scale::Laptop => (600, 730),
                 Scale::Paper => (3056, 730),
             };
-            let log = TraceGenerator::new(SyntheticLogConfig::small(nodes, days, seed)).generate();
-            let timelines = TimelineSet::from_log(&preprocess(&log));
-            let jobs = JobTraceGenerator::new(JobLogConfig::small(512, 180, seed)).generate();
-            let sampler = NodeJobSampler::from_log(&jobs);
+            let (timelines, sampler) = serving_fleet(nodes, days, seed);
             let config =
                 ServeConfig::for_timelines(&timelines, MitigationConfig::paper_default(), seed)
                     .with_retention(RecordRetention::TotalsOnly);
@@ -440,15 +452,9 @@ fn main() {
                 Scale::Laptop => (1200, 730),
                 Scale::Paper => (3056, 730),
             };
-            let log = TraceGenerator::new(SyntheticLogConfig::small(nodes, days, seed)).generate();
-            let timelines = TimelineSet::from_log(&preprocess(&log));
-            let jobs = JobTraceGenerator::new(JobLogConfig::small(512, 180, seed)).generate();
-            let sampler = NodeJobSampler::from_log(&jobs);
+            let (timelines, sampler) = serving_fleet(nodes, days, seed);
             let mitigation = MitigationConfig::paper_default();
-            let trainer = RlTrainer::new(TrainerConfig::reduced(12).with_seed(seed));
-            let mut agent = trainer.train(&timelines, &sampler).agent;
-            agent.compact_for_inference();
-            let policy = RlPolicy::new(agent);
+            let policy = briefly_trained_policy(&timelines, &sampler, seed);
 
             let serve_once = |with_shadows: bool| {
                 let config = ServeConfig::for_timelines(&timelines, mitigation, seed);

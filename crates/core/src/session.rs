@@ -16,7 +16,7 @@
 //! construction: the serving-parity guarantee reduces to "events arrive in the same
 //! order".
 //!
-//! Record retention is a knob: [`RecordRetention::Full`] keeps the per-event
+//! Record retention is set per session: [`RecordRetention::Full`] keeps the per-event
 //! `decisions` / `ue_records` logs (the evaluator needs them for the classical ML
 //! metrics, and the parity suites compare them entry for entry);
 //! [`RecordRetention::TotalsOnly`] keeps counters and cost totals only, so a
@@ -60,30 +60,6 @@ pub enum RecordRetention {
     /// accounting is O(1) in the number of events — the mode for long-lived serving
     /// fleets. Counters and cost bits are identical to [`RecordRetention::Full`].
     TotalsOnly,
-}
-
-/// The accepted `UERL_RETENTION` values (empty selects the totals-only default).
-const RETENTION_CHOICES: &[(&str, RecordRetention)] = &[
-    ("", RecordRetention::TotalsOnly),
-    ("totals", RecordRetention::TotalsOnly),
-    ("full", RecordRetention::Full),
-];
-
-impl RecordRetention {
-    /// The serving-side retention selected by the `UERL_RETENTION` environment
-    /// variable: `full` / `totals` (default: totals-only — a fleet session should not
-    /// grow with its node's event count).
-    ///
-    /// # Panics
-    /// Panics on any other value — a silently misread knob would invalidate a
-    /// measurement run.
-    pub fn from_env() -> Self {
-        uerl_obs::knob::env_choice(
-            "UERL_RETENTION",
-            RETENTION_CHOICES,
-            RecordRetention::TotalsOnly,
-        )
-    }
 }
 
 /// The accounting state of one *cost lane*: the Equation 3 reference point, the
@@ -627,16 +603,6 @@ mod tests {
         let cost = lane.account_fatal(SimTime::from_hours(20));
         assert!((cost - 320.0).abs() < 1e-9);
         assert_eq!(lane.account.ue_count(), 2);
-    }
-
-    #[test]
-    fn retention_parses_like_the_other_knobs() {
-        let parse =
-            |value: &str| uerl_obs::knob::choice("UERL_RETENTION", value, RETENTION_CHOICES);
-        assert_eq!(parse("full"), RecordRetention::Full);
-        assert_eq!(parse("totals"), RecordRetention::TotalsOnly);
-        assert_eq!(parse(""), RecordRetention::TotalsOnly);
-        assert!(std::panic::catch_unwind(|| parse("nope")).is_err());
     }
 
     /// Pushing a timeline through a session must reproduce the environment cursor's

@@ -14,8 +14,8 @@
 use crate::activation::Activation;
 use crate::layer::DenseLayer;
 use crate::matrix::Matrix;
-use crate::network::MlpConfig;
-use crate::optim::Optimizer;
+use crate::network::{BatchScratch, MlpConfig};
+use crate::optim::Adam;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -29,8 +29,9 @@ pub struct DuelingQNetwork {
 }
 
 impl DuelingQNetwork {
-    /// Build a dueling network with the trunk described by `config` (its `output_dim` is
-    /// ignored; the heads are sized from `n_actions`).
+    /// Build a dueling network with the trunk described by `config`; the heads are sized
+    /// from `n_actions`. Weights are drawn trunk first, then the value head, then the
+    /// advantage head.
     ///
     /// # Panics
     /// Panics if there are no hidden layers or fewer than two actions.
@@ -62,7 +63,7 @@ impl DuelingQNetwork {
 
     /// The paper's configuration: 256-256-128-64 ReLU trunk, two actions.
     pub fn paper<R: Rng + ?Sized>(input_dim: usize, rng: &mut R) -> Self {
-        Self::new(&MlpConfig::paper_q_network(input_dim, 2), 2, rng)
+        Self::new(&MlpConfig::paper_q_network(input_dim), 2, rng)
     }
 
     /// Number of actions.
@@ -142,13 +143,8 @@ impl DuelingQNetwork {
     /// row per input state; each row is **bit-identical** to forwarding it alone (same
     /// kernels, same op order), which is what keeps micro-batched serving decisions
     /// independent of the batch size.
-    pub fn forward_batch_into(
-        &self,
-        input: &Matrix,
-        scratch: &mut crate::network::BatchScratch,
-        out: &mut Matrix,
-    ) {
-        let crate::network::BatchScratch {
+    pub fn forward_batch_into(&self, input: &Matrix, scratch: &mut BatchScratch, out: &mut Matrix) {
+        let BatchScratch {
             ping,
             pong,
             value,
@@ -209,8 +205,8 @@ impl DuelingQNetwork {
         self.advantage_head.clear_gradients();
     }
 
-    /// Apply the accumulated gradients with an optimizer and clear them.
-    pub fn apply_gradients(&mut self, optimizer: &mut dyn Optimizer) {
+    /// Apply the accumulated gradients with Adam and clear them.
+    pub fn apply_gradients(&mut self, optimizer: &mut Adam) {
         let mut next_id = 0;
         for layer in &mut self.trunk {
             layer.visit_params(next_id, |id, params, grads| {
@@ -255,13 +251,12 @@ impl DuelingQNetwork {
 mod tests {
     use super::*;
     use crate::loss::Loss;
-    use crate::optim::Adam;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn small(seed: u64) -> DuelingQNetwork {
         let mut rng = StdRng::seed_from_u64(seed);
-        DuelingQNetwork::new(&MlpConfig::small(4, 2), 2, &mut rng)
+        DuelingQNetwork::new(&MlpConfig::small(4), 2, &mut rng)
     }
 
     #[test]
@@ -358,7 +353,7 @@ mod tests {
         let net = small(10);
         let x = Matrix::from_fn(6, 4, |i, j| ((i * 7 + j) as f64 * 0.13).cos());
         let reference = net.forward(&x);
-        let mut scratch = crate::network::BatchScratch::new();
+        let mut scratch = BatchScratch::new();
         let mut out = Matrix::zeros(1, 1);
         net.forward_batch_into(&x, &mut scratch, &mut out);
         for (a, b) in out.data().iter().zip(reference.data()) {
@@ -388,6 +383,6 @@ mod tests {
     #[should_panic(expected = "at least two actions")]
     fn single_action_rejected() {
         let mut rng = StdRng::seed_from_u64(9);
-        DuelingQNetwork::new(&MlpConfig::small(4, 1), 1, &mut rng);
+        DuelingQNetwork::new(&MlpConfig::small(4), 1, &mut rng);
     }
 }

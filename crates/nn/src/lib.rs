@@ -18,9 +18,10 @@
 //! * [`layer`] — a dense (fully-connected) layer with forward and backward passes;
 //! * [`loss`] — mean-squared-error and Huber losses with per-sample weights (needed for
 //!   the importance-sampling weights of prioritized experience replay);
-//! * [`optim`] — SGD (with momentum), RMSProp and Adam optimizers;
-//! * [`network`] — a multi-layer perceptron assembled from dense layers;
-//! * [`dueling`] — the dueling Q-network head: `Q(s, a) = V(s) + A(s, a) − mean(A)`.
+//! * [`optim`] — the Adam optimizer;
+//! * [`network`] — the trunk configuration and the reusable batched-inference scratch;
+//! * [`dueling`] — the dueling Q-network: a dense trunk under a value and an advantage
+//!   head, recombined as `Q(s, a) = V(s) + A(s, a) − mean(A)`.
 //!
 //! Everything is deterministic under a seeded RNG and is exercised by gradient-check
 //! tests, which is what makes the RL results reproducible.
@@ -40,5 +41,5 @@ pub use init::WeightInit;
 pub use layer::DenseLayer;
 pub use loss::Loss;
 pub use matrix::{kernel_isa, Matrix};
-pub use network::{BatchScratch, Mlp, MlpConfig};
-pub use optim::{Adam, Optimizer, RmsProp, Sgd};
+pub use network::{BatchScratch, MlpConfig};
+pub use optim::Adam;

@@ -796,14 +796,6 @@ impl Matrix {
         best
     }
 
-    /// Maximum element of row `i`.
-    pub fn row_max(&self, i: usize) -> f64 {
-        self.row(i)
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max)
-    }
-
     /// Frobenius norm (root of the sum of squared elements).
     pub fn frobenius_norm(&self) -> f64 {
         self.data.iter().map(|&x| x * x).sum::<f64>().sqrt()
@@ -934,8 +926,6 @@ mod tests {
         let m = Matrix::from_vec(2, 3, vec![1.0, 5.0, 3.0, -1.0, -5.0, -3.0]);
         assert_eq!(m.row_argmax(0), 1);
         assert_eq!(m.row_argmax(1), 0);
-        assert_eq!(m.row_max(0), 5.0);
-        assert_eq!(m.row_max(1), -1.0);
         assert!((m.mean() - 0.0).abs() < 1e-12);
     }
 

@@ -1,59 +1,50 @@
-//! A multi-layer perceptron assembled from dense layers.
+//! The Q-network's trunk configuration and the reusable scratch of its batched
+//! inference path.
 
 use crate::activation::Activation;
 use crate::init::WeightInit;
-use crate::layer::DenseLayer;
 use crate::matrix::Matrix;
-use crate::optim::Optimizer;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-/// Configuration of an MLP.
+/// Configuration of the dense trunk under the dueling heads of a
+/// [`crate::DuelingQNetwork`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MlpConfig {
     /// Input dimension (number of state features).
     pub input_dim: usize,
     /// Hidden layer widths.
     pub hidden: Vec<usize>,
-    /// Output dimension.
-    pub output_dim: usize,
     /// Activation of the hidden layers.
     pub hidden_activation: Activation,
-    /// Activation of the output layer.
-    pub output_activation: Activation,
     /// Weight initialisation scheme.
     pub init: WeightInit,
 }
 
 impl MlpConfig {
     /// The paper's Q-network body: four hidden layers of 256, 256, 128 and 64 ReLU units
-    /// and a linear output (Section 3.3.2).
-    pub fn paper_q_network(input_dim: usize, output_dim: usize) -> Self {
+    /// (Section 3.3.2).
+    pub fn paper_q_network(input_dim: usize) -> Self {
         Self {
             input_dim,
             hidden: vec![256, 256, 128, 64],
-            output_dim,
             hidden_activation: Activation::Relu,
-            output_activation: Activation::Identity,
             init: WeightInit::HeNormal,
         }
     }
 
-    /// A small network for tests and fast experiments.
-    pub fn small(input_dim: usize, output_dim: usize) -> Self {
+    /// A small trunk for tests and fast experiments.
+    pub fn small(input_dim: usize) -> Self {
         Self {
             input_dim,
             hidden: vec![32, 16],
-            output_dim,
             hidden_activation: Activation::Relu,
-            output_activation: Activation::Identity,
             init: WeightInit::HeNormal,
         }
     }
 }
 
 /// Reusable buffers for the allocation-free batched inference path
-/// ([`Mlp::forward_batch_into`] / [`crate::DuelingQNetwork::forward_batch_into`]).
+/// ([`crate::DuelingQNetwork::forward_batch_into`]).
 ///
 /// One scratch serves batches of any size and networks of any width: every buffer is
 /// reshaped (allocation reused) on each call. The buffers never influence results —
@@ -64,9 +55,9 @@ pub struct BatchScratch {
     /// Ping-pong activation buffers for the hidden layers.
     pub(crate) ping: Matrix,
     pub(crate) pong: Matrix,
-    /// Value-head output (dueling networks only).
+    /// Value-head output.
     pub(crate) value: Matrix,
-    /// Advantage-head output (dueling networks only).
+    /// Advantage-head output.
     pub(crate) advantage: Matrix,
 }
 
@@ -88,315 +79,52 @@ impl Default for BatchScratch {
     }
 }
 
-/// A fully-connected feed-forward network.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Mlp {
-    layers: Vec<DenseLayer>,
-}
-
-impl Mlp {
-    /// Build an MLP from a configuration.
-    ///
-    /// # Panics
-    /// Panics if the input or output dimension is zero.
-    pub fn new<R: Rng + ?Sized>(config: &MlpConfig, rng: &mut R) -> Self {
-        assert!(config.input_dim > 0, "input dimension must be positive");
-        assert!(config.output_dim > 0, "output dimension must be positive");
-        let mut layers = Vec::with_capacity(config.hidden.len() + 1);
-        let mut in_dim = config.input_dim;
-        for &width in &config.hidden {
-            layers.push(DenseLayer::new(
-                in_dim,
-                width,
-                config.hidden_activation,
-                config.init,
-                rng,
-            ));
-            in_dim = width;
-        }
-        layers.push(DenseLayer::new(
-            in_dim,
-            config.output_dim,
-            config.output_activation,
-            config.init,
-            rng,
-        ));
-        Self { layers }
-    }
-
-    /// Input dimension.
-    pub fn input_dim(&self) -> usize {
-        self.layers.first().map(DenseLayer::input_dim).unwrap_or(0)
-    }
-
-    /// Output dimension.
-    pub fn output_dim(&self) -> usize {
-        self.layers.last().map(DenseLayer::output_dim).unwrap_or(0)
-    }
-
-    /// Total number of trainable parameters.
-    pub fn param_count(&self) -> usize {
-        self.layers.iter().map(DenseLayer::param_count).sum()
-    }
-
-    /// The layers (for inspection and tests).
-    pub fn layers(&self) -> &[DenseLayer] {
-        &self.layers
-    }
-
-    /// Inference-only forward pass.
-    pub fn forward(&self, input: &Matrix) -> Matrix {
-        let (first, rest) = self.layers.split_first().expect("networks have layers");
-        let mut x = first.forward(input);
-        for layer in rest {
-            x = layer.forward(&x);
-        }
-        x
-    }
-
-    /// Batched inference written into `out` with zero allocations after warm-up: every
-    /// intermediate activation lands in one of the scratch's ping-pong buffers and the
-    /// last layer writes straight into `out`. One row per input state.
-    ///
-    /// Rides the same kernels in the same order as [`Mlp::forward`], so each output row
-    /// is **bit-identical** to forwarding that row alone — the property that lets the
-    /// online serving path micro-batch decision requests at any batch size without
-    /// changing a single decision.
-    pub fn forward_batch_into(&self, input: &Matrix, scratch: &mut BatchScratch, out: &mut Matrix) {
-        let (last, rest) = self.layers.split_last().expect("networks have layers");
-        let mut src: &mut Matrix = &mut scratch.ping;
-        let mut dst: &mut Matrix = &mut scratch.pong;
-        let mut current: &Matrix = input;
-        for layer in rest {
-            layer.forward_batch_into(current, dst);
-            std::mem::swap(&mut src, &mut dst);
-            current = src;
-        }
-        last.forward_batch_into(current, out);
-    }
-
-    /// Training forward pass (caches per-layer activations for the backward pass; the
-    /// per-layer caches are preallocated buffers reused across steps).
-    pub fn forward_train(&mut self, input: &Matrix) -> Matrix {
-        let (first, rest) = self.layers.split_first_mut().expect("networks have layers");
-        let mut x = first.forward_train(input);
-        for layer in rest {
-            x = layer.forward_train(&x);
-        }
-        x
-    }
-
-    /// Backward pass from the gradient of the loss with respect to the network output.
-    /// Gradients accumulate in each layer; returns the gradient with respect to the input.
-    pub fn backward(&mut self, grad_output: &Matrix) -> Matrix {
-        let (last, rest) = self.layers.split_last_mut().expect("networks have layers");
-        let mut grad = last.backward(grad_output);
-        for layer in rest.iter_mut().rev() {
-            grad = layer.backward(&grad);
-        }
-        grad
-    }
-
-    /// Reset all accumulated gradients.
-    pub fn clear_gradients(&mut self) {
-        for layer in &mut self.layers {
-            layer.clear_gradients();
-        }
-    }
-
-    /// Apply the accumulated gradients with an optimizer and clear them.
-    pub fn apply_gradients(&mut self, optimizer: &mut dyn Optimizer) {
-        for (idx, layer) in self.layers.iter_mut().enumerate() {
-            layer.visit_params(idx * 2, |id, params, grads| {
-                optimizer.update(id, params, grads);
-            });
-        }
-        self.clear_gradients();
-    }
-
-    /// Copy all weights from another network of identical architecture (target-network
-    /// synchronisation).
-    ///
-    /// # Panics
-    /// Panics if the architectures differ.
-    pub fn sync_from(&mut self, other: &Mlp) {
-        assert_eq!(
-            self.layers.len(),
-            other.layers.len(),
-            "layer count mismatch"
-        );
-        for (mine, theirs) in self.layers.iter_mut().zip(&other.layers) {
-            mine.copy_params_from(theirs);
-        }
-    }
-
-    /// Convenience single-sample prediction.
-    pub fn predict_one(&self, features: &[f64]) -> Vec<f64> {
-        self.forward(&Matrix::row_from_slice(features))
-            .row(0)
-            .to_vec()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::loss::Loss;
-    use crate::optim::Adam;
+    use crate::dueling::DuelingQNetwork;
+    use crate::layer::DenseLayer;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    fn small_net(seed: u64) -> Mlp {
-        let mut rng = StdRng::seed_from_u64(seed);
-        Mlp::new(&MlpConfig::small(3, 2), &mut rng)
-    }
-
-    #[test]
-    fn architecture_and_param_count() {
-        let net = small_net(1);
-        assert_eq!(net.input_dim(), 3);
-        assert_eq!(net.output_dim(), 2);
-        assert_eq!(net.layers().len(), 3);
-        // 3*32+32 + 32*16+16 + 16*2+2 = 128 + 528 + 34
-        assert_eq!(net.param_count(), 128 + 528 + 34);
-    }
 
     #[test]
     fn paper_architecture_matches_section_3_3_2() {
         let mut rng = StdRng::seed_from_u64(2);
-        let net = Mlp::new(&MlpConfig::paper_q_network(14, 2), &mut rng);
-        let widths: Vec<usize> = net.layers().iter().map(DenseLayer::output_dim).collect();
-        assert_eq!(widths, vec![256, 256, 128, 64, 2]);
-    }
-
-    #[test]
-    fn forward_shapes_and_determinism() {
-        let net = small_net(3);
-        let x = Matrix::from_vec(4, 3, vec![0.1; 12]);
-        let y1 = net.forward(&x);
-        let y2 = net.forward(&x);
-        assert_eq!(y1.rows(), 4);
-        assert_eq!(y1.cols(), 2);
-        assert_eq!(y1, y2);
+        let net = DuelingQNetwork::new(&MlpConfig::paper_q_network(14), 2, &mut rng);
+        let widths: Vec<usize> = net.trunk().iter().map(DenseLayer::output_dim).collect();
+        assert_eq!(widths, vec![256, 256, 128, 64]);
+        assert_eq!(net.value_head().output_dim(), 1);
+        assert_eq!(net.advantage_head().output_dim(), 2);
     }
 
     #[test]
     fn forward_batch_into_is_bit_identical_to_forward() {
-        let net = small_net(9);
-        let x = Matrix::from_fn(5, 3, |i, j| (i as f64 * 0.3 - j as f64 * 0.7).sin());
-        let reference = net.forward(&x);
+        // One scratch shared by networks of different widths and by batches of
+        // different sizes: every row equals the single-row forward of that state, to the
+        // bit, so the buffers never leak state between calls.
+        let mut rng = StdRng::seed_from_u64(9);
+        let small = DuelingQNetwork::new(&MlpConfig::small(3), 2, &mut rng);
+        let paper = DuelingQNetwork::new(&MlpConfig::paper_q_network(3), 2, &mut rng);
         let mut scratch = BatchScratch::new();
         let mut out = Matrix::zeros(1, 1);
-        net.forward_batch_into(&x, &mut scratch, &mut out);
-        assert_eq!(out.rows(), 5);
-        assert_eq!(out.cols(), 2);
-        for (a, b) in out.data().iter().zip(reference.data()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        // Reusing the scratch with a different batch size must not leak state: every
-        // row equals the single-row forward of that state, to the bit.
-        let y = Matrix::from_fn(3, 3, |i, j| (i + 2 * j) as f64 * 0.11 - 0.4);
-        net.forward_batch_into(&y, &mut scratch, &mut out);
-        for i in 0..3 {
-            let single = net.predict_one(y.row(i));
-            for (a, b) in out.row(i).iter().zip(&single) {
-                assert_eq!(a.to_bits(), b.to_bits(), "row {i} diverged from single-row");
+        for (net, rows) in [(&small, 5), (&paper, 3), (&small, 2), (&paper, 7)] {
+            let x = Matrix::from_fn(rows, 3, |i, j| (i as f64 * 0.3 - j as f64 * 0.7).sin());
+            net.forward_batch_into(&x, &mut scratch, &mut out);
+            assert_eq!((out.rows(), out.cols()), (rows, 2));
+            for i in 0..rows {
+                let single = net.predict_one(x.row(i));
+                for (a, b) in out.row(i).iter().zip(&single) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "row {i} diverged from single-row");
+                }
             }
         }
     }
 
     #[test]
-    fn predict_one_matches_forward() {
-        let net = small_net(4);
-        let features = [0.3, -0.2, 0.9];
-        let single = net.predict_one(&features);
-        let batch = net.forward(&Matrix::row_from_slice(&features));
-        assert_eq!(single, batch.row(0));
-    }
-
-    #[test]
-    fn gradient_check_against_numerical_derivative() {
-        let mut net = small_net(5);
-        let x = Matrix::from_vec(2, 3, vec![0.4, -0.3, 0.7, 0.1, 0.9, -0.8]);
-        // Loss = sum of outputs; dL/dy = 1.
-        let ones = Matrix::from_vec(2, 2, vec![1.0; 4]);
-        let _ = net.forward_train(&x);
-        let _ = net.backward(&ones);
-        // Compare a few weights of the first layer against central differences. The layer
-        // weights are a 3x32 row-major matrix exposed through `visit_params` (tensor 0).
-        let analytic = net.layers[0].grad_weights().clone();
-        let cols = net.layers[0].output_dim();
-        let eps = 1e-6;
-        for (i, j) in [(0, 0), (1, 3), (2, 7)] {
-            let mut plus = net.clone();
-            let mut minus = net.clone();
-            plus.layers[0].visit_params(0, |id, params, _| {
-                if id == 0 {
-                    params[i * cols + j] += eps;
-                }
-            });
-            minus.layers[0].visit_params(0, |id, params, _| {
-                if id == 0 {
-                    params[i * cols + j] -= eps;
-                }
-            });
-            let f_plus: f64 = plus.forward(&x).data().iter().sum();
-            let f_minus: f64 = minus.forward(&x).data().iter().sum();
-            let numeric = (f_plus - f_minus) / (2.0 * eps);
-            assert!(
-                (numeric - analytic.get(i, j)).abs() < 1e-4,
-                "dW[{i}][{j}]: numeric {numeric} vs analytic {}",
-                analytic.get(i, j)
-            );
-        }
-    }
-
-    #[test]
-    fn training_reduces_loss_on_a_regression_task() {
-        // Learn y = [x0 + x1, x0 - x1] on a fixed batch.
-        let mut rng = StdRng::seed_from_u64(6);
-        let mut net = Mlp::new(&MlpConfig::small(2, 2), &mut rng);
-        let mut opt = Adam::new(0.01);
-        let loss = Loss::MeanSquaredError;
-        let inputs = Matrix::from_vec(4, 2, vec![0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0, 1.0]);
-        let targets = Matrix::from_vec(4, 2, vec![0.0, 0.0, 1.0, 1.0, 1.0, -1.0, 2.0, 0.0]);
-
-        let batch_loss = |net: &Mlp| -> f64 {
-            let y = net.forward(&inputs);
-            loss.batch_value(y.data(), targets.data(), None)
-        };
-        let initial = batch_loss(&net);
-        for _ in 0..500 {
-            let y = net.forward_train(&inputs);
-            let grad = Matrix::from_vec(4, 2, loss.batch_gradient(y.data(), targets.data(), None));
-            let _ = net.backward(&grad);
-            net.apply_gradients(&mut opt);
-        }
-        let final_loss = batch_loss(&net);
-        assert!(
-            final_loss < initial * 0.05,
-            "loss should fall sharply: {initial} -> {final_loss}"
-        );
-    }
-
-    #[test]
-    fn sync_from_copies_weights_exactly() {
-        let mut a = small_net(7);
-        let b = small_net(8);
-        assert_ne!(
-            a.forward(&Matrix::from_vec(1, 3, vec![1.0, 2.0, 3.0])),
-            b.forward(&Matrix::from_vec(1, 3, vec![1.0, 2.0, 3.0]))
-        );
-        a.sync_from(&b);
-        let x = Matrix::from_vec(1, 3, vec![1.0, 2.0, 3.0]);
-        assert_eq!(a.forward(&x), b.forward(&x));
-    }
-
-    #[test]
     fn seeds_give_reproducible_networks() {
-        let a = small_net(42);
-        let b = small_net(42);
-        let x = Matrix::from_vec(1, 3, vec![0.5, 0.5, 0.5]);
-        assert_eq!(a.forward(&x), b.forward(&x));
+        let build =
+            |seed| DuelingQNetwork::new(&MlpConfig::small(3), 2, &mut StdRng::seed_from_u64(seed));
+        assert_eq!(build(42), build(42));
+        assert_ne!(build(42), build(43));
     }
 }

@@ -1,152 +1,10 @@
-//! First-order optimizers: SGD (with momentum), RMSProp and Adam.
+//! The Adam optimizer, the one optimizer the paper's agent trains with.
 //!
-//! Optimizers keep their per-parameter state (momenta, second moments) keyed by a stable
-//! tensor id supplied by the network's parameter visitor, so one optimizer instance can
-//! drive a whole network without the network having to know which optimizer is in use.
-//! The hyperparameter search of the evaluation harness varies the learning rate, so every
-//! optimizer exposes `set_learning_rate`.
+//! Adam keeps its per-parameter state (first and second moments) keyed by a stable tensor
+//! id supplied by the network's parameter visitor, so one optimizer instance can drive a
+//! whole network.
 
 use std::collections::HashMap;
-
-/// A first-order gradient-descent optimizer.
-pub trait Optimizer {
-    /// Update one parameter tensor in place given its accumulated gradient.
-    fn update(&mut self, tensor_id: usize, params: &mut [f64], grads: &[f64]);
-
-    /// Current learning rate.
-    fn learning_rate(&self) -> f64;
-
-    /// Replace the learning rate (used by the hyperparameter search and LR schedules).
-    fn set_learning_rate(&mut self, lr: f64);
-
-    /// Drop all accumulated state (used when re-initialising an agent).
-    fn reset_state(&mut self);
-}
-
-/// Stochastic gradient descent with optional momentum.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    lr: f64,
-    momentum: f64,
-    velocity: HashMap<usize, Vec<f64>>,
-}
-
-impl Sgd {
-    /// Create an SGD optimizer. `momentum = 0` gives plain SGD.
-    ///
-    /// # Panics
-    /// Panics if `lr <= 0` or `momentum` is outside `[0, 1)`.
-    pub fn new(lr: f64, momentum: f64) -> Self {
-        assert!(lr > 0.0 && lr.is_finite(), "learning rate must be positive");
-        assert!((0.0..1.0).contains(&momentum), "momentum must be in [0, 1)");
-        Self {
-            lr,
-            momentum,
-            velocity: HashMap::new(),
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn update(&mut self, tensor_id: usize, params: &mut [f64], grads: &[f64]) {
-        assert_eq!(
-            params.len(),
-            grads.len(),
-            "parameter/gradient length mismatch"
-        );
-        if self.momentum == 0.0 {
-            for (p, &g) in params.iter_mut().zip(grads) {
-                *p -= self.lr * g;
-            }
-            return;
-        }
-        let velocity = self
-            .velocity
-            .entry(tensor_id)
-            .or_insert_with(|| vec![0.0; params.len()]);
-        assert_eq!(velocity.len(), params.len(), "tensor size changed");
-        for ((p, &g), v) in params.iter_mut().zip(grads).zip(velocity.iter_mut()) {
-            *v = self.momentum * *v - self.lr * g;
-            *p += *v;
-        }
-    }
-
-    fn learning_rate(&self) -> f64 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f64) {
-        assert!(lr > 0.0 && lr.is_finite(), "learning rate must be positive");
-        self.lr = lr;
-    }
-
-    fn reset_state(&mut self) {
-        self.velocity.clear();
-    }
-}
-
-/// RMSProp: scales updates by a running estimate of the squared gradient.
-#[derive(Debug, Clone)]
-pub struct RmsProp {
-    lr: f64,
-    decay: f64,
-    epsilon: f64,
-    mean_square: HashMap<usize, Vec<f64>>,
-}
-
-impl RmsProp {
-    /// Create an RMSProp optimizer with the conventional defaults for `decay` (0.99).
-    pub fn new(lr: f64) -> Self {
-        Self::with_decay(lr, 0.99)
-    }
-
-    /// Create an RMSProp optimizer with an explicit decay.
-    ///
-    /// # Panics
-    /// Panics if `lr <= 0` or `decay` is outside `(0, 1)`.
-    pub fn with_decay(lr: f64, decay: f64) -> Self {
-        assert!(lr > 0.0 && lr.is_finite(), "learning rate must be positive");
-        assert!(decay > 0.0 && decay < 1.0, "decay must be in (0, 1)");
-        Self {
-            lr,
-            decay,
-            epsilon: 1e-8,
-            mean_square: HashMap::new(),
-        }
-    }
-}
-
-impl Optimizer for RmsProp {
-    fn update(&mut self, tensor_id: usize, params: &mut [f64], grads: &[f64]) {
-        assert_eq!(
-            params.len(),
-            grads.len(),
-            "parameter/gradient length mismatch"
-        );
-        let ms = self
-            .mean_square
-            .entry(tensor_id)
-            .or_insert_with(|| vec![0.0; params.len()]);
-        assert_eq!(ms.len(), params.len(), "tensor size changed");
-        for ((p, &g), m) in params.iter_mut().zip(grads).zip(ms.iter_mut()) {
-            *m = self.decay * *m + (1.0 - self.decay) * g * g;
-            *p -= self.lr * g / (m.sqrt() + self.epsilon);
-        }
-    }
-
-    fn learning_rate(&self) -> f64 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f64) {
-        assert!(lr > 0.0 && lr.is_finite(), "learning rate must be positive");
-        self.lr = lr;
-    }
-
-    fn reset_state(&mut self) {
-        self.mean_square.clear();
-    }
-}
 
 /// Adam: adaptive moment estimation with bias correction.
 #[derive(Debug, Clone)]
@@ -178,14 +36,8 @@ impl Adam {
         }
     }
 
-    /// Number of update steps taken so far (shared across tensors).
-    pub fn steps(&self) -> u64 {
-        self.step
-    }
-}
-
-impl Optimizer for Adam {
-    fn update(&mut self, tensor_id: usize, params: &mut [f64], grads: &[f64]) {
+    /// Update one parameter tensor in place given its accumulated gradient.
+    pub fn update(&mut self, tensor_id: usize, params: &mut [f64], grads: &[f64]) {
         assert_eq!(
             params.len(),
             grads.len(),
@@ -221,89 +73,27 @@ impl Optimizer for Adam {
             *p -= self.lr * m_hat / (v_hat.sqrt() + self.epsilon);
         }
     }
-
-    fn learning_rate(&self) -> f64 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f64) {
-        assert!(lr > 0.0 && lr.is_finite(), "learning rate must be positive");
-        self.lr = lr;
-    }
-
-    fn reset_state(&mut self) {
-        self.step = 0;
-        self.first_moment.clear();
-        self.second_moment.clear();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Minimise f(x) = (x - 3)^2 starting from 0 and check convergence.
-    fn minimise(opt: &mut dyn Optimizer, steps: usize) -> f64 {
+    #[test]
+    fn adam_converges_on_quadratic() {
+        // Minimise f(x) = (x - 3)^2 starting from 0.
+        let mut opt = Adam::new(0.1);
         let mut x = vec![0.0f64];
-        for _ in 0..steps {
+        for _ in 0..500 {
             let grad = vec![2.0 * (x[0] - 3.0)];
             opt.update(0, &mut x, &grad);
         }
-        x[0]
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut opt = Sgd::new(0.1, 0.0);
-        let x = minimise(&mut opt, 200);
-        assert!((x - 3.0).abs() < 1e-6, "x = {x}");
-    }
-
-    #[test]
-    fn sgd_with_momentum_converges_faster_than_plain() {
-        let mut plain = Sgd::new(0.01, 0.0);
-        let mut momentum = Sgd::new(0.01, 0.9);
-        let x_plain = minimise(&mut plain, 100);
-        let x_momentum = minimise(&mut momentum, 100);
-        assert!((x_momentum - 3.0).abs() < (x_plain - 3.0).abs());
-    }
-
-    #[test]
-    fn rmsprop_converges_on_quadratic() {
-        let mut opt = RmsProp::new(0.05);
-        let x = minimise(&mut opt, 500);
-        assert!((x - 3.0).abs() < 0.05, "x = {x}");
-    }
-
-    #[test]
-    fn adam_converges_on_quadratic() {
-        let mut opt = Adam::new(0.1);
-        let x = minimise(&mut opt, 500);
-        assert!((x - 3.0).abs() < 0.01, "x = {x}");
-        assert!(opt.steps() > 0);
-    }
-
-    #[test]
-    fn learning_rate_can_be_changed() {
-        let mut opt: Box<dyn Optimizer> = Box::new(Adam::new(0.1));
-        assert_eq!(opt.learning_rate(), 0.1);
-        opt.set_learning_rate(0.001);
-        assert_eq!(opt.learning_rate(), 0.001);
-    }
-
-    #[test]
-    fn reset_state_clears_moments() {
-        let mut opt = Adam::new(0.1);
-        let mut x = vec![0.0];
-        opt.update(0, &mut x, &[1.0]);
-        assert_eq!(opt.steps(), 1);
-        opt.reset_state();
-        assert_eq!(opt.steps(), 0);
+        assert!((x[0] - 3.0).abs() < 0.01, "x = {}", x[0]);
     }
 
     #[test]
     fn separate_tensors_have_separate_state() {
-        let mut opt = Sgd::new(0.1, 0.9);
+        let mut opt = Adam::new(0.1);
         let mut a = vec![0.0];
         let mut b = vec![0.0];
         for _ in 0..10 {
@@ -321,6 +111,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "learning rate must be positive")]
     fn zero_learning_rate_rejected() {
-        Sgd::new(0.0, 0.0);
+        Adam::new(0.0);
     }
 }

@@ -4,9 +4,9 @@
 //! values, the empty string meaning "the default", and a **panic** on anything else —
 //! a silently misread knob would invalidate a measurement run. Before this module the
 //! contract was copy-pasted (and had already drifted: some parsers panicked, others
-//! silently defaulted); now `UERL_RETENTION`, `UERL_SCALE` and `UERL_METRICS` all
-//! route through [`choice`] / [`env_choice`], so per-crate drift cannot happen. Every
-//! crate that reads a knob calls these directly.
+//! silently defaulted); now `UERL_SCALE` and `UERL_METRICS` both route through
+//! [`choice`] / [`env_choice`], so per-crate drift cannot happen. Every crate that
+//! reads a knob calls these directly.
 
 /// Map a knob's raw value onto one of its accepted choices.
 ///

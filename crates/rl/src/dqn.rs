@@ -1,23 +1,22 @@
-//! Deep Q-network agents: DQN, double DQN and the dueling double DQN (DDDQN) used by the
-//! paper, with optional prioritized experience replay.
+//! The paper's agent: a dueling double deep Q-network (DDDQN) trained from prioritized
+//! experience replay with Adam.
 //!
-//! The agent keeps two networks: the *online* network selects actions and is trained
-//! every few environment steps on a replayed mini-batch; the *target* network evaluates
-//! bootstrapped TD targets and is synchronised with the online network every
-//! `target_sync_every` updates. In the *double* configuration the online network chooses
-//! the argmax action for the next state while the target network provides its value,
-//! which removes the max-operator overestimation bias. The *dueling* configuration swaps
-//! the plain MLP for the value/advantage architecture of [`uerl_nn::DuelingQNetwork`].
+//! The agent keeps two [`uerl_nn::DuelingQNetwork`]s: the *online* network selects
+//! actions and is trained every few environment steps on a mini-batch drawn from
+//! [`PrioritizedReplay`]; the *target* network evaluates bootstrapped TD targets and is
+//! synchronised with the online network every `target_sync_every` updates. Following
+//! double Q-learning, the online network chooses the argmax action for the next state
+//! while the target network provides its value, which removes the max-operator
+//! overestimation bias.
 
-use crate::per::PrioritizedReplay;
-use crate::replay::UniformReplay;
+use crate::per::{PrioritizedReplay, SampledBatch};
 use crate::schedule::{BetaSchedule, EpsilonSchedule};
 use crate::transition::Transition;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use uerl_nn::{
-    Activation, Adam, BatchScratch, DuelingQNetwork, Loss, Matrix, Mlp, MlpConfig, WeightInit,
+    Activation, Adam, BatchScratch, DuelingQNetwork, Loss, Matrix, MlpConfig, WeightInit,
 };
 
 /// Deterministic greedy action over one state's Q-values: the argmax, with exact ties
@@ -94,12 +93,6 @@ pub struct AgentConfig {
     pub train_every: usize,
     /// Synchronise the target network every this many training updates.
     pub target_sync_every: usize,
-    /// Use double Q-learning (decouple action selection from evaluation).
-    pub double: bool,
-    /// Use the dueling value/advantage architecture.
-    pub dueling: bool,
-    /// Use prioritized experience replay.
-    pub prioritized: bool,
     /// PER prioritisation exponent α.
     pub per_alpha: f64,
     /// Exploration schedule.
@@ -125,9 +118,6 @@ impl AgentConfig {
             min_replay: 1_000,
             train_every: 4,
             target_sync_every: 500,
-            double: true,
-            dueling: true,
-            prioritized: true,
             per_alpha: 0.6,
             epsilon: EpsilonSchedule::default(),
             beta: BetaSchedule::default(),
@@ -148,9 +138,6 @@ impl AgentConfig {
             min_replay: 64,
             train_every: 1,
             target_sync_every: 50,
-            double: true,
-            dueling: true,
-            prioritized: true,
             per_alpha: 0.6,
             epsilon: EpsilonSchedule::new(1.0, 0.05, 2_000),
             beta: BetaSchedule::new(0.4, 5_000),
@@ -184,102 +171,16 @@ impl AgentConfig {
     }
 }
 
-/// Either of the two Q-function architectures.
-// The dueling variant is larger than the plain MLP, but agents hold exactly one
-// Q-function pair for their whole lifetime, so boxing would only add indirection.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone)]
-enum QFunction {
-    Plain(Mlp),
-    Dueling(DuelingQNetwork),
-}
-
-impl QFunction {
-    fn build(config: &AgentConfig, rng: &mut StdRng) -> Self {
-        let mlp_config = MlpConfig {
-            input_dim: config.state_dim,
-            hidden: config.hidden.clone(),
-            output_dim: config.n_actions,
-            hidden_activation: Activation::Relu,
-            output_activation: Activation::Identity,
-            init: WeightInit::HeNormal,
-        };
-        if config.dueling {
-            QFunction::Dueling(DuelingQNetwork::new(&mlp_config, config.n_actions, rng))
-        } else {
-            QFunction::Plain(Mlp::new(&mlp_config, rng))
-        }
-    }
-
-    fn forward(&self, x: &Matrix) -> Matrix {
-        match self {
-            QFunction::Plain(net) => net.forward(x),
-            QFunction::Dueling(net) => net.forward(x),
-        }
-    }
-
-    fn forward_train(&mut self, x: &Matrix) -> Matrix {
-        match self {
-            QFunction::Plain(net) => net.forward_train(x),
-            QFunction::Dueling(net) => net.forward_train(x),
-        }
-    }
-
-    fn backward(&mut self, grad: &Matrix) {
-        match self {
-            QFunction::Plain(net) => {
-                let _ = net.backward(grad);
-            }
-            QFunction::Dueling(net) => {
-                let _ = net.backward(grad);
-            }
-        }
-    }
-
-    fn apply_gradients(&mut self, optimizer: &mut Adam) {
-        match self {
-            QFunction::Plain(net) => net.apply_gradients(optimizer),
-            QFunction::Dueling(net) => net.apply_gradients(optimizer),
-        }
-    }
-
-    fn sync_from(&mut self, other: &QFunction) {
-        match (self, other) {
-            (QFunction::Plain(a), QFunction::Plain(b)) => a.sync_from(b),
-            (QFunction::Dueling(a), QFunction::Dueling(b)) => a.sync_from(b),
-            _ => panic!("cannot sync networks of different architectures"),
-        }
-    }
-
-    fn predict_one(&self, state: &[f64]) -> Vec<f64> {
-        match self {
-            QFunction::Plain(net) => net.predict_one(state),
-            QFunction::Dueling(net) => net.predict_one(state),
-        }
-    }
-
-    fn forward_batch_into(&self, input: &Matrix, scratch: &mut BatchScratch, out: &mut Matrix) {
-        match self {
-            QFunction::Plain(net) => net.forward_batch_into(input, scratch, out),
-            QFunction::Dueling(net) => net.forward_batch_into(input, scratch, out),
-        }
-    }
-}
-
-/// Either replay memory flavour.
-#[derive(Debug, Clone)]
-enum ReplayMemory {
-    Uniform(UniformReplay),
-    Prioritized(PrioritizedReplay),
-}
-
-impl ReplayMemory {
-    fn len(&self) -> usize {
-        match self {
-            ReplayMemory::Uniform(r) => r.len(),
-            ReplayMemory::Prioritized(r) => r.len(),
-        }
-    }
+/// Build one dueling Q-network: a ReLU trunk of `config.hidden` widths with He-normal
+/// weights, then the value and advantage heads.
+fn q_network(config: &AgentConfig, rng: &mut StdRng) -> DuelingQNetwork {
+    let trunk = MlpConfig {
+        input_dim: config.state_dim,
+        hidden: config.hidden.clone(),
+        hidden_activation: Activation::Relu,
+        init: WeightInit::HeNormal,
+    };
+    DuelingQNetwork::new(&trunk, config.n_actions, rng)
 }
 
 /// A complete snapshot of an agent mid-training: networks, optimizer moments, replay
@@ -317,10 +218,10 @@ impl AgentCheckpoint {
 #[derive(Debug, Clone)]
 pub struct DqnAgent {
     config: AgentConfig,
-    online: QFunction,
-    target: QFunction,
+    online: DuelingQNetwork,
+    target: DuelingQNetwork,
     optimizer: Adam,
-    replay: ReplayMemory,
+    replay: PrioritizedReplay,
     rng: StdRng,
     env_steps: u64,
     updates: u64,
@@ -337,17 +238,10 @@ impl DqnAgent {
     pub fn new(config: AgentConfig) -> Self {
         config.validate();
         let mut rng = StdRng::seed_from_u64(config.seed);
-        let online = QFunction::build(&config, &mut rng);
-        let mut target = QFunction::build(&config, &mut rng);
+        let online = q_network(&config, &mut rng);
+        let mut target = q_network(&config, &mut rng);
         target.sync_from(&online);
-        let replay = if config.prioritized {
-            ReplayMemory::Prioritized(PrioritizedReplay::new(
-                config.replay_capacity,
-                config.per_alpha,
-            ))
-        } else {
-            ReplayMemory::Uniform(UniformReplay::new(config.replay_capacity))
-        };
+        let replay = PrioritizedReplay::new(config.replay_capacity, config.per_alpha);
         let optimizer = Adam::new(config.learning_rate);
         Self {
             config,
@@ -375,11 +269,7 @@ impl DqnAgent {
     /// The parallel hyperparameter search compacts every candidate policy so a round
     /// of trained agents does not pin one filled replay buffer per candidate.
     pub fn compact_for_inference(&mut self) {
-        self.replay = if self.config.prioritized {
-            ReplayMemory::Prioritized(PrioritizedReplay::new(1, self.config.per_alpha))
-        } else {
-            ReplayMemory::Uniform(UniformReplay::new(1))
-        };
+        self.replay = PrioritizedReplay::new(1, self.config.per_alpha);
         self.compacted = true;
     }
 
@@ -478,10 +368,7 @@ impl DqnAgent {
             "agent was compacted for inference; training would sample a 1-slot replay"
         );
         debug_assert_eq!(transition.state_dim(), self.config.state_dim);
-        match &mut self.replay {
-            ReplayMemory::Uniform(r) => r.push(transition),
-            ReplayMemory::Prioritized(r) => r.push(transition),
-        }
+        self.replay.push(transition);
         self.env_steps += 1;
         if self.replay.len() >= self.config.min_replay.max(self.config.batch_size)
             && self
@@ -510,23 +397,13 @@ impl DqnAgent {
             return None;
         }
 
-        // Sample a batch (with importance weights for PER, unit weights otherwise).
-        let (indices, weights, transitions): (Vec<usize>, Vec<f64>, Vec<Transition>) =
-            match &self.replay {
-                ReplayMemory::Prioritized(per) => {
-                    let beta = self.config.beta.value(self.updates);
-                    let batch = per.sample(batch_size, beta, &mut self.rng);
-                    (batch.indices, batch.weights, batch.transitions)
-                }
-                ReplayMemory::Uniform(uni) => {
-                    let sampled: Vec<Transition> = uni
-                        .sample(batch_size, &mut self.rng)
-                        .into_iter()
-                        .cloned()
-                        .collect();
-                    (Vec::new(), vec![1.0; sampled.len()], sampled)
-                }
-            };
+        // Sample a prioritized batch with its importance-sampling weights.
+        let beta = self.config.beta.value(self.updates);
+        let SampledBatch {
+            indices,
+            weights,
+            transitions,
+        } = self.replay.sample(batch_size, beta, &mut self.rng);
         if transitions.is_empty() {
             return None;
         }
@@ -554,17 +431,13 @@ impl DqnAgent {
                     .row_mut(row)
                     .copy_from_slice(transitions[i].next_state.as_ref().expect("non-terminal"));
             }
+            // Double Q-learning: the online network picks a*, the target network
+            // values it.
             let q_target_next = self.target.forward(&next_states);
-            if self.config.double {
-                let q_online_next = self.online.forward(&next_states);
-                for (row, &i) in non_terminal.iter().enumerate() {
-                    let a_star = q_online_next.row_argmax(row);
-                    next_values[i] = q_target_next.get(row, a_star);
-                }
-            } else {
-                for (row, &i) in non_terminal.iter().enumerate() {
-                    next_values[i] = q_target_next.row_max(row);
-                }
+            let q_online_next = self.online.forward(&next_states);
+            for (row, &i) in non_terminal.iter().enumerate() {
+                let a_star = q_online_next.row_argmax(row);
+                next_values[i] = q_target_next.get(row, a_star);
             }
         }
 
@@ -596,13 +469,11 @@ impl DqnAgent {
         for (i, t) in transitions.iter().enumerate() {
             grad_q.set(i, t.action, per_sample_grads[i]);
         }
-        self.online.backward(&grad_q);
+        let _ = self.online.backward(&grad_q);
         self.online.apply_gradients(&mut self.optimizer);
 
         // Refresh priorities and the target network.
-        if let ReplayMemory::Prioritized(per) = &mut self.replay {
-            per.update_priorities(&indices, &td_errors);
-        }
+        self.replay.update_priorities(&indices, &td_errors);
         if uerl_obs::enabled() {
             let m = crate::metrics::metrics();
             m.updates.inc();
@@ -669,41 +540,31 @@ mod tests {
 
     #[test]
     fn batched_q_values_are_bit_identical_to_single_state_inference() {
-        // Both architectures: each row of a staged batch must match `q_values` on that
-        // state to the bit, and the scratch paths must agree with the allocating ones.
-        for dueling in [false, true] {
-            let config = AgentConfig {
-                dueling,
-                ..AgentConfig::small(2).with_seed(21)
-            };
-            let agent = train_bandit(config, 500);
-            let states = [
-                vec![1.0, 0.0],
-                vec![0.0, 1.0],
-                vec![0.3, -0.7],
-                vec![-0.2, 0.9],
-                vec![0.0, 0.0],
-            ];
-            let mut scratch = InferenceScratch::new();
-            let input = scratch.input_mut(states.len(), 2);
-            for (i, s) in states.iter().enumerate() {
-                input.row_mut(i).copy_from_slice(s);
+        // Each row of a staged batch must match `q_values` on that state to the bit, and
+        // the scratch paths must agree with the allocating ones.
+        let agent = train_bandit(AgentConfig::small(2).with_seed(21), 500);
+        let states = [
+            vec![1.0, 0.0],
+            vec![0.0, 1.0],
+            vec![0.3, -0.7],
+            vec![-0.2, 0.9],
+            vec![0.0, 0.0],
+        ];
+        let mut scratch = InferenceScratch::new();
+        let input = scratch.input_mut(states.len(), 2);
+        for (i, s) in states.iter().enumerate() {
+            input.row_mut(i).copy_from_slice(s);
+        }
+        let q = agent.q_values_batch(&mut scratch);
+        let rows: Vec<Vec<f64>> = (0..states.len()).map(|i| q.row(i).to_vec()).collect();
+        for (s, row) in states.iter().zip(&rows) {
+            for (a, b) in row.iter().zip(agent.q_values(s)) {
+                assert_eq!(a.to_bits(), b.to_bits());
             }
-            let q = agent.q_values_batch(&mut scratch);
-            let rows: Vec<Vec<f64>> = (0..states.len()).map(|i| q.row(i).to_vec()).collect();
-            for (s, row) in states.iter().zip(&rows) {
-                for (a, b) in row.iter().zip(agent.q_values(s)) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "dueling={dueling}");
-                }
-            }
-            // The scratch single-state path and the tie rule agree with act_greedy.
-            for s in &states {
-                assert_eq!(
-                    agent.act_greedy_with(s, &mut scratch),
-                    agent.act_greedy(s),
-                    "dueling={dueling}"
-                );
-            }
+        }
+        // The scratch single-state path and the tie rule agree with act_greedy.
+        for s in &states {
+            assert_eq!(agent.act_greedy_with(s, &mut scratch), agent.act_greedy(s));
         }
     }
 
@@ -716,19 +577,6 @@ mod tests {
         assert_eq!(greedy_action(&[2.0, 1.0]), 0);
         assert_eq!(greedy_action(&[1.0, 2.0]), 1);
         assert_eq!(greedy_action(&[3.0, 3.0, 1.0]), 1);
-    }
-
-    #[test]
-    fn plain_uniform_dqn_also_solves_it() {
-        let config = AgentConfig {
-            double: false,
-            dueling: false,
-            prioritized: false,
-            ..AgentConfig::small(2).with_seed(2)
-        };
-        let agent = train_bandit(config, 2_500);
-        assert_eq!(agent.act_greedy(&[1.0, 0.0]), 0);
-        assert_eq!(agent.act_greedy(&[0.0, 1.0]), 1);
     }
 
     #[test]
@@ -856,7 +704,6 @@ mod tests {
     fn paper_config_builds_the_full_architecture() {
         let agent = DqnAgent::new(AgentConfig::paper(14));
         assert_eq!(agent.config().hidden, vec![256, 256, 128, 64]);
-        assert!(agent.config().double && agent.config().dueling && agent.config().prioritized);
         assert_eq!(agent.q_values(&[0.0; 14]).len(), 2);
     }
 

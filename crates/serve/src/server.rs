@@ -67,15 +67,16 @@ pub struct ServeConfig {
     pub seed: u64,
     /// Maximum decision requests stacked into one batched forward pass.
     pub batch_size: usize,
-    /// Record retention of the node sessions ([`ServeConfig::new`] seeds it from
-    /// `UERL_RETENTION`, defaulting to totals-only: a fleet session keeps counters
-    /// and cost totals, not per-event logs, so its footprint is O(1) in the node's
-    /// event count). Counters, costs and decisions are bit-identical either way.
+    /// Record retention of the node sessions ([`ServeConfig::new`] defaults to
+    /// totals-only: a fleet session keeps counters and cost totals, not per-event logs,
+    /// so its footprint is O(1) in the node's event count). Counters, costs and
+    /// decisions are bit-identical either way.
     pub retention: RecordRetention,
 }
 
 impl ServeConfig {
-    /// A configuration with the default micro-batch size (64).
+    /// A configuration with the default micro-batch size (64) and totals-only record
+    /// retention.
     pub fn new(
         window_start: SimTime,
         window_end: SimTime,
@@ -92,7 +93,7 @@ impl ServeConfig {
             mitigation,
             seed,
             batch_size: 64,
-            retention: RecordRetention::from_env(),
+            retention: RecordRetention::TotalsOnly,
         }
     }
 
@@ -140,10 +141,9 @@ impl ServeConfig {
         self
     }
 
-    /// Select the session record retention explicitly (overriding the
-    /// `UERL_RETENTION` default [`ServeConfig::new`] picked up). Full retention is
-    /// what the parity suites use to compare logs entry for entry; totals-only is
-    /// the production default.
+    /// Select the session record retention (overriding the totals-only default). Full
+    /// retention is what the parity suites use to compare logs entry for entry;
+    /// totals-only is the production default.
     pub fn with_retention(mut self, retention: RecordRetention) -> Self {
         self.retention = retention;
         self

@@ -11,9 +11,10 @@
 //!   log generation, mcelog-style I/O, burst reduction).
 //! * [`jobs`] — Slurm-style job-log substrate (workload generation, sacct I/O, node job
 //!   sequence sampling).
-//! * [`nn`] — dense neural-network substrate (MLP, dueling heads, optimizers).
-//! * [`rl`] — deep reinforcement-learning substrate (replay, prioritized experience
-//!   replay, dueling double deep Q-network agents).
+//! * [`nn`] — dense neural-network substrate (matrix kernels, the dueling Q-network,
+//!   Adam).
+//! * [`rl`] — deep reinforcement-learning substrate (prioritized experience replay and
+//!   the paper's dueling double deep Q-network agent).
 //! * [`forest`] — random-forest baseline substrate (CART trees, bagging, under-sampling).
 //! * [`core`] — the paper's contribution: the MDP formulation of adaptive UE mitigation,
 //!   the environment over historical logs, the mitigation policies and the RL trainer.

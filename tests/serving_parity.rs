@@ -7,11 +7,10 @@
 //! per-event logs (totals-only retention) are pure execution-strategy choices that
 //! must never change a single decision or cost bit.
 //!
-//! The suite honors `UERL_RETENTION` (CI runs it under both `full` and `totals`):
-//! totals and counters are bit-compared in every mode, the per-node logs are compared
-//! entry for entry under full retention and asserted empty under totals-only. Two
-//! tests additionally pin each retention mode explicitly, independent of the
-//! environment.
+//! Every parity check serves the stream under both retention modes: totals and
+//! counters are bit-compared in each, the per-node logs are compared entry for entry
+//! under full retention and asserted empty under totals-only. Two tests additionally
+//! pin each retention mode on its own.
 
 use std::sync::Arc;
 
@@ -67,17 +66,23 @@ fn fitted_forest(timelines: &TimelineSet) -> RandomForest {
     RandomForest::fit(&dataset, &rf_config)
 }
 
+/// The record-retention modes every parity check serves under, in this order.
+const RETENTIONS: [RecordRetention; 2] = [RecordRetention::Full, RecordRetention::TotalsOnly];
+
+/// Serve the timelines once per mode of [`RETENTIONS`], returning the reports in that
+/// order.
 fn serve<P: MitigationPolicy + Clone>(
     policy: &P,
     timelines: &TimelineSet,
     sampler: &NodeJobSampler,
     batch_size: usize,
-) -> ServeReport {
-    // Retention follows `UERL_RETENTION` (the ServeConfig::new default), so CI's
-    // two-mode matrix drives this whole suite through both retention modes.
-    let config = ServeConfig::for_timelines(timelines, MitigationConfig::paper_default(), SEED)
-        .with_batch_size(batch_size);
-    serve_with(config, policy, timelines, sampler)
+) -> [ServeReport; 2] {
+    RETENTIONS.map(|retention| {
+        let config = ServeConfig::for_timelines(timelines, MitigationConfig::paper_default(), SEED)
+            .with_batch_size(batch_size)
+            .with_retention(retention);
+        serve_with(config, policy, timelines, sampler)
+    })
 }
 
 fn serve_with<P: MitigationPolicy + Clone>(
@@ -187,8 +192,9 @@ fn served_rl_decisions_are_bit_identical_to_offline_rollout_at_every_batch_size(
         "the fixture must contain decisions"
     );
     for batch_size in [1, 7, 64] {
-        let report = serve(&policy, &timelines, &sampler, batch_size);
-        assert_parity(&report, &offline);
+        for report in serve(&policy, &timelines, &sampler, batch_size) {
+            assert_parity(&report, &offline);
+        }
     }
 }
 
@@ -213,8 +219,9 @@ fn serving_is_bit_identical_across_thread_counts_and_matches_offline() {
     let one = run(1);
     let four = run(4);
     assert_eq!(one, four, "serving diverged across thread counts");
-    assert_parity(&one, &offline);
-    assert_parity(&four, &offline);
+    for report in one.iter().chain(&four) {
+        assert_parity(report, &offline);
+    }
 }
 
 #[test]
@@ -230,10 +237,9 @@ fn non_rl_policies_also_serve_with_exact_parity() {
         MitigationConfig::paper_default(),
         SEED,
     );
-    assert_parity(
-        &serve(&AlwaysMitigate, &timelines, &sampler, 7),
-        &offline_always,
-    );
+    for report in serve(&AlwaysMitigate, &timelines, &sampler, 7) {
+        assert_parity(&report, &offline_always);
+    }
 
     let myopic = MyopicRfPolicy::new(
         fitted_forest(&timelines),
@@ -247,18 +253,16 @@ fn non_rl_policies_also_serve_with_exact_parity() {
         SEED,
     );
     for batch_size in [1, 7, 64] {
-        assert_parity(
-            &serve(&myopic, &timelines, &sampler, batch_size),
-            &offline_myopic,
-        );
+        for report in serve(&myopic, &timelines, &sampler, batch_size) {
+            assert_parity(&report, &offline_myopic);
+        }
     }
 }
 
 #[test]
 fn full_retention_serving_matches_offline_logs_regardless_of_environment() {
-    // Explicit full-retention coverage, independent of UERL_RETENTION: the per-node
-    // decision and UE logs must always be available to (and match) the offline
-    // evaluator when a caller opts in.
+    // Explicit full-retention coverage: the per-node decision and UE logs must always
+    // be available to (and match) the offline evaluator when a caller opts in.
     let (timelines, sampler) = fixture();
     let offline = run_policy(
         &AlwaysMitigate,
@@ -281,9 +285,9 @@ fn full_retention_serving_matches_offline_logs_regardless_of_environment() {
 
 #[test]
 fn totals_only_retention_matches_full_on_every_total_and_keeps_no_logs() {
-    // Explicit totals-only coverage, independent of UERL_RETENTION: dropping the
-    // per-event logs must not move a single counter or cost bit relative to a full-
-    // retention run of the same stream — and the logs must actually be gone.
+    // Explicit totals-only coverage: dropping the per-event logs must not move a single
+    // counter or cost bit relative to a full-retention run of the same stream — and
+    // the logs must actually be gone.
     let (timelines, sampler) = fixture();
     let base = ServeConfig::for_timelines(&timelines, MitigationConfig::paper_default(), SEED)
         .with_batch_size(16);
@@ -329,18 +333,22 @@ fn streaming_in_prefix_chunks_matches_one_shot_ingestion() {
     let policy = trained_rl_policy(&timelines, &sampler);
     let one_shot = serve(&policy, &timelines, &sampler, 16);
 
-    let config = ServeConfig::for_timelines(&timelines, MitigationConfig::paper_default(), SEED)
-        .with_batch_size(16);
-    let mut server = FleetServer::new(config, policy, sampler.clone());
     let stream = merged_fleet_stream(&timelines);
-    let mut decisions = Vec::new();
-    for chunk in stream.chunks(97) {
-        for event in chunk {
-            server.ingest(event.clone(), &mut decisions).unwrap();
+    for (retention, one_shot) in RETENTIONS.into_iter().zip(one_shot) {
+        let config =
+            ServeConfig::for_timelines(&timelines, MitigationConfig::paper_default(), SEED)
+                .with_batch_size(16)
+                .with_retention(retention);
+        let mut server = FleetServer::new(config, policy.clone(), sampler.clone());
+        let mut decisions = Vec::new();
+        for chunk in stream.chunks(97) {
+            for event in chunk {
+                server.ingest(event.clone(), &mut decisions).unwrap();
+            }
         }
+        server.flush(&mut decisions);
+        assert_eq!(server.report(), one_shot);
     }
-    server.flush(&mut decisions);
-    assert_eq!(server.report(), one_shot);
 }
 
 #[test]
@@ -362,7 +370,7 @@ fn serving_with_metrics_enabled_keeps_bit_parity_with_offline() {
     uerl::obs::set_enabled(true);
     let reports: Vec<ServeReport> = [1, 16, 64]
         .iter()
-        .map(|&batch_size| serve(&policy, &timelines, &sampler, batch_size))
+        .flat_map(|&batch_size| serve(&policy, &timelines, &sampler, batch_size))
         .collect();
     uerl::obs::set_enabled(was_enabled);
     for report in &reports {
