@@ -46,7 +46,7 @@
 //! only those stages' sections.
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -67,7 +67,8 @@ use uerl_eval::scenario::ExperimentContext;
 use uerl_forest::{RandomForest, RandomForestConfig};
 use uerl_jobs::{sacct, JobLogConfig, JobTraceGenerator, NodeJobSampler};
 use uerl_nn::{kernel_isa, Matrix};
-use uerl_rl::{HyperSearch, Trainable};
+use uerl_rl::metrics::UpdatePhase;
+use uerl_rl::{AgentConfig, DqnAgent, HyperSearch, Trainable, Transition};
 use uerl_serve::{merged_fleet_stream, FleetServer, RecordRetention, ServeConfig, ShadowPolicy};
 use uerl_trace::generator::{SyntheticLogConfig, TraceGenerator};
 use uerl_trace::mcelog;
@@ -78,6 +79,7 @@ struct StageReport {
     serial_secs: f64,
     parallel_secs: f64,
     deterministic: bool,
+    fingerprint: String,
 }
 
 impl StageReport {
@@ -103,6 +105,39 @@ struct SetupStats {
 impl SetupStats {
     fn total_secs(&self) -> f64 {
         self.parse_secs + self.preprocess_secs + self.timelines_secs + self.jobs_secs
+    }
+}
+
+/// One GEMM shape of the `matmul_kernels` stage: the FLOPs of one product and the
+/// fastest of its repetitions in the NN, TN-acc and NT kernels, in seconds.
+struct KernelShapeStats {
+    shape: (usize, usize, usize),
+    flops: f64,
+    secs: [f64; 3],
+}
+
+impl KernelShapeStats {
+    fn gflops(&self, family: usize) -> f64 {
+        self.flops / self.secs[family].max(1e-12) / 1e9
+    }
+}
+
+/// GFLOP/s of each family (NN, TN-acc, NT) over all the given shapes together.
+fn family_gflops(shapes: &[KernelShapeStats]) -> [f64; 3] {
+    let flops: f64 = shapes.iter().map(|s| s.flops).sum();
+    std::array::from_fn(|f| flops / shapes.iter().map(|s| s.secs[f]).sum::<f64>().max(1e-12) / 1e9)
+}
+
+/// Updates, wall time and per-phase nanoseconds of the last `train_update` run.
+struct TrainStats {
+    updates: u64,
+    secs: f64,
+    phase_nanos: [u64; 8],
+}
+
+impl TrainStats {
+    fn phase_us_per_update(&self, i: usize) -> f64 {
+        self.phase_nanos[i] as f64 / 1e3 / (self.updates.max(1)) as f64
     }
 }
 
@@ -577,13 +612,16 @@ fn main() {
     };
 
     // Kernel microbench: the cache-blocked `Matrix` family (NN forward, TN-accumulate
-    // backward, NT backward) at serving-shaped and training-shaped GEMMs. The
-    // fingerprint is an FNV digest over the exact output bits — any change to a
-    // kernel's reduction order shows up here before it shows up as a parity failure —
-    // and the per-family GFLOP/s of the last run lands in `kernel_stats` for the JSON
-    // summary (wall time stays out of the fingerprint), beside the instruction-set
-    // level the kernels dispatched to, so figures from different hosts compare.
-    let kernel_stats: Arc<Mutex<Option<(f64, f64, f64)>>> = Arc::new(Mutex::new(None));
+    // backward, NT backward) at serving-shaped GEMMs and at every 64-row GEMM shape of
+    // the paper trunk's training update. The fingerprint holds FNV digests over the
+    // exact output bits — one over the serving shapes, one over the training shapes —
+    // so any change to a kernel's reduction order shows up here before it shows up as
+    // a parity failure. The GFLOP/s of every family at every shape of the last run
+    // land in `kernel_stats` for the JSON summary (wall time stays out of the
+    // fingerprint), beside the instruction-set level the kernels dispatched to, so
+    // figures from different hosts compare. Each figure is the fastest of `reps`
+    // repetitions: scheduler noise on a shared core only ever slows a product down.
+    let kernel_stats: Arc<Mutex<Vec<KernelShapeStats>>> = Arc::new(Mutex::new(Vec::new()));
     let matmul_stage = {
         let stats = Arc::clone(&kernel_stats);
         move || -> String {
@@ -593,51 +631,117 @@ fn main() {
                 })
             }
             // (m, k, n): a serving micro-batch through the small trunk, the paper
-            // trunk's widest layer, a single-row forward and a ragged edge-tile shape.
-            let shapes = [(64, 256, 256), (64, 15, 32), (1, 15, 32), (13, 37, 19)];
+            // trunk's widest layer, a single-row forward and a ragged edge-tile shape;
+            // then the paper trunk's other training shapes (its first, third and fourth
+            // layer at the 64-row batch).
+            let serving_shapes = [(64, 256, 256), (64, 15, 32), (1, 15, 32), (13, 37, 19)];
+            let training_shapes = [(64, 15, 256), (64, 256, 128), (64, 128, 64)];
             let reps = 40;
-            let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
-            let mut flops = [0.0f64; 3];
-            let mut secs = [0.0f64; 3];
-            for (si, &(m, k, n)) in shapes.iter().enumerate() {
-                let a = fill(m, k, si);
-                let b = fill(k, n, si + 7);
-                let bt = fill(n, k, si + 13);
-                let mut out = Matrix::zeros(1, 1);
-                let t0 = Instant::now();
-                for _ in 0..reps {
-                    a.matmul_into(&b, &mut out);
+            let mut shape_stats = Vec::new();
+            let mut digest_of = |shapes: &[(usize, usize, usize)], salt0: usize| {
+                let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+                for (offset, &(m, k, n)) in shapes.iter().enumerate() {
+                    let si = salt0 + offset;
+                    let a = fill(m, k, si);
+                    let b = fill(k, n, si + 7);
+                    let bt = fill(n, k, si + 13);
+                    let mut out = Matrix::zeros(1, 1);
+                    let mut secs = [0.0f64; 3];
+                    secs[0] = best_of(reps, || a.matmul_into(&b, &mut out));
+                    for &v in out.data() {
+                        fnv(&mut digest, v.to_bits());
+                    }
+                    // TN takes the left operand pre-transposed: (k×m)ᵀ · (k×n) → m×n.
+                    let at = fill(k, m, si + 3);
+                    let mut acc = Matrix::zeros(m, n);
+                    secs[1] = best_of(reps, || at.matmul_tn_acc(&b, &mut acc));
+                    for &v in acc.data() {
+                        fnv(&mut digest, v.to_bits());
+                    }
+                    secs[2] = best_of(reps, || a.matmul_nt_into(&bt, &mut out));
+                    for &v in out.data() {
+                        fnv(&mut digest, v.to_bits());
+                    }
+                    shape_stats.push(KernelShapeStats {
+                        shape: (m, k, n),
+                        flops: (2 * m * k * n) as f64,
+                        secs,
+                    });
                 }
-                secs[0] += t0.elapsed().as_secs_f64();
-                flops[0] += (2 * m * k * n * reps) as f64;
-                for &v in out.data() {
-                    fnv(&mut digest, v.to_bits());
+                digest
+            };
+            let serving = digest_of(&serving_shapes, 0);
+            let training = digest_of(&training_shapes, serving_shapes.len());
+            *stats.lock().expect("kernel stats poisoned") = shape_stats;
+            format!(
+                "shapes={} reps={reps} digest={serving:016x} training_shapes={} \
+                 training_digest={training:016x}",
+                serving_shapes.len(),
+                training_shapes.len()
+            )
+        }
+    };
+
+    // Training-update phase split: the paper agent (256-256-128-64, 64-row batches)
+    // fills its replay to `min_replay` with seeded random transitions, one in eight
+    // terminal, then observes `TRAIN_UPDATES × train_every` more, so it runs
+    // `TRAIN_UPDATES` updates. The metrics gate is open for the stage, so every
+    // `train_step` phase span records; the per-update phase times of the last run land
+    // in `train_stats` for the JSON. The fingerprint covers the update count, the last
+    // loss and probe Q-values, bit for bit.
+    const TRAIN_UPDATES: u64 = 60;
+    let train_stats: Arc<Mutex<Option<TrainStats>>> = Arc::new(Mutex::new(None));
+    let train_update_stage = {
+        let stats = Arc::clone(&train_stats);
+        move || -> String {
+            let config = AgentConfig::paper(STATE_DIM).with_seed(2024);
+            let (warm, every) = (config.min_replay as u64, config.train_every as u64);
+            let mut agent = DqnAgent::new(config);
+            let mut rng = StdRng::seed_from_u64(2024 ^ 0x7EA1);
+            let mut transition = |i: u64| {
+                let mut state =
+                    || -> Vec<f64> { (0..STATE_DIM).map(|_| rng.gen_range(-1.0..1.0)).collect() };
+                let (s, next) = (state(), state());
+                let (action, reward) = ((i % 2) as usize, -((i % 5) as f64));
+                if i % 8 == 7 {
+                    Transition::terminal(s, action, reward)
+                } else {
+                    Transition::new(s, action, reward, next)
                 }
-                // TN takes the left operand pre-transposed: (k×m)ᵀ · (k×n) → m×n.
-                let at = fill(k, m, si + 3);
-                let mut acc = Matrix::zeros(m, n);
-                let t0 = Instant::now();
-                for _ in 0..reps {
-                    at.matmul_tn_acc(&b, &mut acc);
-                }
-                secs[1] += t0.elapsed().as_secs_f64();
-                flops[1] += (2 * m * k * n * reps) as f64;
-                for &v in acc.data() {
-                    fnv(&mut digest, v.to_bits());
-                }
-                let t0 = Instant::now();
-                for _ in 0..reps {
-                    a.matmul_nt_into(&bt, &mut out);
-                }
-                secs[2] += t0.elapsed().as_secs_f64();
-                flops[2] += (2 * m * k * n * reps) as f64;
-                for &v in out.data() {
-                    fnv(&mut digest, v.to_bits());
-                }
+            };
+            for i in 0..warm - 1 {
+                agent.observe(transition(i));
             }
-            let gflops = |i: usize| flops[i] / secs[i].max(1e-12) / 1e9;
-            *stats.lock().expect("kernel stats poisoned") = Some((gflops(0), gflops(1), gflops(2)));
-            format!("shapes={} reps={reps} digest={digest:016x}", shapes.len())
+            let phases = uerl_rl::metrics::metrics();
+            let read =
+                || UpdatePhase::ALL.map(|p| (phases.phase(p).sum(), phases.phase(p).count()));
+            let was_enabled = uerl_obs::enabled();
+            uerl_obs::set_enabled(true);
+            let before = read();
+            let updates_before = agent.updates();
+            let t0 = Instant::now();
+            for i in warm - 1..warm - 1 + TRAIN_UPDATES * every {
+                agent.observe(transition(i));
+            }
+            let secs = t0.elapsed().as_secs_f64();
+            let after = read();
+            uerl_obs::set_enabled(was_enabled);
+            let updates = agent.updates() - updates_before;
+            let phase_nanos = std::array::from_fn(|i| after[i].0 - before[i].0);
+            *stats.lock().expect("train stats poisoned") = Some(TrainStats {
+                updates,
+                secs,
+                phase_nanos,
+            });
+            let probe: Vec<String> = agent
+                .q_values(&[0.1; STATE_DIM])
+                .iter()
+                .map(|q| format!("{:016x}", q.to_bits()))
+                .collect();
+            format!(
+                "updates={updates} loss={:016x} probe_q={probe:?}",
+                agent.last_loss().unwrap_or(f64::NAN).to_bits()
+            )
         }
     };
 
@@ -748,6 +852,7 @@ fn main() {
     let stages: Vec<(&'static str, Stage)> = vec![
         ("pool_overhead", Box::new(pool_overhead_stage)),
         ("matmul_kernels", Box::new(matmul_stage)),
+        ("train_update", Box::new(train_update_stage)),
         ("setup_text", Box::new(setup_text_stage)),
         ("forest_fit_100_trees", {
             let ctx = ctx.clone();
@@ -839,6 +944,7 @@ fn main() {
             serial_secs,
             parallel_secs,
             deterministic,
+            fingerprint: parallel_out,
         };
         eprintln!(
             "[perf_report] {:<24} serial {:>8.3}s  parallel {:>8.3}s  speedup {:>5.2}x  {}",
@@ -851,6 +957,10 @@ fn main() {
             } else {
                 "OUTPUT DIVERGED"
             },
+        );
+        eprintln!(
+            "[perf_report] {} fingerprint: {}",
+            report.name, report.fingerprint
         );
         reports.push(report);
     }
@@ -866,7 +976,8 @@ fn main() {
 
     let halving = *halving_stats.lock().expect("halving stats poisoned");
     let serving = *serve_stats.lock().expect("serve stats poisoned");
-    let kernels = *kernel_stats.lock().expect("kernel stats poisoned");
+    let kernels = std::mem::take(&mut *kernel_stats.lock().expect("kernel stats poisoned"));
+    let training = train_stats.lock().expect("train stats poisoned").take();
     let session_memory = *session_stats.lock().expect("session stats poisoned");
     let obs = obs_stats.lock().expect("obs stats poisoned").clone();
     let setup = setup_stats.lock().expect("setup stats poisoned").take();
@@ -889,10 +1000,37 @@ fn main() {
             "  \"serve_throughput\": {{\"events\": {events}, \"events_per_sec\": {events_per_sec:.1}, \"parity_with_offline_evaluator\": {parity}}},\n"
         ));
     }
-    if let Some((nn, tn, nt)) = kernels {
+    if !kernels.is_empty() {
+        let [nn, tn, nt] = family_gflops(&kernels);
+        let shapes: Vec<String> = kernels
+            .iter()
+            .map(|k| {
+                let (m, kd, n) = k.shape;
+                format!(
+                    "{{\"m\": {m}, \"k\": {kd}, \"n\": {n}, \"nn_gflops\": {:.3}, \"tn_acc_gflops\": {:.3}, \"nt_gflops\": {:.3}}}",
+                    k.gflops(0),
+                    k.gflops(1),
+                    k.gflops(2)
+                )
+            })
+            .collect();
         json.push_str(&format!(
-            "  \"matmul_kernels\": {{\"kernel_isa\": \"{}\", \"nn_gflops\": {nn:.3}, \"tn_acc_gflops\": {tn:.3}, \"nt_gflops\": {nt:.3}}},\n",
-            kernel_isa()
+            "  \"matmul_kernels\": {{\"kernel_isa\": \"{}\", \"nn_gflops\": {nn:.3}, \"tn_acc_gflops\": {tn:.3}, \"nt_gflops\": {nt:.3}, \"shapes\": [{}]}},\n",
+            kernel_isa(),
+            shapes.join(", ")
+        ));
+    }
+    if let Some(train) = &training {
+        let phases: Vec<String> = UpdatePhase::ALL
+            .iter()
+            .enumerate()
+            .map(|(i, p)| format!("\"{}\": {:.1}", p.label(), train.phase_us_per_update(i)))
+            .collect();
+        json.push_str(&format!(
+            "  \"train_update\": {{\"updates\": {}, \"updates_per_sec\": {:.1}, \"phase_us_per_update\": {{{}}}}},\n",
+            train.updates,
+            train.updates as f64 / train.secs.max(1e-9),
+            phases.join(", ")
         ));
     }
     if let Some(setup) = &setup {
@@ -938,18 +1076,22 @@ fn main() {
     json.push_str("  \"stages\": [\n");
     for (i, r) in reports.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"serial_secs\": {:.6}, \"parallel_secs\": {:.6}, \"speedup\": {:.4}, \"deterministic\": {}}}{}\n",
+            "    {{\"name\": \"{}\", \"serial_secs\": {:.6}, \"parallel_secs\": {:.6}, \"speedup\": {:.4}, \"deterministic\": {}, \"fingerprint\": \"{}\"}}{}\n",
             r.name,
             r.serial_secs,
             r.parallel_secs,
             r.speedup(),
             r.deterministic,
+            json_escape(&r.fingerprint),
             if i + 1 < reports.len() { "," } else { "" },
         ));
     }
     json.push_str("  ]\n}\n");
 
-    let path = std::env::var("UERL_BENCH_OUT").unwrap_or_else(|_| "BENCH_PR10.json".to_string());
+    let path = std::env::var("UERL_BENCH_OUT").unwrap_or_else(|_| DEFAULT_OUT.to_string());
+    if let Some(dir) = std::path::Path::new(&path).parent() {
+        std::fs::create_dir_all(dir).expect("create the report directory");
+    }
     std::fs::write(&path, &json).expect("write benchmark report");
     if let Some((halving_steps, exhaustive_steps, _)) = halving {
         eprintln!(
@@ -962,10 +1104,33 @@ fn main() {
              (parity with offline evaluator: {parity})"
         );
     }
-    if let Some((nn, tn, nt)) = kernels {
+    if !kernels.is_empty() {
+        let [nn, tn, nt] = family_gflops(&kernels);
         eprintln!(
             "[perf_report] kernels ({}): NN {nn:.2} / TN-acc {tn:.2} / NT {nt:.2} GFLOP/s",
             kernel_isa()
+        );
+        for k in &kernels {
+            let (m, kd, n) = k.shape;
+            eprintln!(
+                "[perf_report]   {m}x{kd}x{n}: NN {:.2} / TN-acc {:.2} / NT {:.2} GFLOP/s",
+                k.gflops(0),
+                k.gflops(1),
+                k.gflops(2)
+            );
+        }
+    }
+    if let Some(train) = &training {
+        let split: Vec<String> = UpdatePhase::ALL
+            .iter()
+            .enumerate()
+            .map(|(i, p)| format!("{} {:.0}", p.label(), train.phase_us_per_update(i)))
+            .collect();
+        eprintln!(
+            "[perf_report] train update: {} updates at {:.1}/s; µs per update: {}",
+            train.updates,
+            train.updates as f64 / train.secs.max(1e-9),
+            split.join(", ")
         );
     }
     if let Some(setup) = &setup {
@@ -1037,6 +1202,36 @@ fn main() {
             std::process::exit(1);
         }
     }
+}
+
+/// Run `f` `reps` times and return the fastest run, in seconds.
+fn best_of(reps: usize, mut f: impl FnMut()) -> f64 {
+    (0..reps)
+        .map(|_| {
+            let t0 = Instant::now();
+            f();
+            t0.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// Where the JSON report goes unless `UERL_BENCH_OUT` names another path: under the
+/// build directory, so a run never rewrites a checked-in file.
+const DEFAULT_OUT: &str = "target/perf_report/BENCH.json";
+
+/// `s` as the body of a JSON string literal.
+fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            c if u32::from(c) < 0x20 => out.push_str(&format!("\\u{:04x}", u32::from(c))),
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 /// Fold one word into an FNV-1a digest, byte by byte.

@@ -397,18 +397,23 @@ impl DqnAgent {
             return None;
         }
 
+        use crate::metrics::UpdatePhase;
+        let m = crate::metrics::metrics();
         // Sample a prioritized batch with its importance-sampling weights.
         let beta = self.config.beta.value(self.updates);
+        let span = m.phase(UpdatePhase::Sample).span();
         let SampledBatch {
             indices,
             weights,
             transitions,
         } = self.replay.sample(batch_size, beta, &mut self.rng);
+        drop(span);
         if transitions.is_empty() {
             return None;
         }
         let n = transitions.len();
 
+        let span = m.phase(UpdatePhase::Assemble).span();
         // Assemble the state batch and the TD targets.
         let state_dim = self.config.state_dim;
         let mut states = Matrix::zeros(n, state_dim);
@@ -424,6 +429,7 @@ impl DqnAgent {
             .map(|(i, _)| i)
             .collect();
         let mut next_values = vec![0.0; n];
+        drop(span);
         if !non_terminal.is_empty() {
             let mut next_states = Matrix::zeros(non_terminal.len(), state_dim);
             for (row, &i) in non_terminal.iter().enumerate() {
@@ -433,8 +439,12 @@ impl DqnAgent {
             }
             // Double Q-learning: the online network picks a*, the target network
             // values it.
+            let span = m.phase(UpdatePhase::TargetNext).span();
             let q_target_next = self.target.forward(&next_states);
+            drop(span);
+            let span = m.phase(UpdatePhase::OnlineNext).span();
             let q_online_next = self.online.forward(&next_states);
+            drop(span);
             for (row, &i) in non_terminal.iter().enumerate() {
                 let a_star = q_online_next.row_argmax(row);
                 next_values[i] = q_target_next.get(row, a_star);
@@ -448,7 +458,10 @@ impl DqnAgent {
             .collect();
 
         // Forward the online network, compute the action-gated gradient and step.
+        let span = m.phase(UpdatePhase::ForwardTrain).span();
         let q_online = self.online.forward_train(&states);
+        drop(span);
+        let span = m.phase(UpdatePhase::Assemble).span();
         let predictions: Vec<f64> = transitions
             .iter()
             .enumerate()
@@ -469,13 +482,19 @@ impl DqnAgent {
         for (i, t) in transitions.iter().enumerate() {
             grad_q.set(i, t.action, per_sample_grads[i]);
         }
+        drop(span);
+        let span = m.phase(UpdatePhase::Backward).span();
         let _ = self.online.backward(&grad_q);
+        drop(span);
+        let span = m.phase(UpdatePhase::Adam).span();
         self.online.apply_gradients(&mut self.optimizer);
+        drop(span);
 
         // Refresh priorities and the target network.
+        let span = m.phase(UpdatePhase::Priorities).span();
         self.replay.update_priorities(&indices, &td_errors);
+        drop(span);
         if uerl_obs::enabled() {
-            let m = crate::metrics::metrics();
             m.updates.inc();
             m.replay_len.set(self.replay.len() as f64);
             for &e in &td_errors {
@@ -699,6 +718,89 @@ mod tests {
         let b = train_bandit(AgentConfig::small(2).with_seed(7), 300);
         assert_eq!(a.q_values(&[1.0, 0.0]), b.q_values(&[1.0, 0.0]));
     }
+
+    /// Updates on batches with all, some, none and again all terminal transitions, so
+    /// every reused update buffer (the s′ batch above all) shrinks and grows between
+    /// updates. Widths 40 and 24 and a 13-row batch straddle the 4-row, 16-lane and
+    /// 8-lane tiles; the Q-value and loss bits were captured before the update reused
+    /// any buffer.
+    #[test]
+    fn updates_on_changing_terminal_mixes_keep_their_bits() {
+        let config = AgentConfig {
+            state_dim: 5,
+            hidden: vec![40, 24],
+            batch_size: 13,
+            replay_capacity: 13,
+            min_replay: usize::MAX,
+            ..AgentConfig::small(5).with_seed(41)
+        };
+        let mut agent = DqnAgent::new(config);
+        let state = |i: usize| -> Vec<f64> {
+            (0..5)
+                .map(|j| ((i * 7 + j * 3) as f64 * 0.61).sin())
+                .collect()
+        };
+        let mut pushed = 0usize;
+        let mut bits = Vec::new();
+        // (transitions pushed before the update, terminal every `period`-th; 1 = all)
+        for (count, period) in [(13, 1), (6, 0), (13, 0), (13, 1), (3, 0), (13, 2)] {
+            for _ in 0..count {
+                let (s, next) = (state(pushed), state(pushed + 1));
+                let reward = (pushed % 3) as f64 - 1.0;
+                let action = pushed % 2;
+                agent.observe(if period != 0 && pushed.is_multiple_of(period) {
+                    Transition::terminal(s, action, reward)
+                } else {
+                    Transition::new(s, action, reward, next)
+                });
+                pushed += 1;
+            }
+            let loss = agent.train_step().expect("replay holds a batch");
+            bits.push(loss.to_bits());
+            for probe in [state(1000), state(1001)] {
+                bits.extend(agent.q_values(&probe).iter().map(|q| q.to_bits()));
+            }
+        }
+        let expected: [u64; 30] = UPDATE_MIX_BITS;
+        for (i, (got, want)) in bits.iter().zip(&expected).enumerate() {
+            assert_eq!(got, want, "value {i}: {got:#018x} != {want:#018x}");
+        }
+        assert_eq!(bits.len(), expected.len());
+    }
+
+    /// Per update: the loss, then the two probes' Q-values.
+    const UPDATE_MIX_BITS: [u64; 30] = [
+        0x3fe6084cec133c65,
+        0x3fd8e38e9bb60b7c,
+        0x3ff9da4abec2722a,
+        0x3fdcfece2a6cbf4d,
+        0x3ff495cf60e275e7,
+        0x3fcec8278d79b441,
+        0x3fd9641564ca5de6,
+        0x3ff96d2deff4baac,
+        0x3fdb7a9f896979e4,
+        0x3ff40150da949be2,
+        0x3fcbc9a0ea547eff,
+        0x3fdb183beb76e3c2,
+        0x3ff9622afbd62e66,
+        0x3fdaa3720383dedb,
+        0x3ff3732d40a9b2ae,
+        0x3fe3aacbaffd25f1,
+        0x3fdc7897705ec584,
+        0x3ff92d7f2b94d2b1,
+        0x3fd8dab3e3542f27,
+        0x3ff2dbaf3e9ba1f2,
+        0x3fde6c490b6a8a3f,
+        0x3fdd0dcb7a53e388,
+        0x3ff8e76764f20ed4,
+        0x3fd781090a26b29d,
+        0x3ff24bcf27d60abf,
+        0x3fd131d737e92931,
+        0x3fdc43948826217a,
+        0x3ff8a13e58d60d80,
+        0x3fd6435279c3e0fb,
+        0x3ff1e16f557961aa,
+    ];
 
     #[test]
     fn paper_config_builds_the_full_architecture() {

@@ -1,15 +1,65 @@
 //! Training-loop metrics: instruments registered once in the global
 //! [`uerl_obs::registry`] and shared by every agent in the process.
 //!
-//! Everything here is **event-time** (deterministic given the seeded training
-//! sequence): gradient updates, target-network syncs, replay occupancy and the TD-error
-//! distribution do not depend on wall clocks or scheduling, so they participate in the
-//! snapshot fingerprint. The instruments are always registered; recording is gated
-//! inside `uerl-obs` by `UERL_METRICS`, so with the gate closed each hook is one
-//! relaxed atomic load.
+//! Gradient updates, target-network syncs, replay occupancy and the TD-error
+//! distribution are **event-time** (deterministic given the seeded training sequence):
+//! they do not depend on wall clocks or scheduling, so they participate in the snapshot
+//! fingerprint. The per-phase durations of an update ([`UpdatePhase`]) are
+//! **wall-clock** and stay out of it. The instruments are always registered; recording
+//! is gated inside `uerl-obs` by `UERL_METRICS`, so with the gate closed each hook is
+//! one relaxed atomic load and no clock is read.
 
 use std::sync::{Arc, OnceLock};
 use uerl_obs::{registry, Counter, Gauge, Histogram, MetricClass};
+
+/// The phases of one [`crate::DqnAgent::train_step`], in the order they run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum UpdatePhase {
+    /// Prioritized draw of the batch, its rows copied into the state matrices.
+    Sample,
+    /// TD targets, the weighted loss and the action-gated `dL/dQ` matrix.
+    Assemble,
+    /// Target-network forward pass over the non-terminal next states.
+    TargetNext,
+    /// Online-network forward pass over the same next states (the double-DQN argmax).
+    OnlineNext,
+    /// Online-network training forward pass over the states.
+    ForwardTrain,
+    /// Backward pass through the online network.
+    Backward,
+    /// Adam step over every parameter, gradients cleared.
+    Adam,
+    /// Priority refresh of the sampled slots.
+    Priorities,
+}
+
+impl UpdatePhase {
+    /// Every phase, in run order.
+    pub const ALL: [UpdatePhase; 8] = [
+        UpdatePhase::Sample,
+        UpdatePhase::Assemble,
+        UpdatePhase::TargetNext,
+        UpdatePhase::OnlineNext,
+        UpdatePhase::ForwardTrain,
+        UpdatePhase::Backward,
+        UpdatePhase::Adam,
+        UpdatePhase::Priorities,
+    ];
+
+    /// The phase's `phase` label value.
+    pub fn label(self) -> &'static str {
+        match self {
+            UpdatePhase::Sample => "sample",
+            UpdatePhase::Assemble => "assemble",
+            UpdatePhase::TargetNext => "target_next_forward",
+            UpdatePhase::OnlineNext => "online_next_forward",
+            UpdatePhase::ForwardTrain => "forward_train",
+            UpdatePhase::Backward => "backward",
+            UpdatePhase::Adam => "adam",
+            UpdatePhase::Priorities => "priorities",
+        }
+    }
+}
 
 /// Handles to the training-side instruments.
 pub struct RlMetrics {
@@ -22,6 +72,16 @@ pub struct RlMetrics {
     /// Distribution of |TD error| per replayed sample, recorded in micro-units
     /// (|error| × 1e6, rounded) so the log2 buckets resolve sub-1.0 errors.
     pub td_error_micros: Arc<Histogram>,
+    /// Wall-clock nanoseconds of each update phase, indexed by `UpdatePhase as usize`.
+    update_phase_nanos: [Arc<Histogram>; 8],
+}
+
+impl RlMetrics {
+    /// The wall-clock histogram of one update phase; time a phase with
+    /// `metrics().phase(p).span()`.
+    pub fn phase(&self, phase: UpdatePhase) -> &Histogram {
+        &self.update_phase_nanos[phase as usize]
+    }
 }
 
 /// The process-wide training instruments (registered on first use).
@@ -54,6 +114,14 @@ pub fn metrics() -> &'static RlMetrics {
                 &[],
                 MetricClass::EventTime,
             ),
+            update_phase_nanos: UpdatePhase::ALL.map(|phase| {
+                r.histogram(
+                    "uerl_rl_update_phase_nanos",
+                    "Wall-clock duration of one train_step phase",
+                    &[("phase", phase.label())],
+                    MetricClass::WallClock,
+                )
+            }),
         }
     })
 }
