@@ -11,11 +11,12 @@
 //! arrays (which the autovectorizer keeps in SIMD registers), and the inner loop walks
 //! the shared dimension once with the operand panels loaded contiguously:
 //!
-//! - `matmul` / `matmul_into`: [`MR`] output rows × [`NR`] contiguous lanes; the
+//! - `matmul` / `matmul_into`: [`MR`] output rows × `NR` contiguous lanes, then one
+//!   [`TAIL_LANES`]-lane tile where `NR` is wider, then a scalar column loop; the
 //!   `m % MR` edge rows (every row of a batch of 1–3, the serving case) use a single-row
-//!   tile of `W` contiguous lanes sized to the instruction set (see below), then `NR`
-//!   lanes, then a scalar column loop.
-//! - `matmul_tn_acc`: [`MR`] accumulator rows × [`NR`] lanes, then narrower edges.
+//!   tile of `W` contiguous lanes, then [`TAIL_LANES`] lanes, then scalar columns. `W`
+//!   and `NR` are sized to the instruction set (see below).
+//! - `matmul_tn_acc`: [`MR`] accumulator rows × `NR` lanes, then narrower edges.
 //! - `matmul_nt` / `matmul_nt_into`: [`NT_OUTS`] dot products per pass over the left
 //!   row, then single dot products for the `n % NT_OUTS` edge outputs.
 //!
@@ -48,10 +49,19 @@
 //! once per level — baseline, `avx2` and `avx512f` — through `#[target_feature]`
 //! wrappers, and the best level the CPU reports (`is_x86_feature_detected!`, cached on
 //! first use) is picked at run time. [`kernel_isa`] names the level in use. Other
-//! architectures compile only the baseline body. The levels differ only in the
-//! single-row tile width `W`: 16 lanes baseline, 32 AVX2, 64 AVX-512 — eight vector
-//! registers of accumulators each, enough independent adds to hide the add latency of
-//! a batch-1 forward pass.
+//! architectures compile only the baseline body. The levels differ only in the tile
+//! widths. Each fills eight vector registers with accumulators (the baseline 4-row
+//! tile fills all sixteen SSE registers), enough independent adds to hide the add
+//! latency:
+//!
+//! | level    | single-row `W` | 4-row tile `NR` |
+//! |----------|----------------|-----------------|
+//! | baseline | 16             | 8               |
+//! | AVX2     | 32             | 8               |
+//! | AVX-512  | 64             | 16              |
+//!
+//! `W` carries a batch-1 forward pass; `NR` carries the 64-row products of a training
+//! update.
 //!
 //! The results do not depend on the level, bit for bit. The kernels use plain
 //! mul-then-add: `fma` is never enabled and `mul_add` never called, and Rust never
@@ -65,13 +75,14 @@ use std::sync::OnceLock;
 
 /// Output rows advanced together by one register tile.
 const MR: usize = 4;
-/// Contiguous output lanes (f64 columns) per register-tile row.
-const NR: usize = 8;
+/// Lanes of the narrowest multi-lane tile. Every level's tile widths are multiples of
+/// it, and the columns left between a level's widest tile and the scalar edge columns
+/// run in tiles of this width.
+const TAIL_LANES: usize = 8;
 /// Interleaved partial-sum lanes of the `matmul_nt` dot-product kernel.
 const DOT_LANES: usize = 8;
 /// Dot products the `matmul_nt` kernel computes per pass over the left row.
 const NT_OUTS: usize = 4;
-
 /// An instruction-set level the product kernels are compiled for.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Isa {
@@ -136,14 +147,22 @@ pub fn kernel_isa() -> &'static str {
     Isa::current().name()
 }
 
-/// `out[i0..i0+MR][j0..j0+NR] = a · b` for one full register tile, accumulating every
-/// element in strict ascending-`k` order. `a` is the `m × k` left operand, `b` the
-/// `k × n` right operand, both row-major.
+/// `out[i0..i0+MR][j0..j0+L] = a · b` for one full register tile of [`MR`] rows × `L`
+/// contiguous lanes, accumulating every element in strict ascending-`k` order. `a` is
+/// the `m × k` left operand, `b` the `k × n` right operand, both row-major.
 #[inline(always)]
-fn tile_mr_nr(a: &[f64], b: &[f64], out: &mut [f64], kdim: usize, n: usize, i0: usize, j0: usize) {
-    let mut acc = [[0.0f64; NR]; MR];
+fn tile_mr<const L: usize>(
+    a: &[f64],
+    b: &[f64],
+    out: &mut [f64],
+    kdim: usize,
+    n: usize,
+    i0: usize,
+    j0: usize,
+) {
+    let mut acc = [[0.0f64; L]; MR];
     for kk in 0..kdim {
-        let brow = &b[kk * n + j0..kk * n + j0 + NR];
+        let brow = &b[kk * n + j0..kk * n + j0 + L];
         for (r, acc_row) in acc.iter_mut().enumerate() {
             let av = a[(i0 + r) * kdim + kk];
             for (s, &bv) in acc_row.iter_mut().zip(brow) {
@@ -152,11 +171,11 @@ fn tile_mr_nr(a: &[f64], b: &[f64], out: &mut [f64], kdim: usize, n: usize, i0: 
         }
     }
     for (r, acc_row) in acc.iter().enumerate() {
-        out[(i0 + r) * n + j0..(i0 + r) * n + j0 + NR].copy_from_slice(acc_row);
+        out[(i0 + r) * n + j0..(i0 + r) * n + j0 + L].copy_from_slice(acc_row);
     }
 }
 
-/// One-row, `W`-lane variant of [`tile_mr_nr`] for the `m % MR` edge rows.
+/// One-row, `W`-lane variant of [`tile_mr`] for the `m % MR` edge rows.
 #[inline(always)]
 fn tile_1<const W: usize>(
     a: &[f64],
@@ -178,7 +197,7 @@ fn tile_1<const W: usize>(
     out[i * n + j0..i * n + j0 + W].copy_from_slice(&acc);
 }
 
-/// Scalar edge columns (`n % NR`) of row `i`: same strict ascending-`k` order.
+/// Scalar edge columns `j0..n` of row `i`: same strict ascending-`k` order.
 #[inline(always)]
 fn edge_cols(a: &[f64], b: &[f64], out: &mut [f64], kdim: usize, n: usize, i: usize, j0: usize) {
     let arow = &a[i * kdim..(i + 1) * kdim];
@@ -191,11 +210,13 @@ fn edge_cols(a: &[f64], b: &[f64], out: &mut [f64], kdim: usize, n: usize, i: us
     }
 }
 
-/// Blocked `out = a · b` (`m × k` times `k × n`, all row-major, `out` overwritten),
-/// with `W`-lane single-row tiles for the edge rows. Bit-identical to the scalar
-/// `i, k, j` reference loop for every shape and every `W`.
+/// Blocked `out = a · b` (`m × k` times `k × n`, all row-major, `out` overwritten):
+/// [`MR`]-row tiles `NR` lanes wide, then at most one [`TAIL_LANES`]-wide tile (when
+/// `NR` is wider), then scalar edge columns; the `m % MR` edge rows run in `W`-lane
+/// single-row tiles, then [`TAIL_LANES`]-lane ones, then scalar columns. Bit-identical
+/// to the scalar `i, k, j` reference loop for every shape, `W` and `NR`.
 #[inline(always)]
-fn gemm_nn_body<const W: usize>(
+fn gemm_nn_body<const W: usize, const NR: usize>(
     a: &[f64],
     b: &[f64],
     out: &mut [f64],
@@ -207,16 +228,19 @@ fn gemm_nn_body<const W: usize>(
     debug_assert_eq!(b.len(), kdim * n);
     debug_assert_eq!(out.len(), m * n);
     let m_full = m - m % MR;
-    let n_full = n - n % NR;
     let mut i0 = 0;
     while i0 < m_full {
         let mut j0 = 0;
-        while j0 < n_full {
-            tile_mr_nr(a, b, out, kdim, n, i0, j0);
+        while j0 + NR <= n {
+            tile_mr::<NR>(a, b, out, kdim, n, i0, j0);
             j0 += NR;
         }
+        while j0 + TAIL_LANES <= n {
+            tile_mr::<TAIL_LANES>(a, b, out, kdim, n, i0, j0);
+            j0 += TAIL_LANES;
+        }
         for r in 0..MR {
-            edge_cols(a, b, out, kdim, n, i0 + r, n_full);
+            edge_cols(a, b, out, kdim, n, i0 + r, j0);
         }
         i0 += MR;
     }
@@ -226,81 +250,106 @@ fn gemm_nn_body<const W: usize>(
             tile_1::<W>(a, b, out, kdim, n, i, j0);
             j0 += W;
         }
-        while j0 < n_full {
-            tile_1::<NR>(a, b, out, kdim, n, i, j0);
-            j0 += NR;
+        while j0 + TAIL_LANES <= n {
+            tile_1::<TAIL_LANES>(a, b, out, kdim, n, i, j0);
+            j0 += TAIL_LANES;
         }
-        edge_cols(a, b, out, kdim, n, i, n_full);
+        edge_cols(a, b, out, kdim, n, i, j0);
     }
 }
 
-/// Blocked `acc[j, l] += Σ_i a[i, j] · b[i, l]` (`aᵀ · b` accumulated into `acc`):
-/// register tiles of `MR` output rows (columns `j` of `a`) × `NR` lanes, each element
-/// advancing in strict ascending-`i` order seeded from the existing accumulator value
-/// — exactly the incremental `+=` of the scalar reference loop. `a` is `m × ja`
-/// row-major, `b` is `m × n` row-major, `acc` is `ja × n` row-major.
+/// `acc[j0..j0+R][l0..l0+L] += aᵀ · b` for one register tile of `R` accumulator rows
+/// (columns `j` of `a`) × `L` lanes, each element seeded from the accumulator and
+/// advanced in strict ascending-`i` order.
 #[inline(always)]
-fn gemm_tn_acc_body(a: &[f64], b: &[f64], acc: &mut [f64], m: usize, ja: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * ja);
-    debug_assert_eq!(b.len(), m * n);
-    debug_assert_eq!(acc.len(), ja * n);
-    let j_full = ja - ja % MR;
-    let n_full = n - n % NR;
-    let mut j0 = 0;
-    while j0 < j_full {
-        let mut l0 = 0;
-        while l0 < n_full {
-            let mut tile = [[0.0f64; NR]; MR];
-            for (r, tile_row) in tile.iter_mut().enumerate() {
-                tile_row.copy_from_slice(&acc[(j0 + r) * n + l0..(j0 + r) * n + l0 + NR]);
-            }
-            for i in 0..m {
-                let brow = &b[i * n + l0..i * n + l0 + NR];
-                for (r, tile_row) in tile.iter_mut().enumerate() {
-                    let av = a[i * ja + j0 + r];
-                    for (s, &bv) in tile_row.iter_mut().zip(brow) {
-                        *s += av * bv;
-                    }
-                }
-            }
-            for (r, tile_row) in tile.iter().enumerate() {
-                acc[(j0 + r) * n + l0..(j0 + r) * n + l0 + NR].copy_from_slice(tile_row);
-            }
-            l0 += NR;
-        }
-        for r in 0..MR {
-            for l in n_full..n {
-                let mut s = acc[(j0 + r) * n + l];
-                for i in 0..m {
-                    s += a[i * ja + j0 + r] * b[i * n + l];
-                }
-                acc[(j0 + r) * n + l] = s;
-            }
-        }
-        j0 += MR;
+#[allow(clippy::too_many_arguments)]
+fn tn_tile<const R: usize, const L: usize>(
+    a: &[f64],
+    b: &[f64],
+    acc: &mut [f64],
+    m: usize,
+    ja: usize,
+    n: usize,
+    j0: usize,
+    l0: usize,
+) {
+    let mut tile = [[0.0f64; L]; R];
+    for (r, tile_row) in tile.iter_mut().enumerate() {
+        tile_row.copy_from_slice(&acc[(j0 + r) * n + l0..(j0 + r) * n + l0 + L]);
     }
-    for j in j_full..ja {
-        let mut l0 = 0;
-        while l0 < n_full {
-            let mut tile = [0.0f64; NR];
-            tile.copy_from_slice(&acc[j * n + l0..j * n + l0 + NR]);
-            for i in 0..m {
-                let av = a[i * ja + j];
-                let brow = &b[i * n + l0..i * n + l0 + NR];
-                for (s, &bv) in tile.iter_mut().zip(brow) {
-                    *s += av * bv;
-                }
+    for i in 0..m {
+        let brow = &b[i * n + l0..i * n + l0 + L];
+        for (r, tile_row) in tile.iter_mut().enumerate() {
+            let av = a[i * ja + j0 + r];
+            for (s, &bv) in tile_row.iter_mut().zip(brow) {
+                *s += av * bv;
             }
-            acc[j * n + l0..j * n + l0 + NR].copy_from_slice(&tile);
-            l0 += NR;
         }
-        for l in n_full..n {
+    }
+    for (r, tile_row) in tile.iter().enumerate() {
+        acc[(j0 + r) * n + l0..(j0 + r) * n + l0 + L].copy_from_slice(tile_row);
+    }
+}
+
+/// The `R` accumulator rows from `j0` × `NR`-lane tiles, then [`TAIL_LANES`]-lane ones,
+/// then scalar edge columns, of [`gemm_tn_acc_body`].
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn tn_rows<const R: usize, const NR: usize>(
+    a: &[f64],
+    b: &[f64],
+    acc: &mut [f64],
+    m: usize,
+    ja: usize,
+    n: usize,
+    j0: usize,
+) {
+    let mut l0 = 0;
+    while l0 + NR <= n {
+        tn_tile::<R, NR>(a, b, acc, m, ja, n, j0, l0);
+        l0 += NR;
+    }
+    while l0 + TAIL_LANES <= n {
+        tn_tile::<R, TAIL_LANES>(a, b, acc, m, ja, n, j0, l0);
+        l0 += TAIL_LANES;
+    }
+    for j in j0..j0 + R {
+        for l in l0..n {
             let mut s = acc[j * n + l];
             for i in 0..m {
                 s += a[i * ja + j] * b[i * n + l];
             }
             acc[j * n + l] = s;
         }
+    }
+}
+
+/// Blocked `acc[j, l] += Σ_i a[i, j] · b[i, l]` (`aᵀ · b` accumulated into `acc`):
+/// register tiles of [`MR`] output rows (columns `j` of `a`) × `NR` lanes, then
+/// narrower edges, each element advancing in strict ascending-`i` order seeded from the
+/// existing accumulator value — exactly the incremental `+=` of the scalar reference
+/// loop. `a` is `m × ja` row-major, `b` is `m × n` row-major, `acc` is `ja × n`
+/// row-major.
+#[inline(always)]
+fn gemm_tn_acc_body<const NR: usize>(
+    a: &[f64],
+    b: &[f64],
+    acc: &mut [f64],
+    m: usize,
+    ja: usize,
+    n: usize,
+) {
+    debug_assert_eq!(a.len(), m * ja);
+    debug_assert_eq!(b.len(), m * n);
+    debug_assert_eq!(acc.len(), ja * n);
+    let j_full = ja - ja % MR;
+    let mut j0 = 0;
+    while j0 < j_full {
+        tn_rows::<MR, NR>(a, b, acc, m, ja, n, j0);
+        j0 += MR;
+    }
+    for j in j_full..ja {
+        tn_rows::<1, NR>(a, b, acc, m, ja, n, j);
     }
 }
 
@@ -370,7 +419,7 @@ mod x86 {
     use super::{gemm_nn_body, gemm_nt_body, gemm_tn_acc_body};
 
     macro_rules! with_feature {
-        ($($name:ident = $body:ident$(::<$w:literal>)? @ $feature:literal;)*) => {$(
+        ($($name:ident = $body:ident$(::<$($w:literal),+>)? @ $feature:literal;)*) => {$(
             #[doc = concat!("`", stringify!($body), "` compiled with `", $feature, "` enabled.")]
             ///
             /// # Safety
@@ -385,16 +434,16 @@ mod x86 {
                 k: usize,
                 n: usize,
             ) {
-                $body$(::<$w>)?(a, b, out, m, k, n)
+                $body$(::<$($w),+>)?(a, b, out, m, k, n)
             }
         )*};
     }
 
     with_feature! {
-        gemm_nn_avx2 = gemm_nn_body::<32> @ "avx2";
-        gemm_nn_avx512 = gemm_nn_body::<64> @ "avx512f";
-        gemm_tn_acc_avx2 = gemm_tn_acc_body @ "avx2";
-        gemm_tn_acc_avx512 = gemm_tn_acc_body @ "avx512f";
+        gemm_nn_avx2 = gemm_nn_body::<32, 8> @ "avx2";
+        gemm_nn_avx512 = gemm_nn_body::<64, 16> @ "avx512f";
+        gemm_tn_acc_avx2 = gemm_tn_acc_body::<8> @ "avx2";
+        gemm_tn_acc_avx512 = gemm_tn_acc_body::<16> @ "avx512f";
         gemm_nt_avx2 = gemm_nt_body @ "avx2";
         gemm_nt_avx512 = gemm_nt_body @ "avx512f";
     }
@@ -403,7 +452,7 @@ mod x86 {
 /// [`gemm_nn_body`] at level `isa`.
 fn gemm_nn(isa: Isa, a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
     match isa {
-        Isa::Baseline => gemm_nn_body::<16>(a, b, out, m, k, n),
+        Isa::Baseline => gemm_nn_body::<16, 8>(a, b, out, m, k, n),
         // SAFETY: an `Isa::Avx2` value only exists once `is_x86_feature_detected!("avx2")`
         // returned true (`Isa::supported`).
         #[cfg(target_arch = "x86_64")]
@@ -418,7 +467,7 @@ fn gemm_nn(isa: Isa, a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, 
 /// [`gemm_tn_acc_body`] at level `isa`.
 fn gemm_tn_acc(isa: Isa, a: &[f64], b: &[f64], acc: &mut [f64], m: usize, ja: usize, n: usize) {
     match isa {
-        Isa::Baseline => gemm_tn_acc_body(a, b, acc, m, ja, n),
+        Isa::Baseline => gemm_tn_acc_body::<8>(a, b, acc, m, ja, n),
         // SAFETY: an `Isa::Avx2` value only exists once `is_x86_feature_detected!("avx2")`
         // returned true (`Isa::supported`).
         #[cfg(target_arch = "x86_64")]
@@ -982,11 +1031,32 @@ mod tests {
         out
     }
 
+    /// The scalar reference loop of `acc += aᵀ · b` (strict ascending row order, seeded
+    /// from the accumulator).
+    fn reference_tn_acc(a: &Matrix, b: &Matrix, acc: &mut Matrix) {
+        for j in 0..a.cols() {
+            for l in 0..b.cols() {
+                let mut s = acc.get(j, l);
+                for i in 0..a.rows() {
+                    s += a.get(i, j) * b.get(i, l);
+                }
+                acc.set(j, l, s);
+            }
+        }
+    }
+
+    fn assert_same_bits(got: &Matrix, want: &Matrix, what: &str) {
+        assert_eq!((got.rows(), got.cols()), (want.rows(), want.cols()), "{what}");
+        for (x, y) in got.data().iter().zip(want.data()) {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what} diverged");
+        }
+    }
+
     #[test]
     fn blocked_matmul_is_bit_identical_to_scalar_reference_on_ragged_shapes() {
         // Shapes straddling every tile boundary: < MR/NR, exact multiples, and
         // multiples plus remainders.
-        for (m, k, n) in [
+        let mut shapes = vec![
             (1, 1, 1),
             (1, 15, 32),
             (3, 7, 5),
@@ -994,14 +1064,43 @@ mod tests {
             (5, 9, 17),
             (9, 13, 19),
             (12, 32, 24),
-        ] {
-            let a = Matrix::from_fn(m, k, |i, j| ((i * 31 + j * 7) as f64 * 0.37).sin());
-            let b = Matrix::from_fn(k, n, |i, j| ((i * 13 + j * 11) as f64 * 0.23).cos());
-            let blocked = a.matmul(&b);
-            let reference = reference_matmul(&a, &b);
-            for (x, y) in blocked.data().iter().zip(reference.data()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "{m}x{k}·{k}x{n} diverged");
+        ];
+        // Widths on both sides of the 16-lane tile, its 8-lane tail and the scalar
+        // edge columns, at row counts below, at and above the 4-row tile.
+        for rows in [3, 4, 5, 8, 9] {
+            for width in [15, 16, 17, 31, 32, 33, 48] {
+                shapes.push((rows, 11, width));
             }
+        }
+        for isa in Isa::supported() {
+            FORCED_ISA.with(|forced| forced.set(Some(isa)));
+            for &(m, k, n) in &shapes {
+                let a = Matrix::from_fn(m, k, |i, j| ((i * 31 + j * 7) as f64 * 0.37).sin());
+                let b = Matrix::from_fn(k, n, |i, j| ((i * 13 + j * 11) as f64 * 0.23).cos());
+                let what = format!("{isa:?} {m}x{k}·{k}x{n}");
+                assert_same_bits(&a.matmul(&b), &reference_matmul(&a, &b), &what);
+                let mut out = Matrix::from_fn(2, 3, |_, _| f64::NAN);
+                a.matmul_into(&b, &mut out);
+                assert_same_bits(&out, &reference_matmul(&a, &b), &what);
+
+                // aᵀ · b with `a` read as m × k: k accumulator rows of n lanes.
+                let b = Matrix::from_fn(m, n, |i, j| ((i * 5 + j * 3) as f64 * 0.71).cos());
+                let seed = Matrix::from_fn(k, n, |i, j| ((i + j * 19) as f64 * 0.11).sin());
+                let mut acc = seed.clone();
+                a.matmul_tn_acc(&b, &mut acc);
+                let mut reference = seed;
+                reference_tn_acc(&a, &b, &mut reference);
+                assert_same_bits(&acc, &reference, &format!("{what} TN"));
+                // The same products with the tile rows running over n instead of k.
+                let wide = Matrix::from_fn(m, n, |i, j| ((i * 3 + j) as f64 * 0.29).sin());
+                let narrow = Matrix::from_fn(m, k, |i, j| ((i + j * 2) as f64 * 0.53).cos());
+                let mut acc = Matrix::zeros(n, k);
+                wide.matmul_tn_acc(&narrow, &mut acc);
+                let mut reference = Matrix::zeros(n, k);
+                reference_tn_acc(&wide, &narrow, &mut reference);
+                assert_same_bits(&acc, &reference, &format!("{what} TN rows"));
+            }
+            FORCED_ISA.with(|forced| forced.set(None));
         }
     }
 }
@@ -1017,8 +1116,9 @@ mod isa_tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// Output widths straddling the single-row tile widths (16/32/64) and `NR`.
-    const EDGE_WIDTHS: [usize; 8] = [15, 31, 33, 63, 64, 65, 129, 256];
+    /// Output widths straddling the single-row tile widths (16/32/64), the 4-row tile
+    /// widths (8/16) and the 8-lane tail.
+    const EDGE_WIDTHS: [usize; 12] = [15, 16, 17, 31, 32, 33, 48, 63, 64, 65, 129, 256];
 
     /// Run `f` with every kernel on this thread forced to level `isa`.
     fn at_level<R>(isa: Isa, f: impl FnOnce() -> R) -> R {
@@ -1105,7 +1205,7 @@ mod isa_tests {
 
         #[test]
         fn nn_matches_the_scalar_reference_at_every_level(
-            dims in (1usize..10, 1usize..40, 0usize..8, 0usize..24, 0u64..1_000_000),
+            dims in (1usize..10, 1usize..40, 0..EDGE_WIDTHS.len(), 0usize..24, 0u64..1_000_000),
         ) {
             // m < 4 runs only the single-row tiles; m ≥ 4 mixes MR tiles and edge rows.
             let (m, k, wi, extra, seed) = dims;
@@ -1123,7 +1223,7 @@ mod isa_tests {
 
         #[test]
         fn tn_acc_matches_the_scalar_reference_at_every_level(
-            dims in (1usize..24, 1usize..14, 0usize..8, 0usize..24, 0u64..1_000_000),
+            dims in (1usize..24, 1usize..14, 0..EDGE_WIDTHS.len(), 0usize..24, 0u64..1_000_000),
         ) {
             let (m, ja, wi, extra, seed) = dims;
             for n in [EDGE_WIDTHS[wi], extra + 1] {

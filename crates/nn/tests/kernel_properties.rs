@@ -73,6 +73,43 @@ fn bits(m: &Matrix) -> Vec<u64> {
     m.data().iter().map(|v| v.to_bits()).collect()
 }
 
+/// Every width on both sides of a 4-row tile's lane widths (16 at AVX-512, 8 below),
+/// the 8-lane tail and the scalar edge columns, at row counts below, at and above the
+/// 4-row tile, through the kernels of the level this CPU dispatches to.
+#[test]
+fn tile_edge_widths_match_the_scalar_references_bitwise() {
+    for (salt, rows) in [3usize, 4, 5, 8, 9].into_iter().enumerate() {
+        for width in [15usize, 16, 17, 31, 32, 33, 48] {
+            for k in [1usize, 7, 16] {
+                let seed = (salt * 1000 + width * 10 + k) as u64;
+                let a = fill(rows, k, seed);
+                let b = fill(k, width, seed ^ 0x5bd1);
+                let mut out = fill(2, 2, seed);
+                a.matmul_into(&b, &mut out);
+                assert_eq!(bits(&out), bits(&reference_nn(&a, &b)), "NN {rows}x{k}x{width}");
+
+                // Lanes over `width`, then tile rows over `width`.
+                for (left, right) in [
+                    (fill(rows, k, seed ^ 0x11), fill(rows, width, seed ^ 0x22)),
+                    (fill(rows, width, seed ^ 0x33), fill(rows, k, seed ^ 0x44)),
+                ] {
+                    let mut blocked = fill(left.cols(), right.cols(), seed ^ 0x27d4);
+                    let mut reference = blocked.clone();
+                    left.matmul_tn_acc(&right, &mut blocked);
+                    reference_tn_acc(&left, &right, &mut reference);
+                    assert_eq!(
+                        bits(&blocked),
+                        bits(&reference),
+                        "TN {rows}x{}ᵀ·{rows}x{}",
+                        left.cols(),
+                        right.cols()
+                    );
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
