@@ -26,6 +26,28 @@ pub struct DuelingQNetwork {
     value_head: DenseLayer,
     advantage_head: DenseLayer,
     n_actions: usize,
+    train: CombineBuffers,
+}
+
+/// The training buffers of the dueling combine and of its backward pass, overwritten by
+/// every pass (allocations reused).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct CombineBuffers {
+    q: Matrix,
+    grad_v: Matrix,
+    grad_a: Matrix,
+    grad_h: Matrix,
+}
+
+impl CombineBuffers {
+    fn new() -> Self {
+        Self {
+            q: Matrix::zeros(1, 1),
+            grad_v: Matrix::zeros(1, 1),
+            grad_a: Matrix::zeros(1, 1),
+            grad_h: Matrix::zeros(1, 1),
+        }
+    }
 }
 
 impl DuelingQNetwork {
@@ -58,6 +80,7 @@ impl DuelingQNetwork {
             value_head,
             advantage_head,
             n_actions,
+            train: CombineBuffers::new(),
         }
     }
 
@@ -128,8 +151,12 @@ impl DuelingQNetwork {
 
     /// Inference-only forward pass producing the Q-values for a batch of states.
     pub fn forward(&self, input: &Matrix) -> Matrix {
-        let mut h = input.clone();
-        for layer in &self.trunk {
+        let (first, rest) = self
+            .trunk
+            .split_first()
+            .expect("dueling network has a trunk");
+        let mut h = first.forward(input);
+        for layer in rest {
             h = layer.forward(&h);
         }
         let v = self.value_head.forward(&h);
@@ -163,15 +190,25 @@ impl DuelingQNetwork {
         Self::combine_into(value, advantage, out);
     }
 
-    /// Training forward pass (caches activations in every layer).
-    pub fn forward_train(&mut self, input: &Matrix) -> Matrix {
-        let mut h = input.clone();
-        for layer in &mut self.trunk {
-            h = layer.forward_train(&h);
+    /// Training forward pass (caches activations in every layer), returning the
+    /// Q-values. Bit-identical to [`DuelingQNetwork::forward`]; every buffer is reused
+    /// across passes.
+    pub fn forward_train(&mut self, input: &Matrix) -> &Matrix {
+        let Self {
+            trunk,
+            value_head,
+            advantage_head,
+            train,
+            ..
+        } = self;
+        let mut h = input;
+        for layer in trunk.iter_mut() {
+            h = layer.forward_train(h);
         }
-        let v = self.value_head.forward_train(&h);
-        let a = self.advantage_head.forward_train(&h);
-        Self::combine(&v, &a)
+        let v = value_head.forward_train(h);
+        let a = advantage_head.forward_train(h);
+        Self::combine_into(v, a, &mut train.q);
+        &train.q
     }
 
     /// Backward pass from `dL/dQ`. Accumulates gradients in every layer and returns the
@@ -179,21 +216,46 @@ impl DuelingQNetwork {
     ///
     /// With `Q_ij = V_i + A_ij − mean_j A_ij`:
     /// `dL/dV_i = Σ_j dQ_ij` and `dL/dA_ij = dQ_ij − mean_j dQ_ij`.
-    pub fn backward(&mut self, grad_q: &Matrix) -> Matrix {
+    pub fn backward(&mut self, grad_q: &Matrix) -> &Matrix {
+        let Self {
+            trunk,
+            value_head,
+            advantage_head,
+            n_actions,
+            train,
+        } = self;
         let rows = grad_q.rows();
-        let n = self.n_actions as f64;
-        let grad_v = Matrix::from_fn(rows, 1, |i, _| grad_q.row(i).iter().sum());
-        let grad_a = Matrix::from_fn(rows, self.n_actions, |i, j| {
-            let mean: f64 = grad_q.row(i).iter().sum::<f64>() / n;
-            grad_q.get(i, j) - mean
-        });
-        let mut grad_h = self.value_head.backward(&grad_v);
-        grad_h.add_assign(&self.advantage_head.backward(&grad_a));
-        let mut grad = grad_h;
-        for layer in self.trunk.iter_mut().rev() {
-            grad = layer.backward(&grad);
+        let n = *n_actions as f64;
+        train.grad_v.reset_to(rows, 1);
+        train.grad_a.reset_to(rows, *n_actions);
+        for i in 0..rows {
+            let dq = grad_q.row(i);
+            train.grad_v.set(i, 0, dq.iter().sum());
+            let mean: f64 = dq.iter().sum::<f64>() / n;
+            for (g, &d) in train.grad_a.row_mut(i).iter_mut().zip(dq) {
+                *g = d - mean;
+            }
+        }
+        train.grad_h.copy_from(value_head.backward(&train.grad_v));
+        train
+            .grad_h
+            .add_assign(advantage_head.backward(&train.grad_a));
+        let mut grad = &train.grad_h;
+        for layer in trunk.iter_mut().rev() {
+            grad = layer.backward(grad);
         }
         grad
+    }
+
+    /// Drop every training buffer; the next training pass allocates them again.
+    /// Inference never reads them, so a network kept only for inference sheds them.
+    pub fn drop_training_buffers(&mut self) {
+        for layer in &mut self.trunk {
+            layer.drop_training_buffers();
+        }
+        self.value_head.drop_training_buffers();
+        self.advantage_head.drop_training_buffers();
+        self.train = CombineBuffers::new();
     }
 
     /// Reset all accumulated gradients.
@@ -283,7 +345,7 @@ mod tests {
     fn forward_and_forward_train_agree() {
         let mut net = small(3);
         let x = Matrix::from_vec(2, 4, vec![0.5, -0.5, 1.0, 0.0, 0.1, 0.2, 0.3, 0.4]);
-        assert_eq!(net.forward(&x), net.forward_train(&x));
+        assert_eq!(&net.forward(&x), net.forward_train(&x));
     }
 
     #[test]

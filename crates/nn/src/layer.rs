@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// A fully-connected layer: `output = activation(input · W + b)`.
 ///
 /// Weights are stored as an `input_dim × output_dim` matrix so a batch of rows can be
-/// multiplied directly. The layer caches the last forward pass's input and
+/// multiplied directly. The layer caches the last training forward pass's input and
 /// pre-activation, which the backward pass consumes; gradients accumulate in `grad_*`
 /// until [`DenseLayer::clear_gradients`] (or an optimizer step) resets them.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -17,11 +17,23 @@ pub struct DenseLayer {
     weights: Matrix,
     bias: Vec<f64>,
     activation: Activation,
-    // Training caches (not serialized semantically meaningful, but harmless).
-    last_input: Option<Matrix>,
-    last_preactivation: Option<Matrix>,
+    /// `None` until the first [`DenseLayer::forward_train`].
+    train: Option<TrainBuffers>,
     grad_weights: Matrix,
     grad_bias: Vec<f64>,
+}
+
+/// A layer's training buffers: the cached forward pass the backward pass consumes, and
+/// the outputs of both passes. Every pass overwrites them (allocations reused, batch
+/// shape permitting), so nothing is allocated after the first update.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct TrainBuffers {
+    input: Matrix,
+    preactivation: Matrix,
+    output: Matrix,
+    grad_z: Matrix,
+    grad_input: Matrix,
+    column_sums: Vec<f64>,
 }
 
 impl DenseLayer {
@@ -40,8 +52,7 @@ impl DenseLayer {
             weights,
             bias: vec![0.0; output_dim],
             activation,
-            last_input: None,
-            last_preactivation: None,
+            train: None,
             grad_weights: Matrix::zeros(input_dim, output_dim),
             grad_bias: vec![0.0; output_dim],
         }
@@ -105,23 +116,26 @@ impl DenseLayer {
         out.map_assign(|x| self.activation.apply(x));
     }
 
-    /// Training forward pass: caches the input and pre-activation for the backward pass.
-    /// The caches are preallocated across steps — after the first batch no forward pass
-    /// allocates for them again (batch shape permitting).
-    pub fn forward_train(&mut self, input: &Matrix) -> Matrix {
-        let mut z = match self.last_preactivation.take() {
-            Some(buffer) => buffer,
-            None => Matrix::zeros(1, 1),
-        };
-        input.matmul_into(&self.weights, &mut z);
+    /// Training forward pass: caches the input and pre-activation for the backward pass
+    /// and returns the output. Same kernels and op order as [`DenseLayer::forward`], so
+    /// the results are bit-identical; the buffers are reused across passes.
+    pub fn forward_train(&mut self, input: &Matrix) -> &Matrix {
+        let activation = self.activation;
+        let buffers = self.train.get_or_insert_with(|| TrainBuffers {
+            input: Matrix::zeros(1, 1),
+            preactivation: Matrix::zeros(1, 1),
+            output: Matrix::zeros(1, 1),
+            grad_z: Matrix::zeros(1, 1),
+            grad_input: Matrix::zeros(1, 1),
+            column_sums: Vec::new(),
+        });
+        let z = &mut buffers.preactivation;
+        input.matmul_into(&self.weights, z);
         z.add_row_broadcast(&self.bias);
-        let out = z.map(|x| self.activation.apply(x));
-        match &mut self.last_input {
-            Some(cache) => cache.copy_from(input),
-            None => self.last_input = Some(input.clone()),
-        }
-        self.last_preactivation = Some(z);
-        out
+        buffers.output.copy_from(z);
+        buffers.output.map_assign(|x| activation.apply(x));
+        buffers.input.copy_from(input);
+        &buffers.output
     }
 
     /// Backward pass: given `dL/d(output)`, accumulate `dL/dW` and `dL/db` and return
@@ -130,30 +144,42 @@ impl DenseLayer {
     /// # Panics
     /// Panics if no training forward pass preceded this call or the gradient shape does
     /// not match the cached batch.
-    pub fn backward(&mut self, grad_output: &Matrix) -> Matrix {
+    pub fn backward(&mut self, grad_output: &Matrix) -> &Matrix {
         let output_dim = self.output_dim();
         let activation = self.activation;
-        let input = self
-            .last_input
-            .as_ref()
-            .expect("backward called without forward_train");
-        let z = self
-            .last_preactivation
-            .as_ref()
+        let TrainBuffers {
+            input,
+            preactivation,
+            grad_z,
+            grad_input,
+            column_sums,
+            ..
+        } = self
+            .train
+            .as_mut()
             .expect("backward called without forward_train");
         assert_eq!(grad_output.rows(), input.rows(), "batch size mismatch");
         assert_eq!(grad_output.cols(), output_dim, "gradient width mismatch");
 
         // dL/dz = dL/dy * act'(z)
-        let grad_z = grad_output.zip_map(z, |g, zv| g * activation.derivative(zv));
+        grad_z.copy_from(grad_output);
+        grad_z.zip_map_assign(preactivation, |g, zv| g * activation.derivative(zv));
         // dL/dW += input^T · dL/dz, accumulated straight into the gradient buffer with
         // no transposed copy and no temporary; dL/db = column sums of dL/dz.
-        input.matmul_tn_acc(&grad_z, &mut self.grad_weights);
-        for (gb, s) in self.grad_bias.iter_mut().zip(grad_z.column_sums()) {
+        input.matmul_tn_acc(grad_z, &mut self.grad_weights);
+        grad_z.column_sums_into(column_sums);
+        for (gb, s) in self.grad_bias.iter_mut().zip(column_sums.iter()) {
             *gb += s;
         }
         // dL/d(input) = dL/dz · W^T, again without materialising the transpose.
-        grad_z.matmul_nt(&self.weights)
+        grad_z.matmul_nt_into(&self.weights, grad_input);
+        grad_input
+    }
+
+    /// Drop the training buffers (the next [`DenseLayer::forward_train`] allocates them
+    /// again). Inference never reads them.
+    pub fn drop_training_buffers(&mut self) {
+        self.train = None;
     }
 
     /// Reset the accumulated gradients to zero. Overwrites rather than scales: under
@@ -226,7 +252,7 @@ mod tests {
         let x = Matrix::from_vec(2, 3, vec![0.1, -0.2, 0.3, 1.0, 0.5, -0.5]);
         let a = l.forward(&x);
         let b = l.forward_train(&x);
-        assert_eq!(a, b);
+        assert_eq!(&a, b);
     }
 
     #[test]

@@ -81,17 +81,35 @@ impl Loss {
         targets: &[f64],
         weights: Option<&[f64]>,
     ) -> Vec<f64> {
+        let mut out = Vec::with_capacity(predictions.len());
+        self.batch_gradient_into(predictions, targets, weights, &mut out);
+        out
+    }
+
+    /// [`Loss::batch_gradient`] written into `out` (cleared first, allocation reused).
+    ///
+    /// # Panics
+    /// Panics if the slice lengths differ.
+    pub fn batch_gradient_into(
+        self,
+        predictions: &[f64],
+        targets: &[f64],
+        weights: Option<&[f64]>,
+        out: &mut Vec<f64>,
+    ) {
         assert_eq!(predictions.len(), targets.len(), "length mismatch");
         let n = predictions.len().max(1) as f64;
-        predictions
-            .iter()
-            .zip(targets)
-            .enumerate()
-            .map(|(i, (&p, &t))| {
-                let w = weights.map_or(1.0, |w| w[i]);
-                w * self.gradient(p, t) / n
-            })
-            .collect()
+        out.clear();
+        out.extend(
+            predictions
+                .iter()
+                .zip(targets)
+                .enumerate()
+                .map(|(i, (&p, &t))| {
+                    let w = weights.map_or(1.0, |w| w[i]);
+                    w * self.gradient(p, t) / n
+                }),
+        );
     }
 }
 

@@ -760,25 +760,19 @@ impl Matrix {
         }
     }
 
-    /// Element-wise combination of two equally-shaped matrices.
+    /// Element-wise combination in place: every element `x` becomes `f(x, y)` with `y`
+    /// the element at the same position of `other`.
     ///
     /// # Panics
     /// Panics if the shapes differ.
-    pub fn zip_map(&self, other: &Matrix, f: impl Fn(f64, f64) -> f64) -> Matrix {
+    pub fn zip_map_assign(&mut self, other: &Matrix, f: impl Fn(f64, f64) -> f64) {
         assert_eq!(
             (self.rows, self.cols),
             (other.rows, other.cols),
             "shape mismatch"
         );
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self
-                .data
-                .iter()
-                .zip(&other.data)
-                .map(|(&a, &b)| f(a, b))
-                .collect(),
+        for (a, &b) in self.data.iter_mut().zip(&other.data) {
+            *a = f(*a, b);
         }
     }
 
@@ -817,15 +811,17 @@ impl Matrix {
         }
     }
 
-    /// Column-wise sums (used for bias gradients).
-    pub fn column_sums(&self) -> Vec<f64> {
-        let mut sums = vec![0.0; self.cols];
+    /// Column-wise sums (used for bias gradients) written into `sums` (resized to the
+    /// column count, allocation reused). Each sum starts from `0.0` and adds the rows in
+    /// order.
+    pub fn column_sums_into(&self, sums: &mut Vec<f64>) {
+        sums.clear();
+        sums.resize(self.cols, 0.0);
         for i in 0..self.rows {
             for (s, &v) in sums.iter_mut().zip(self.row(i)) {
                 *s += v;
             }
         }
-        sums
     }
 
     /// Mean of all elements.
@@ -954,7 +950,9 @@ mod tests {
         let a = Matrix::from_vec(1, 3, vec![1.0, -2.0, 3.0]);
         let b = Matrix::from_vec(1, 3, vec![10.0, 20.0, 30.0]);
         assert_eq!(a.map(|x| x * 2.0).data(), &[2.0, -4.0, 6.0]);
-        assert_eq!(a.zip_map(&b, |x, y| x + y).data(), &[11.0, 18.0, 33.0]);
+        let mut c = a.clone();
+        c.zip_map_assign(&b, |x, y| x * 10.0 + y);
+        assert_eq!(c.data(), &[20.0, 0.0, 60.0]);
         let mut c = a.clone();
         c.add_assign(&b);
         assert_eq!(c.data(), &[11.0, 18.0, 33.0]);
@@ -967,7 +965,9 @@ mod tests {
         let mut m = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
         m.add_row_broadcast(&[10.0, 20.0]);
         assert_eq!(m.data(), &[11.0, 22.0, 13.0, 24.0]);
-        assert_eq!(m.column_sums(), vec![24.0, 46.0]);
+        let mut sums = vec![7.0; 5];
+        m.column_sums_into(&mut sums);
+        assert_eq!(sums, vec![24.0, 46.0]);
     }
 
     #[test]
@@ -1046,7 +1046,11 @@ mod tests {
     }
 
     fn assert_same_bits(got: &Matrix, want: &Matrix, what: &str) {
-        assert_eq!((got.rows(), got.cols()), (want.rows(), want.cols()), "{what}");
+        assert_eq!(
+            (got.rows(), got.cols()),
+            (want.rows(), want.cols()),
+            "{what}"
+        );
         for (x, y) in got.data().iter().zip(want.data()) {
             assert_eq!(x.to_bits(), y.to_bits(), "{what} diverged");
         }

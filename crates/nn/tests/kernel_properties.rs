@@ -86,7 +86,11 @@ fn tile_edge_widths_match_the_scalar_references_bitwise() {
                 let b = fill(k, width, seed ^ 0x5bd1);
                 let mut out = fill(2, 2, seed);
                 a.matmul_into(&b, &mut out);
-                assert_eq!(bits(&out), bits(&reference_nn(&a, &b)), "NN {rows}x{k}x{width}");
+                assert_eq!(
+                    bits(&out),
+                    bits(&reference_nn(&a, &b)),
+                    "NN {rows}x{k}x{width}"
+                );
 
                 // Lanes over `width`, then tile rows over `width`.
                 for (left, right) in [

@@ -9,6 +9,7 @@
 //! while the target network provides its value, which removes the max-operator
 //! overestimation bias.
 
+use crate::metrics::UpdatePhase;
 use crate::per::{PrioritizedReplay, SampledBatch};
 use crate::schedule::{BetaSchedule, EpsilonSchedule};
 use crate::transition::Transition;
@@ -68,6 +69,16 @@ impl Default for InferenceScratch {
     fn default() -> Self {
         Self::new()
     }
+}
+
+/// [`greedy_action`] of `net` on one state, through the preallocated forward path of
+/// `scratch`: bit-identical Q-values to `net.predict_one(state)` (same kernels).
+fn greedy_with(net: &DuelingQNetwork, state: &[f64], scratch: &mut InferenceScratch) -> usize {
+    let InferenceScratch { input, forward, q } = scratch;
+    input.reset_to(1, state.len());
+    input.row_mut(0).copy_from_slice(state);
+    net.forward_batch_into(input, forward, q);
+    greedy_action(q.row(0))
 }
 
 /// Configuration of a [`DqnAgent`].
@@ -228,6 +239,42 @@ pub struct DqnAgent {
     loss: Loss,
     last_loss: Option<f64>,
     compacted: bool,
+    /// Buffers of one update, overwritten by every `train_step` and never observable.
+    update: UpdateBuffers,
+    /// Scratch of the greedy forward pass inside `act`.
+    act_scratch: InferenceScratch,
+}
+
+/// The buffers [`DqnAgent::train_step`] reuses across updates: the sampled batch, the
+/// next-state forward scratch and Q-values, the TD targets, predictions, errors and
+/// gradients, and `dL/dQ`.
+#[derive(Debug, Clone)]
+struct UpdateBuffers {
+    batch: SampledBatch,
+    forward: BatchScratch,
+    q_target_next: Matrix,
+    q_online_next: Matrix,
+    targets: Vec<f64>,
+    predictions: Vec<f64>,
+    td_errors: Vec<f64>,
+    grads: Vec<f64>,
+    grad_q: Matrix,
+}
+
+impl UpdateBuffers {
+    fn new() -> Self {
+        Self {
+            batch: SampledBatch::new(),
+            forward: BatchScratch::new(),
+            q_target_next: Matrix::zeros(1, 1),
+            q_online_next: Matrix::zeros(1, 1),
+            targets: Vec::new(),
+            predictions: Vec::new(),
+            td_errors: Vec::new(),
+            grads: Vec::new(),
+            grad_q: Matrix::zeros(1, 1),
+        }
+    }
 }
 
 impl DqnAgent {
@@ -255,6 +302,8 @@ impl DqnAgent {
             loss: Loss::huber(),
             last_loss: None,
             compacted: false,
+            update: UpdateBuffers::new(),
+            act_scratch: InferenceScratch::new(),
         }
     }
 
@@ -264,12 +313,15 @@ impl DqnAgent {
     }
 
     /// Shrink a trained agent to its inference footprint by dropping the accumulated
-    /// replay memory (a fresh minimal buffer keeps the agent valid). Greedy inference
-    /// (`q_values` / `act_greedy`) is unaffected; only further training would differ.
-    /// The parallel hyperparameter search compacts every candidate policy so a round
-    /// of trained agents does not pin one filled replay buffer per candidate.
+    /// replay memory (a fresh minimal buffer keeps the agent valid) and the training
+    /// buffers of the update and of the online network. Greedy inference (`q_values` /
+    /// `act_greedy`) is unaffected; only further training would differ. The parallel
+    /// hyperparameter search compacts every candidate policy so a round of trained
+    /// agents does not pin one filled replay buffer per candidate.
     pub fn compact_for_inference(&mut self) {
         self.replay = PrioritizedReplay::new(1, self.config.per_alpha);
+        self.update = UpdateBuffers::new();
+        self.online.drop_training_buffers();
         self.compacted = true;
     }
 
@@ -346,18 +398,17 @@ impl DqnAgent {
     /// single-row batch and runs the preallocated forward path. Bit-identical decision
     /// to `act_greedy` (same kernels, same tie rule).
     pub fn act_greedy_with(&self, state: &[f64], scratch: &mut InferenceScratch) -> usize {
-        let input = scratch.input_mut(1, state.len());
-        input.row_mut(0).copy_from_slice(state);
-        greedy_action(self.q_values_batch(scratch).row(0))
+        greedy_with(&self.online, state, scratch)
     }
 
-    /// ε-greedy action for training.
+    /// ε-greedy action for training. The greedy branch runs through the agent's own
+    /// inference scratch, with the decision of [`DqnAgent::act_greedy`].
     pub fn act(&mut self, state: &[f64]) -> usize {
         let eps = self.epsilon();
         if self.rng.gen::<f64>() < eps {
             self.rng.gen_range(0..self.config.n_actions)
         } else {
-            self.act_greedy(state)
+            greedy_with(&self.online, state, &mut self.act_scratch)
         }
     }
 
@@ -386,7 +437,9 @@ impl DqnAgent {
     }
 
     /// Run one gradient update on a replayed mini-batch. Returns the batch loss, or
-    /// `None` if the replay memory does not yet hold enough transitions.
+    /// `None` if the replay memory does not yet hold enough transitions. Every buffer of
+    /// the update is the agent's own and reused, so an update allocates nothing once
+    /// the batch shapes have been seen.
     pub fn train_step(&mut self) -> Option<f64> {
         debug_assert!(
             !self.compacted,
@@ -396,108 +449,100 @@ impl DqnAgent {
         if self.replay.len() < batch_size {
             return None;
         }
-
-        use crate::metrics::UpdatePhase;
         let m = crate::metrics::metrics();
+        let UpdateBuffers {
+            batch,
+            forward,
+            q_target_next,
+            q_online_next,
+            targets,
+            predictions,
+            td_errors,
+            grads,
+            grad_q,
+        } = &mut self.update;
+
         // Sample a prioritized batch with its importance-sampling weights.
         let beta = self.config.beta.value(self.updates);
-        let span = m.phase(UpdatePhase::Sample).span();
-        let SampledBatch {
-            indices,
-            weights,
-            transitions,
-        } = self.replay.sample(batch_size, beta, &mut self.rng);
-        drop(span);
-        if transitions.is_empty() {
+        {
+            let _span = m.phase(UpdatePhase::Sample).span();
+            self.replay.sample(batch_size, beta, &mut self.rng, batch);
+        }
+        if batch.is_empty() {
             return None;
         }
-        let n = transitions.len();
+        let n = batch.len();
 
-        let span = m.phase(UpdatePhase::Assemble).span();
-        // Assemble the state batch and the TD targets.
-        let state_dim = self.config.state_dim;
-        let mut states = Matrix::zeros(n, state_dim);
-        for (i, t) in transitions.iter().enumerate() {
-            states.row_mut(i).copy_from_slice(&t.state);
-        }
-
-        // Next-state values for the non-terminal transitions.
-        let non_terminal: Vec<usize> = transitions
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| !t.is_terminal())
-            .map(|(i, _)| i)
-            .collect();
-        let mut next_values = vec![0.0; n];
-        drop(span);
-        if !non_terminal.is_empty() {
-            let mut next_states = Matrix::zeros(non_terminal.len(), state_dim);
-            for (row, &i) in non_terminal.iter().enumerate() {
-                next_states
-                    .row_mut(row)
-                    .copy_from_slice(transitions[i].next_state.as_ref().expect("non-terminal"));
+        // Next-state values for the non-terminal transitions (zero for the terminal
+        // ones). Double Q-learning: the online network picks a*, the target network
+        // values it.
+        targets.clear();
+        targets.resize(n, 0.0);
+        if !batch.non_terminal.is_empty() {
+            {
+                let _span = m.phase(UpdatePhase::TargetNext).span();
+                self.target
+                    .forward_batch_into(&batch.next_states, forward, q_target_next);
             }
-            // Double Q-learning: the online network picks a*, the target network
-            // values it.
-            let span = m.phase(UpdatePhase::TargetNext).span();
-            let q_target_next = self.target.forward(&next_states);
-            drop(span);
-            let span = m.phase(UpdatePhase::OnlineNext).span();
-            let q_online_next = self.online.forward(&next_states);
-            drop(span);
-            for (row, &i) in non_terminal.iter().enumerate() {
+            {
+                let _span = m.phase(UpdatePhase::OnlineNext).span();
+                self.online
+                    .forward_batch_into(&batch.next_states, forward, q_online_next);
+            }
+            for (row, &i) in batch.non_terminal.iter().enumerate() {
                 let a_star = q_online_next.row_argmax(row);
-                next_values[i] = q_target_next.get(row, a_star);
+                targets[i] = q_target_next.get(row, a_star);
             }
         }
-
-        let targets: Vec<f64> = transitions
-            .iter()
-            .enumerate()
-            .map(|(i, t)| t.reward + self.config.gamma * next_values[i])
-            .collect();
 
         // Forward the online network, compute the action-gated gradient and step.
-        let span = m.phase(UpdatePhase::ForwardTrain).span();
-        let q_online = self.online.forward_train(&states);
-        drop(span);
-        let span = m.phase(UpdatePhase::Assemble).span();
-        let predictions: Vec<f64> = transitions
-            .iter()
-            .enumerate()
-            .map(|(i, t)| q_online.get(i, t.action))
-            .collect();
-        let td_errors: Vec<f64> = predictions
-            .iter()
-            .zip(&targets)
-            .map(|(&p, &y)| p - y)
-            .collect();
-        let loss_value = self
-            .loss
-            .batch_value(&predictions, &targets, Some(&weights));
-        let per_sample_grads = self
-            .loss
-            .batch_gradient(&predictions, &targets, Some(&weights));
-        let mut grad_q = Matrix::zeros(n, self.config.n_actions);
-        for (i, t) in transitions.iter().enumerate() {
-            grad_q.set(i, t.action, per_sample_grads[i]);
+        let q_online = {
+            let _span = m.phase(UpdatePhase::ForwardTrain).span();
+            self.online.forward_train(&batch.states)
+        };
+        let loss_value = {
+            let _span = m.phase(UpdatePhase::Assemble).span();
+            let gamma = self.config.gamma;
+            for (target, &reward) in targets.iter_mut().zip(&batch.rewards) {
+                *target = reward + gamma * *target;
+            }
+            predictions.clear();
+            predictions.extend(
+                batch
+                    .actions
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &a)| q_online.get(i, a)),
+            );
+            td_errors.clear();
+            td_errors.extend(predictions.iter().zip(targets.iter()).map(|(&p, &y)| p - y));
+            let weights = Some(&batch.weights[..]);
+            self.loss
+                .batch_gradient_into(predictions, targets, weights, grads);
+            grad_q.reset_to(n, self.config.n_actions);
+            for (i, (&a, &g)) in batch.actions.iter().zip(grads.iter()).enumerate() {
+                grad_q.set(i, a, g);
+            }
+            self.loss.batch_value(predictions, targets, weights)
+        };
+        {
+            let _span = m.phase(UpdatePhase::Backward).span();
+            self.online.backward(grad_q);
         }
-        drop(span);
-        let span = m.phase(UpdatePhase::Backward).span();
-        let _ = self.online.backward(&grad_q);
-        drop(span);
-        let span = m.phase(UpdatePhase::Adam).span();
-        self.online.apply_gradients(&mut self.optimizer);
-        drop(span);
+        {
+            let _span = m.phase(UpdatePhase::Adam).span();
+            self.online.apply_gradients(&mut self.optimizer);
+        }
 
         // Refresh priorities and the target network.
-        let span = m.phase(UpdatePhase::Priorities).span();
-        self.replay.update_priorities(&indices, &td_errors);
-        drop(span);
+        {
+            let _span = m.phase(UpdatePhase::Priorities).span();
+            self.replay.update_priorities(&batch.indices, td_errors);
+        }
         if uerl_obs::enabled() {
             m.updates.inc();
             m.replay_len.set(self.replay.len() as f64);
-            for &e in &td_errors {
+            for &e in td_errors.iter() {
                 m.td_error_micros.record_micros(e);
             }
         }

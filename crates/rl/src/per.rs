@@ -10,16 +10,59 @@
 use crate::sumtree::SumTree;
 use crate::transition::Transition;
 use rand::Rng;
+use uerl_nn::Matrix;
 
-/// A batch sampled from prioritized replay.
+/// A batch sampled from prioritized replay, its rows copied out of the buffer. One
+/// batch is reused across samples: [`PrioritizedReplay::sample`] overwrites every field
+/// (allocations reused).
 #[derive(Debug, Clone)]
 pub struct SampledBatch {
     /// Buffer slots of the sampled transitions (pass back to `update_priorities`).
     pub indices: Vec<usize>,
     /// Normalised importance-sampling weights (max weight = 1).
     pub weights: Vec<f64>,
-    /// The sampled transitions, cloned out of the buffer.
-    pub transitions: Vec<Transition>,
+    /// Row `i` is the state of sample `i`.
+    pub states: Matrix,
+    /// The action of each sample.
+    pub actions: Vec<usize>,
+    /// The reward of each sample.
+    pub rewards: Vec<f64>,
+    /// The samples that have a next state, as ascending batch positions.
+    pub non_terminal: Vec<usize>,
+    /// Row `r` is the next state of sample `non_terminal[r]`. Stale when
+    /// `non_terminal` is empty: a matrix has at least one row.
+    pub next_states: Matrix,
+}
+
+impl SampledBatch {
+    /// An empty batch; the buffers are sized by the first sample.
+    pub fn new() -> Self {
+        Self {
+            indices: Vec::new(),
+            weights: Vec::new(),
+            states: Matrix::zeros(1, 1),
+            actions: Vec::new(),
+            rewards: Vec::new(),
+            non_terminal: Vec::new(),
+            next_states: Matrix::zeros(1, 1),
+        }
+    }
+
+    /// Number of samples.
+    pub fn len(&self) -> usize {
+        self.indices.len()
+    }
+
+    /// Whether the last sample drew nothing (an empty or degenerate replay).
+    pub fn is_empty(&self) -> bool {
+        self.indices.is_empty()
+    }
+}
+
+impl Default for SampledBatch {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 /// Prioritized experience replay memory.
@@ -110,25 +153,31 @@ impl PrioritizedReplay {
         self.tree.set(slot, magnitude.powf(self.alpha));
     }
 
-    /// Sample `batch` transitions proportionally to priority; `beta` controls the
-    /// strength of the importance-sampling correction (1 = full correction).
-    pub fn sample<R: Rng + ?Sized>(&self, batch: usize, beta: f64, rng: &mut R) -> SampledBatch {
+    /// Sample `batch` transitions proportionally to priority into `out`, copying each
+    /// one's rows straight into its matrices; `beta` controls the strength of the
+    /// importance-sampling correction (1 = full correction). `out` is left empty when
+    /// the memory is empty or its priorities are degenerate.
+    pub fn sample<R: Rng + ?Sized>(
+        &self,
+        batch: usize,
+        beta: f64,
+        rng: &mut R,
+        out: &mut SampledBatch,
+    ) {
+        out.indices.clear();
+        out.weights.clear();
+        out.actions.clear();
+        out.rewards.clear();
+        out.non_terminal.clear();
         let n = self.transitions.len();
         let total = self.tree.total();
         // Guard the degenerate trees (empty, all-zero, or a sum corrupted to NaN/inf —
         // e.g. after an unguarded priority write): sampling from them would divide by
         // zero below and poison every importance weight.
         if n == 0 || !total.is_finite() || total <= 0.0 {
-            return SampledBatch {
-                indices: Vec::new(),
-                weights: Vec::new(),
-                transitions: Vec::new(),
-            };
+            return;
         }
         let beta = beta.clamp(0.0, 1.0);
-        let mut indices = Vec::with_capacity(batch);
-        let mut weights = Vec::with_capacity(batch);
-        let mut transitions = Vec::with_capacity(batch);
         // Weight normalisation uses the maximum weight over the buffer, which corresponds
         // to the minimum sampling probability. The priority floor guarantees every
         // stored slot has a strictly positive priority (the all-floor edge included), so
@@ -162,14 +211,32 @@ impl PrioritizedReplay {
                 "importance weight {weight} outside (0, 1] — sum-tree drift or a \
                  zero-priority slot was sampled (prob {prob}, min_prob {min_prob})"
             );
-            indices.push(idx);
-            weights.push(weight);
-            transitions.push(self.transitions[idx].clone());
+            out.indices.push(idx);
+            out.weights.push(weight);
         }
-        SampledBatch {
-            indices,
-            weights,
-            transitions,
+
+        let Some(&first) = out.indices.first() else {
+            return;
+        };
+        let dim = self.transitions[first].state_dim();
+        out.states.reset_to(out.indices.len(), dim);
+        for (i, &idx) in out.indices.iter().enumerate() {
+            let t = &self.transitions[idx];
+            out.states.row_mut(i).copy_from_slice(&t.state);
+            out.actions.push(t.action);
+            out.rewards.push(t.reward);
+            if !t.is_terminal() {
+                out.non_terminal.push(i);
+            }
+        }
+        if !out.non_terminal.is_empty() {
+            out.next_states.reset_to(out.non_terminal.len(), dim);
+            for (row, &i) in out.non_terminal.iter().enumerate() {
+                let next = self.transitions[out.indices[i]].next_state.as_deref();
+                out.next_states
+                    .row_mut(row)
+                    .copy_from_slice(next.expect("non-terminal"));
+            }
         }
     }
 
@@ -200,6 +267,49 @@ mod tests {
         Transition::terminal(vec![id], 0, id)
     }
 
+    fn sample(per: &PrioritizedReplay, batch: usize, beta: f64, rng: &mut StdRng) -> SampledBatch {
+        let mut out = SampledBatch::new();
+        per.sample(batch, beta, rng, &mut out);
+        out
+    }
+
+    #[test]
+    fn sampled_rows_are_the_stored_transitions() {
+        // Two-feature states, every third transition terminal; one batch reused across
+        // samples of different sizes and terminal mixes.
+        let mut per = PrioritizedReplay::new(16, 0.6);
+        for i in 0..12 {
+            let state = vec![i as f64, -(i as f64)];
+            per.push(if i % 3 == 0 {
+                Transition::terminal(state, i % 2, i as f64)
+            } else {
+                Transition::new(state, i % 2, i as f64, vec![i as f64 + 0.5, 1.0])
+            });
+        }
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut batch = SampledBatch::new();
+        for size in [9, 3, 20, 1] {
+            per.sample(size, 0.4, &mut rng, &mut batch);
+            assert_eq!(batch.len(), size);
+            assert_eq!((batch.states.rows(), batch.states.cols()), (size, 2));
+            let mut next_row = 0;
+            for (i, &slot) in batch.indices.iter().enumerate() {
+                let t = &per.transitions[slot];
+                assert_eq!(batch.states.row(i), &t.state[..]);
+                assert_eq!((batch.actions[i], batch.rewards[i]), (t.action, t.reward));
+                if let Some(next) = &t.next_state {
+                    assert_eq!(batch.non_terminal[next_row], i);
+                    assert_eq!(batch.next_states.row(next_row), &next[..]);
+                    next_row += 1;
+                }
+            }
+            assert_eq!(batch.non_terminal.len(), next_row);
+            if next_row > 0 {
+                assert_eq!(batch.next_states.rows(), next_row);
+            }
+        }
+    }
+
     #[test]
     fn push_and_len_with_eviction() {
         let mut per = PrioritizedReplay::new(2, 0.6);
@@ -214,8 +324,8 @@ mod tests {
     fn sampling_empty_returns_empty_batch() {
         let per = PrioritizedReplay::new(4, 0.6);
         let mut rng = StdRng::seed_from_u64(1);
-        let b = per.sample(8, 0.4, &mut rng);
-        assert!(b.indices.is_empty() && b.weights.is_empty() && b.transitions.is_empty());
+        let b = sample(&per, 8, 0.4, &mut rng);
+        assert!(b.is_empty() && b.weights.is_empty() && b.actions.is_empty());
     }
 
     #[test]
@@ -227,7 +337,7 @@ mod tests {
         // Give slot 3 a much larger TD error.
         per.update_priorities(&[0, 1, 2, 3], &[0.01, 0.01, 0.01, 10.0]);
         let mut rng = StdRng::seed_from_u64(2);
-        let batch = per.sample(5000, 0.4, &mut rng);
+        let batch = sample(&per, 5000, 0.4, &mut rng);
         let hot = batch.indices.iter().filter(|&&i| i == 3).count();
         assert!(
             hot as f64 / batch.indices.len() as f64 > 0.9,
@@ -244,7 +354,7 @@ mod tests {
         }
         per.update_priorities(&[0, 1, 2, 3], &[0.01, 0.01, 0.01, 10.0]);
         let mut rng = StdRng::seed_from_u64(3);
-        let batch = per.sample(8000, 1.0, &mut rng);
+        let batch = sample(&per, 8000, 1.0, &mut rng);
         let counts = (0..4)
             .map(|k| batch.indices.iter().filter(|&&i| i == k).count())
             .collect::<Vec<_>>();
@@ -265,7 +375,7 @@ mod tests {
         }
         per.update_priorities(&[0, 1, 2, 3], &[0.1, 0.1, 0.1, 5.0]);
         let mut rng = StdRng::seed_from_u64(4);
-        let batch = per.sample(2000, 1.0, &mut rng);
+        let batch = sample(&per, 2000, 1.0, &mut rng);
         assert!(batch.weights.iter().all(|&w| w > 0.0 && w <= 1.0 + 1e-12));
         // Weights of the over-sampled slot must be below those of rare slots.
         let hot: Vec<f64> = batch
@@ -298,7 +408,7 @@ mod tests {
         // sampled promptly even before its TD error is known.
         per.push(t(1.0));
         let mut rng = StdRng::seed_from_u64(5);
-        let batch = per.sample(4000, 0.4, &mut rng);
+        let batch = sample(&per, 4000, 0.4, &mut rng);
         let fresh = batch.indices.iter().filter(|&&i| i == 1).count();
         assert!(fresh as f64 / batch.indices.len() as f64 > 0.3);
     }
@@ -348,7 +458,7 @@ mod tests {
         per.update_priorities(&indices, &[0.0; 8]);
         let mut rng = StdRng::seed_from_u64(6);
         for beta in [0.0, 0.4, 1.0] {
-            let batch = per.sample(64, beta, &mut rng);
+            let batch = sample(&per, 64, beta, &mut rng);
             assert_eq!(batch.weights.len(), 64);
             for &w in &batch.weights {
                 assert!(w.is_finite());
@@ -369,7 +479,7 @@ mod tests {
         let errors: Vec<f64> = (0..16).map(|i| 10f64.powi(i - 8)).collect();
         per.update_priorities(&indices, &errors);
         let mut rng = StdRng::seed_from_u64(7);
-        let batch = per.sample(2000, 1.0, &mut rng);
+        let batch = sample(&per, 2000, 1.0, &mut rng);
         for &w in &batch.weights {
             assert!(w.is_finite() && w > 0.0 && w <= 1.0 + 1e-9, "weight {w}");
         }
