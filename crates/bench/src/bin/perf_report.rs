@@ -5,9 +5,12 @@
 //! search, a `halving_vs_exhaustive` comparison (the paper's 60+20 candidate search,
 //! whose training steps are compared against training each of its candidates to
 //! completion, with the survivor trace in the fingerprint), a `matmul_kernels`
-//! microbench (the cache-blocked `Matrix` kernel family at serving- and training-shaped
-//! GEMMs, with the output bits in the fingerprint and GFLOP/s plus the dispatched
-//! instruction-set level in the JSON), a `setup_text` stage (the scale's error and job
+//! microbench (the cache-blocked `Matrix` kernel family at serving-shaped GEMMs and at
+//! the paper trunk's 64-row training GEMMs, with the output bits in the fingerprint and
+//! per-shape GFLOP/s plus the dispatched instruction-set level in the JSON), a
+//! `train_update` stage (the paper agent's `train_step` with every phase span recording:
+//! updates/s and the per-phase time of an update in the JSON, the trained bits in the
+//! fingerprint), a `setup_text` stage (the scale's error and job
 //! logs rendered to text once, untimed, then parsed and indexed as a deployment starts:
 //! mcelog parse, preprocess, timelines, sacct parse and job sampler, with a digest of
 //! the timeline set in the fingerprint and the step times plus the mcelog parse rate in
@@ -21,13 +24,15 @@
 //! most 3% throughput and must not move a single served bit; a third leg adds shadow
 //! policies and lands their counterfactual scoreboard plus the cost regret in the
 //! JSON) at the selected `UERL_SCALE` (default `small`) twice — once pinned to a
-//! single thread and once with the ambient thread count — and writes `BENCH_PR10.json`
-//! with per-stage wall times,
+//! single thread and once with the ambient thread count. It prints every stage's
+//! fingerprint and writes a JSON report (to `target/perf_report/BENCH.json`, or to the
+//! path in `UERL_BENCH_OUT`) with per-stage wall times and fingerprints,
 //! the thread count, the speedup, whether the stage output was byte-identical across
 //! thread counts (it must be: every parallel fan-out in the engine merges in
 //! deterministic order), the halving-vs-exhaustive training-step totals (the search
 //! must train strictly fewer) and the serving events/sec + parity flag (served decisions and
-//! costs must be bit-identical to the offline evaluator).
+//! costs must be bit-identical to the offline evaluator). A stage's fingerprint
+//! compares across commits as printed: an unchanged fingerprint is unchanged output.
 //!
 //! The checked-in baseline may come from a **single-core container**, where every
 //! parallel call short-circuits to the serial path (speedup ≈ 1.0 by construction);

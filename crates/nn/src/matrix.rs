@@ -17,8 +17,11 @@
 //!   tile of `W` contiguous lanes, then [`TAIL_LANES`] lanes, then scalar columns. `W`
 //!   and `NR` are sized to the instruction set (see below).
 //! - `matmul_tn_acc`: [`MR`] accumulator rows × `NR` lanes, then narrower edges.
-//! - `matmul_nt` / `matmul_nt_into`: [`NT_OUTS`] dot products per pass over the left
-//!   row, then single dot products for the `n % NT_OUTS` edge outputs.
+//! - `matmul_nt` / `matmul_nt_into`: each block of `NR` outputs (rows of the right
+//!   operand) is packed once into a panel of `NR`-lane columns, and [`MR`]-row tiles run
+//!   through it one interleaved partial sum at a time; the `m % MR` edge rows and the
+//!   `n % NR` edge outputs run [`NT_OUTS`] dot products per pass over the left row,
+//!   then single dot products.
 //!
 //! The load-bearing invariant is that the **per-output-element reduction order is a
 //! function of the inner dimension only** — never of the batch size, the tile the
@@ -61,7 +64,7 @@
 //! | AVX-512  | 64             | 16              |
 //!
 //! `W` carries a batch-1 forward pass; `NR` carries the 64-row products of a training
-//! update.
+//! update, `matmul_nt`'s panel tiles included.
 //!
 //! The results do not depend on the level, bit for bit. The kernels use plain
 //! mul-then-add: `fma` is never enabled and `mul_add` never called, and Rust never
@@ -83,6 +86,11 @@ const TAIL_LANES: usize = 8;
 const DOT_LANES: usize = 8;
 /// Dot products the `matmul_nt` kernel computes per pass over the left row.
 const NT_OUTS: usize = 4;
+thread_local! {
+    /// The packed `matmul_nt` panel: `k` rows of `NR` lanes, overwritten by every
+    /// product and kept per thread so packing allocates only when `k · NR` grows.
+    static NT_PANEL: std::cell::Cell<Vec<f64>> = const { std::cell::Cell::new(Vec::new()) };
+}
 /// An instruction-set level the product kernels are compiled for.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Isa {
@@ -386,27 +394,100 @@ fn dot_lanes<const O: usize>(x: &[f64], ys: [&[f64]; O]) -> [f64; O] {
     })
 }
 
-/// `out = a · bᵀ` (`m × k` times (`n × k`)ᵀ, all row-major, `out` overwritten):
-/// `out[i, l] = dot(a.row(i), b.row(l))`, both rows contiguous, [`NT_OUTS`] outputs per
-/// pass over `a.row(i)` and each dot in the fixed interleaved-lane order of
-/// [`dot_lanes`].
+/// `out[i0..i0+MR][l0..l0+NR] = a · bᵀ` for one register tile, from `panel`, the
+/// rows `l0..l0+NR` of `b` packed as columns (`panel[k][o] = b[l0+o, k]`). Each
+/// interleaved partial sum `c` of [`dot_lanes`] runs as its own [`MR`] × `NR` pass over
+/// the terms `k ≡ c (mod DOT_LANES)` in ascending order — a broadcast of `a[i, k]`
+/// times a contiguous panel row, as in [`tile_mr`] — and the lanes are combined by the
+/// same fixed tree, so every output has the bits of [`dot_lanes`].
 #[inline(always)]
-fn gemm_nt_body(a: &[f64], b: &[f64], out: &mut [f64], m: usize, kdim: usize, n: usize) {
+#[allow(clippy::too_many_arguments)]
+fn nt_tile<const NR: usize>(
+    a: &[f64],
+    panel: &[[f64; NR]],
+    out: &mut [f64],
+    kdim: usize,
+    n: usize,
+    i0: usize,
+    l0: usize,
+) {
+    let mut lanes = [[[0.0f64; NR]; MR]; DOT_LANES];
+    for (c, lane) in lanes.iter_mut().enumerate() {
+        let mut acc = [[0.0f64; NR]; MR];
+        for kk in (c..kdim).step_by(DOT_LANES) {
+            let prow = &panel[kk];
+            for (r, acc_row) in acc.iter_mut().enumerate() {
+                let av = a[(i0 + r) * kdim + kk];
+                for (s, &pv) in acc_row.iter_mut().zip(prow) {
+                    *s += av * pv;
+                }
+            }
+        }
+        *lane = acc;
+    }
+    for r in 0..MR {
+        let out_row = &mut out[(i0 + r) * n + l0..(i0 + r) * n + l0 + NR];
+        for (o, dst) in out_row.iter_mut().enumerate() {
+            let l = |c: usize| lanes[c][r][o];
+            *dst = ((l(0) + l(1)) + (l(2) + l(3))) + ((l(4) + l(5)) + (l(6) + l(7)));
+        }
+    }
+}
+
+/// `out = a · bᵀ` (`m × k` times (`n × k`)ᵀ, all row-major, `out` overwritten):
+/// `out[i, l] = dot(a.row(i), b.row(l))`, each dot in the fixed interleaved-lane order
+/// of [`dot_lanes`]. Each block of `NR` outputs is packed into a panel once and its
+/// [`MR`]-row tiles run through [`nt_tile`]; the edge rows and the edge outputs run
+/// [`NT_OUTS`] dot products per pass over `a.row(i)`, then single ones.
+#[inline(always)]
+fn gemm_nt_body<const NR: usize>(
+    a: &[f64],
+    b: &[f64],
+    out: &mut [f64],
+    m: usize,
+    kdim: usize,
+    n: usize,
+) {
     debug_assert_eq!(a.len(), m * kdim);
     debug_assert_eq!(b.len(), n * kdim);
     debug_assert_eq!(out.len(), m * n);
+    let (m_tiled, n_tiled) = if m >= MR {
+        (m - m % MR, n - n % NR)
+    } else {
+        (0, 0)
+    };
+    if n_tiled > 0 {
+        // Taken out of the thread-local for the product (no closure, so the packing
+        // and the tiles compile at this body's instruction-set level).
+        let mut buffer = NT_PANEL.take();
+        buffer.resize(kdim * NR, 0.0);
+        let panel = buffer.as_chunks_mut::<NR>().0;
+        for l0 in (0..n_tiled).step_by(NR) {
+            for (o, b_row) in b[l0 * kdim..(l0 + NR) * kdim]
+                .chunks_exact(kdim)
+                .enumerate()
+            {
+                for (column, &v) in panel.iter_mut().zip(b_row) {
+                    column[o] = v;
+                }
+            }
+            for i0 in (0..m_tiled).step_by(MR) {
+                nt_tile::<NR>(a, panel, out, kdim, n, i0, l0);
+            }
+        }
+        NT_PANEL.set(buffer);
+    }
     let b_row = |l: usize| &b[l * kdim..(l + 1) * kdim];
-    let n_full = n - n % NT_OUTS;
     for i in 0..m {
         let a_row = &a[i * kdim..(i + 1) * kdim];
         let out_row = &mut out[i * n..(i + 1) * n];
-        let mut l0 = 0;
-        while l0 < n_full {
+        let mut l0 = if i < m_tiled { n_tiled } else { 0 };
+        while l0 + NT_OUTS <= n {
             let dots = dot_lanes::<NT_OUTS>(a_row, std::array::from_fn(|o| b_row(l0 + o)));
             out_row[l0..l0 + NT_OUTS].copy_from_slice(&dots);
             l0 += NT_OUTS;
         }
-        for (l, o) in out_row.iter_mut().enumerate().skip(n_full) {
+        for (l, o) in out_row.iter_mut().enumerate().skip(l0) {
             *o = dot_lanes::<1>(a_row, [b_row(l)])[0];
         }
     }
@@ -444,8 +525,8 @@ mod x86 {
         gemm_nn_avx512 = gemm_nn_body::<64, 16> @ "avx512f";
         gemm_tn_acc_avx2 = gemm_tn_acc_body::<8> @ "avx2";
         gemm_tn_acc_avx512 = gemm_tn_acc_body::<16> @ "avx512f";
-        gemm_nt_avx2 = gemm_nt_body @ "avx2";
-        gemm_nt_avx512 = gemm_nt_body @ "avx512f";
+        gemm_nt_avx2 = gemm_nt_body::<8> @ "avx2";
+        gemm_nt_avx512 = gemm_nt_body::<16> @ "avx512f";
     }
 }
 
@@ -482,7 +563,7 @@ fn gemm_tn_acc(isa: Isa, a: &[f64], b: &[f64], acc: &mut [f64], m: usize, ja: us
 /// [`gemm_nt_body`] at level `isa`.
 fn gemm_nt(isa: Isa, a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
     match isa {
-        Isa::Baseline => gemm_nt_body(a, b, out, m, k, n),
+        Isa::Baseline => gemm_nt_body::<8>(a, b, out, m, k, n),
         // SAFETY: an `Isa::Avx2` value only exists once `is_x86_feature_detected!("avx2")`
         // returned true (`Isa::supported`).
         #[cfg(target_arch = "x86_64")]
@@ -1246,17 +1327,21 @@ mod isa_tests {
 
         #[test]
         fn nt_matches_the_lane_reference_at_every_level(
-            dims in (1usize..8, 1usize..70, 1usize..24, 0u64..1_000_000),
+            dims in (1usize..10, 1usize..70, 0..EDGE_WIDTHS.len(), 0usize..24, 0u64..1_000_000),
         ) {
-            // n spans n % NT_OUTS ≠ 0 and k spans k % DOT_LANES ≠ 0.
-            let (m, k, n, seed) = dims;
-            let a = fill(m * k, seed);
-            let b = fill(n * k, seed ^ 0x1656);
-            let reference = bits(&reference_nt(&a, &b, m, k, n));
-            for isa in Isa::supported() {
-                let mut out = vec![f64::NAN; m * n];
-                gemm_nt(isa, &a, &b, &mut out, m, k, n);
-                prop_assert_eq!(bits(&out), reference.clone(), "{:?} {}x{}x{}", isa, m, k, n);
+            // m < 4 runs only the dot products; m ≥ 4 mixes packed-panel tiles, edge
+            // rows and edge outputs. n spans n % NT_OUTS ≠ 0 and k spans
+            // k % DOT_LANES ≠ 0.
+            let (m, k, wi, extra, seed) = dims;
+            for n in [EDGE_WIDTHS[wi], extra + 1] {
+                let a = fill(m * k, seed);
+                let b = fill(n * k, seed ^ 0x1656);
+                let reference = bits(&reference_nt(&a, &b, m, k, n));
+                for isa in Isa::supported() {
+                    let mut out = vec![f64::NAN; m * n];
+                    gemm_nt(isa, &a, &b, &mut out, m, k, n);
+                    prop_assert_eq!(bits(&out), reference.clone(), "{:?} {}x{}x{}", isa, m, k, n);
+                }
             }
         }
     }
