@@ -178,7 +178,7 @@ impl DenseLayer {
 
     /// Drop the training buffers (the next [`DenseLayer::forward_train`] allocates them
     /// again). Inference never reads them.
-    pub fn drop_training_buffers(&mut self) {
+    pub(crate) fn drop_training_buffers(&mut self) {
         self.train = None;
     }
 
