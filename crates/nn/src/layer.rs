@@ -95,8 +95,8 @@ impl DenseLayer {
     pub fn copy_params_from(&mut self, other: &DenseLayer) {
         assert_eq!(self.weights.rows(), other.weights.rows(), "shape mismatch");
         assert_eq!(self.weights.cols(), other.weights.cols(), "shape mismatch");
-        self.weights = other.weights.clone();
-        self.bias = other.bias.clone();
+        self.weights.copy_from(&other.weights);
+        self.bias.copy_from_slice(&other.bias);
     }
 
     /// Inference-only forward pass (no caches touched).
