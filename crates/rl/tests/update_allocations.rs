@@ -108,8 +108,6 @@ fn train_step_and_greedy_act_allocate_nothing_after_warm_up() {
         });
         assert_eq!(allocations, 0, "round {round} allocated");
     }
-    assert!(
-        agent.updates() >= 9,
-        "target syncs ran inside the counted rounds"
-    );
+    // Updates 3, 6 and 9 synchronised the target network inside counted rounds.
+    assert_eq!(agent.updates(), 11);
 }
