@@ -71,7 +71,7 @@ use uerl_eval::run::run_policy;
 use uerl_eval::scenario::ExperimentContext;
 use uerl_forest::{RandomForest, RandomForestConfig};
 use uerl_jobs::{sacct, JobLogConfig, JobTraceGenerator, NodeJobSampler};
-use uerl_nn::{kernel_isa, Matrix};
+use uerl_nn::{kernel_isa, Activation, DenseLayer, Matrix, WeightInit};
 use uerl_rl::metrics::UpdatePhase;
 use uerl_rl::{AgentConfig, DqnAgent, HyperSearch, Trainable, Transition};
 use uerl_serve::{merged_fleet_stream, FleetServer, RecordRetention, ServeConfig, ShadowPolicy};
@@ -131,6 +131,15 @@ impl KernelShapeStats {
 fn family_gflops(shapes: &[KernelShapeStats]) -> [f64; 3] {
     let flops: f64 = shapes.iter().map(|s| s.flops).sum();
     std::array::from_fn(|f| flops / shapes.iter().map(|s| s.secs[f]).sum::<f64>().max(1e-12) / 1e9)
+}
+
+/// One single-row product of the `matmul_kernels` stage: its `k × n` weight shape and the
+/// fastest of its repetitions through a dense layer and through the same layer frozen
+/// for inference (zero inputs skipped), in seconds, and whether both gave the same bits.
+struct SingleRowStats {
+    shape: (usize, usize),
+    secs: [f64; 2],
+    same_bits: bool,
 }
 
 /// Updates, wall time and per-phase nanoseconds of the last `train_update` run.
@@ -626,9 +635,16 @@ fn main() {
     // fingerprint), beside the instruction-set level the kernels dispatched to, so
     // figures from different hosts compare. Each figure is the fastest of `reps`
     // repetitions: scheduler noise on a shared core only ever slows a product down.
+    // Last come the paper trunk's single-row products (a batch-1 forward pass) on
+    // ReLU-sparse inputs, about half of them zero, each through a dense layer and through
+    // the same layer frozen for inference, which skips the zero inputs: µs per product
+    // of each path, and a third digest over the dense outputs. The stage fails unless
+    // the frozen layer gives the same bits.
     let kernel_stats: Arc<Mutex<Vec<KernelShapeStats>>> = Arc::new(Mutex::new(Vec::new()));
+    let single_row_stats: Arc<Mutex<Vec<SingleRowStats>>> = Arc::new(Mutex::new(Vec::new()));
     let matmul_stage = {
         let stats = Arc::clone(&kernel_stats);
+        let single_stats = Arc::clone(&single_row_stats);
         move || -> String {
             fn fill(rows: usize, cols: usize, salt: usize) -> Matrix {
                 Matrix::from_fn(rows, cols, |i, j| {
@@ -678,11 +694,43 @@ fn main() {
             let serving = digest_of(&serving_shapes, 0);
             let training = digest_of(&training_shapes, serving_shapes.len());
             *stats.lock().expect("kernel stats poisoned") = shape_stats;
+
+            // (k, n) of the paper trunk's four layers.
+            let single_row_shapes = [(15, 256), (256, 256), (256, 128), (128, 64)];
+            let mut single_row = 0xcbf2_9ce4_8422_2325;
+            let mut row_stats = Vec::new();
+            for (offset, &(k, n)) in single_row_shapes.iter().enumerate() {
+                let salt = serving_shapes.len() + training_shapes.len() + offset;
+                let x = fill(1, k, salt).map(|v| Activation::Relu.apply(v));
+                let mut rng = StdRng::seed_from_u64(salt as u64);
+                let dense =
+                    DenseLayer::new(k, n, Activation::Identity, WeightInit::HeNormal, &mut rng);
+                let mut frozen = dense.clone();
+                frozen.drop_training_buffers();
+                let (mut dense_out, mut frozen_out) = (Matrix::zeros(1, 1), Matrix::zeros(1, 1));
+                let secs = [
+                    best_of(reps, || dense.forward_batch_into(&x, &mut dense_out)),
+                    best_of(reps, || frozen.forward_batch_into(&x, &mut frozen_out)),
+                ];
+                let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                for &v in dense_out.data() {
+                    fnv(&mut single_row, v.to_bits());
+                }
+                row_stats.push(SingleRowStats {
+                    shape: (k, n),
+                    secs,
+                    same_bits: bits(&dense_out) == bits(&frozen_out),
+                });
+            }
+            let same_bits = row_stats.iter().all(|r| r.same_bits);
+            *single_stats.lock().expect("single-row stats poisoned") = row_stats;
             format!(
                 "shapes={} reps={reps} digest={serving:016x} training_shapes={} \
-                 training_digest={training:016x}",
+                 training_digest={training:016x} single_row_shapes={} \
+                 single_row_digest={single_row:016x} zero_skip_same_bits={same_bits}",
                 serving_shapes.len(),
-                training_shapes.len()
+                training_shapes.len(),
+                single_row_shapes.len()
             )
         }
     };
@@ -982,6 +1030,8 @@ fn main() {
     let halving = *halving_stats.lock().expect("halving stats poisoned");
     let serving = *serve_stats.lock().expect("serve stats poisoned");
     let kernels = std::mem::take(&mut *kernel_stats.lock().expect("kernel stats poisoned"));
+    let single_rows =
+        std::mem::take(&mut *single_row_stats.lock().expect("single-row stats poisoned"));
     let training = train_stats.lock().expect("train stats poisoned").take();
     let session_memory = *session_stats.lock().expect("session stats poisoned");
     let obs = obs_stats.lock().expect("obs stats poisoned").clone();
@@ -1022,6 +1072,24 @@ fn main() {
         json.push_str(&format!(
             "  \"matmul_kernels\": {{\"kernel_isa\": \"{}\", \"nn_gflops\": {nn:.3}, \"tn_acc_gflops\": {tn:.3}, \"nt_gflops\": {nt:.3}, \"shapes\": [{}]}},\n",
             kernel_isa(),
+            shapes.join(", ")
+        ));
+    }
+    if !single_rows.is_empty() {
+        let shapes: Vec<String> = single_rows
+            .iter()
+            .map(|r| {
+                let (k, n) = r.shape;
+                format!(
+                    "{{\"m\": 1, \"k\": {k}, \"n\": {n}, \"dense_us\": {:.3}, \"zero_skip_us\": {:.3}, \"same_bits\": {}}}",
+                    r.secs[0] * 1e6,
+                    r.secs[1] * 1e6,
+                    r.same_bits
+                )
+            })
+            .collect();
+        json.push_str(&format!(
+            "  \"single_row_products\": [{}],\n",
             shapes.join(", ")
         ));
     }
@@ -1125,6 +1193,16 @@ fn main() {
             );
         }
     }
+    for r in &single_rows {
+        let (k, n) = r.shape;
+        eprintln!(
+            "[perf_report]   1x{k}x{n} ReLU-sparse input: dense {:.2} µs, zero-skipping {:.2} µs \
+             (same bits: {})",
+            r.secs[0] * 1e6,
+            r.secs[1] * 1e6,
+            r.same_bits
+        );
+    }
     if let Some(train) = &training {
         let split: Vec<String> = UpdatePhase::ALL
             .iter()
@@ -1168,6 +1246,13 @@ fn main() {
     println!("{json}");
     if !all_deterministic {
         eprintln!("[perf_report] ERROR: output diverged across thread counts");
+        std::process::exit(1);
+    }
+    if single_rows.iter().any(|r| !r.same_bits) {
+        eprintln!(
+            "[perf_report] ERROR: a layer frozen for inference (zero inputs skipped) gave \
+             other bits than the dense product"
+        );
         std::process::exit(1);
     }
     if let Some((_, _, false)) = halving {

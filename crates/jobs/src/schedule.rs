@@ -157,11 +157,6 @@ impl NodeJobSampler {
         self.size_scaling
     }
 
-    /// Number of distinct job shapes available.
-    pub fn shape_count(&self) -> usize {
-        self.shapes.len()
-    }
-
     /// Sample one job shape `(job_id, nodes, wallclock_secs)`, weighted by node count and
     /// with the size scaling applied.
     pub fn sample_shape<R: Rng + ?Sized>(&self, rng: &mut R) -> (u64, u32, i64) {

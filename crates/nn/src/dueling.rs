@@ -247,8 +247,10 @@ impl DuelingQNetwork {
         grad
     }
 
-    /// Drop every training buffer; the next training pass allocates them again.
-    /// Inference never reads them, so a network kept only for inference sheds them.
+    /// Freeze the network for inference: drop every training buffer (the next training
+    /// pass allocates them again; inference never reads them) and check each layer's
+    /// weights, so inference may skip the zero inputs of a layer whose weights are all
+    /// finite, with the same bits. An optimizer step revokes the check.
     pub fn drop_training_buffers(&mut self) {
         for layer in &mut self.trunk {
             layer.drop_training_buffers();
@@ -439,6 +441,93 @@ mod tests {
             net.predict_one(&f),
             net.forward(&Matrix::row_from_slice(&f)).row(0)
         );
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The Q-values of `net` for `x` through both inference paths, which must agree.
+    fn q_bits(net: &DuelingQNetwork, x: &Matrix) -> Vec<u64> {
+        let mut out = Matrix::zeros(1, 1);
+        net.forward_batch_into(x, &mut BatchScratch::new(), &mut out);
+        assert_eq!(bits(out.data()), bits(&net.predict_one(x.row(0))));
+        bits(out.data())
+    }
+
+    #[test]
+    fn freezing_never_skips_a_non_finite_weight() {
+        let x = Matrix::from_vec(1, 4, vec![0.5, -0.5, 1.0, 0.0]);
+        let base = small(11);
+        let depth = base.trunk.len();
+        // The input each layer sees for `x`: the state, then every trunk output.
+        let mut inputs = vec![x.clone()];
+        for layer in &base.trunk {
+            let h = layer.forward(&inputs[inputs.len() - 1]);
+            inputs.push(h);
+        }
+        /// Layer `li`, counting the trunk, then the value and the advantage head.
+        fn layer(net: &mut DuelingQNetwork, li: usize) -> &mut DenseLayer {
+            match li.checked_sub(net.trunk.len()) {
+                None => &mut net.trunk[li],
+                Some(0) => &mut net.value_head,
+                Some(_) => &mut net.advantage_head,
+            }
+        }
+        for li in 0..depth + 2 {
+            // A zero input of layer `li`: its weight row only ever meets it as 0·w.
+            let input = inputs[li.min(depth)].row(0);
+            let u = input.iter().position(|&v| v == 0.0).expect("a zero input");
+            for value in [f64::INFINITY, f64::NAN] {
+                let poison = |net: &mut DuelingQNetwork| {
+                    let layer = layer(net, li);
+                    let cols = layer.output_dim();
+                    layer.visit_params(0, |id, params, _| {
+                        if id == 0 {
+                            params[u * cols..(u + 1) * cols].fill(value);
+                        }
+                    });
+                };
+                let mut dense = base.clone();
+                poison(&mut dense);
+                let want = q_bits(&dense, &x);
+                if li >= depth {
+                    // No ReLU after a head: the 0·∞ or 0·NaN reaches the Q-values.
+                    assert!(want.iter().all(|&q| f64::from_bits(q).is_nan()), "{li}");
+                }
+                // Poisoned, then frozen: the check at freezing finds the weight.
+                let mut net = base.clone();
+                poison(&mut net);
+                net.drop_training_buffers();
+                assert_eq!(q_bits(&net, &x), want, "layer {li} poisoned, then frozen");
+                // Frozen, then poisoned: the visit revoked the proof.
+                let mut net = base.clone();
+                net.drop_training_buffers();
+                poison(&mut net);
+                assert_eq!(q_bits(&net, &x), want, "layer {li} frozen, then poisoned");
+            }
+        }
+
+        // An Adam step with an infinite gradient on one advantage-head weight facing a
+        // zero trunk output writes NaN there; the frozen network must then give NaN.
+        let mut net = base.clone();
+        net.drop_training_buffers();
+        assert_eq!(q_bits(&net, &x), q_bits(&base, &x));
+        let u = inputs[depth]
+            .row(0)
+            .iter()
+            .position(|&v| v == 0.0)
+            .expect("a zero");
+        let cols = net.advantage_head.output_dim();
+        let mut adam = Adam::new(0.01);
+        net.advantage_head.visit_params(0, |id, params, _| {
+            let mut grads = vec![0.0; params.len()];
+            if id == 0 {
+                grads[u * cols] = f64::INFINITY;
+            }
+            adam.update(id, params, &grads);
+        });
+        assert!(q_bits(&net, &x).iter().all(|&q| f64::from_bits(q).is_nan()));
     }
 
     #[test]

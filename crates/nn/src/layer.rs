@@ -21,6 +21,13 @@ pub struct DenseLayer {
     train: Option<TrainBuffers>,
     grad_weights: Matrix,
     grad_bias: Vec<f64>,
+    /// Proof that every weight is finite, so an inference product may skip the terms of
+    /// zero inputs (a skipped `0·w` is `±0`, which never changes a sum). Established by
+    /// [`DenseLayer::drop_training_buffers`] and revoked by
+    /// [`DenseLayer::visit_params`], the only `&mut` path to the weights; so a network
+    /// in training always runs the dense product.
+    #[serde(skip)]
+    weights_finite: bool,
 }
 
 /// A layer's training buffers: the cached forward pass the backward pass consumes, and
@@ -55,6 +62,7 @@ impl DenseLayer {
             train: None,
             grad_weights: Matrix::zeros(input_dim, output_dim),
             grad_bias: vec![0.0; output_dim],
+            weights_finite: false,
         }
     }
 
@@ -88,7 +96,8 @@ impl DenseLayer {
         &self.bias
     }
 
-    /// Copy the weights and bias from another layer of identical shape.
+    /// Copy the weights and bias, and the proof that the weights are finite, from another
+    /// layer of identical shape.
     ///
     /// # Panics
     /// Panics if the shapes differ.
@@ -97,21 +106,26 @@ impl DenseLayer {
         assert_eq!(self.weights.cols(), other.weights.cols(), "shape mismatch");
         self.weights.copy_from(&other.weights);
         self.bias.copy_from_slice(&other.bias);
+        self.weights_finite = other.weights_finite;
     }
 
     /// Inference-only forward pass (no caches touched).
     pub fn forward(&self, input: &Matrix) -> Matrix {
-        let mut z = input.matmul(&self.weights);
-        z.add_row_broadcast(&self.bias);
-        z.map(|x| self.activation.apply(x))
+        let mut out = Matrix::zeros(1, 1);
+        self.forward_batch_into(input, &mut out);
+        out
     }
 
     /// Inference-only forward pass written into a caller-provided buffer (reshaped as
-    /// needed, allocation reused). Same kernels and op order as [`DenseLayer::forward`],
-    /// so the results are bit-identical; this is the allocation-free path the online
-    /// serving batches ride.
+    /// needed, allocation reused); the allocation-free path the online serving batches
+    /// ride. Once the weights are proven finite, rows of a batch of 1–3 skip their zero
+    /// inputs, with the same bits as the dense product.
     pub fn forward_batch_into(&self, input: &Matrix, out: &mut Matrix) {
-        input.matmul_into(&self.weights, out);
+        if self.weights_finite {
+            input.matmul_into_skipping_zeros(&self.weights, out);
+        } else {
+            input.matmul_into(&self.weights, out);
+        }
         out.add_row_broadcast(&self.bias);
         out.map_assign(|x| self.activation.apply(x));
     }
@@ -176,10 +190,12 @@ impl DenseLayer {
         grad_input
     }
 
-    /// Drop the training buffers (the next [`DenseLayer::forward_train`] allocates them
-    /// again). Inference never reads them.
-    pub(crate) fn drop_training_buffers(&mut self) {
+    /// Freeze the layer for inference: drop the training buffers (the next
+    /// [`DenseLayer::forward_train`] allocates them again; inference never reads them)
+    /// and check the weights, so inference may skip zero inputs while they stay finite.
+    pub fn drop_training_buffers(&mut self) {
         self.train = None;
+        self.weights_finite = self.weights.data().iter().all(|w| w.is_finite());
     }
 
     /// Reset the accumulated gradients to zero. Overwrites rather than scales: under
@@ -194,12 +210,14 @@ impl DenseLayer {
 
     /// Visit `(parameters, gradients)` pairs: first the flattened weights, then the bias.
     /// The visitor receives a stable per-tensor index offset so optimizers can keep
-    /// per-tensor state.
+    /// per-tensor state. The visitor may write any value, so this revokes the proof that
+    /// the weights are finite until the next [`DenseLayer::drop_training_buffers`].
     pub fn visit_params(
         &mut self,
         base_id: usize,
         mut visit: impl FnMut(usize, &mut [f64], &[f64]),
     ) {
+        self.weights_finite = false;
         visit(base_id, self.weights.data_mut(), self.grad_weights.data());
         visit(base_id + 1, &mut self.bias, &self.grad_bias);
     }
@@ -336,6 +354,47 @@ mod tests {
         a.copy_params_from(&b);
         assert_eq!(a.weights(), b.weights());
         assert_eq!(a.bias(), b.bias());
+    }
+
+    fn bits(m: &Matrix) -> Vec<u64> {
+        m.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn a_frozen_layer_skips_zero_inputs_only_while_its_weights_are_finite() {
+        // Input 1 is zero, so weight row 1 (parameters 2 and 3) only ever meets it as 0·w.
+        let x = Matrix::from_vec(1, 3, vec![0.5, 0.0, -2.0]);
+        let base = layer(Activation::Identity);
+        let mut frozen = base.clone();
+        frozen.drop_training_buffers();
+        assert!(frozen.weights_finite);
+        assert_eq!(bits(&frozen.forward(&x)), bits(&base.forward(&x)));
+        for value in [f64::INFINITY, f64::NAN] {
+            let poison = |l: &mut DenseLayer| {
+                l.visit_params(0, |id, params, _| {
+                    if id == 0 {
+                        params[2..4].fill(value);
+                    }
+                })
+            };
+            // Poisoned, then frozen: the check at freezing finds the weight.
+            let mut l = base.clone();
+            poison(&mut l);
+            l.drop_training_buffers();
+            assert!(l.forward(&x).data().iter().all(|v| v.is_nan()), "{value}");
+            // Frozen, then poisoned: the visit revoked the proof.
+            let mut l = frozen.clone();
+            poison(&mut l);
+            let mut out = Matrix::zeros(1, 1);
+            l.forward_batch_into(&x, &mut out);
+            assert!(out.data().iter().all(|v| v.is_nan()), "{value}");
+        }
+        // Copying parameters copies the proof with them.
+        let mut copy = layer(Activation::Identity);
+        copy.copy_params_from(&frozen);
+        assert!(copy.weights_finite);
+        copy.copy_params_from(&base);
+        assert!(!copy.weights_finite);
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! - `matmul` / `matmul_into`: [`MR`] output rows × `NR` contiguous lanes, then one
 //!   [`TAIL_LANES`]-lane tile where `NR` is wider, then a scalar column loop; the
 //!   `m % MR` edge rows (every row of a batch of 1–3, the serving case) use a single-row
-//!   tile of `W` contiguous lanes, then [`TAIL_LANES`] lanes, then scalar columns. `W`
-//!   and `NR` are sized to the instruction set (see below).
+//!   tile of `W` contiguous lanes, then one of `W / 2` lanes, then [`TAIL_LANES`] lanes,
+//!   then scalar columns. `W` and `NR` are sized to the instruction set (see below).
 //! - `matmul_tn_acc`: [`MR`] accumulator rows × `NR` lanes, then narrower edges.
 //! - `matmul_nt` / `matmul_nt_into`: each block of `NR` outputs (rows of the right
 //!   operand) is packed once into a panel of `NR`-lane columns, and [`MR`]-row tiles run
@@ -41,9 +41,25 @@
 //!   the inner dimension, so results remain independent of batch size and thread
 //!   count; they simply differ (by rounding reassociation) from the serial-chain sum.
 //!
-//! Products deliberately do **not** skip zero operands: `0·∞` and `0·NaN` must produce
-//! NaN (IEEE 754), and a data-dependent branch in the inner loop defeats
-//! vectorization.
+//! # Skipping zero inputs
+//!
+//! Products skip zero operands only where that provably keeps the bits: in the edge rows
+//! of a product whose right operand is known to hold only finite values. A dense layer
+//! frozen for inference holds that proof for its weights (see
+//! [`crate::DenseLayer::drop_training_buffers`]), and a batch-1 forward pass then meets
+//! about half of each hidden layer's inputs as exact zeros after ReLU. Each such edge
+//! row collects its nonzero `(k, a_k)` terms once, with no branch, and its single-row
+//! tiles walk only those rows of the right operand, still in ascending `k`. That is
+//! bit-identical to the dense sum:
+//!
+//! - with a finite `w`, a skipped term `±0·w` is `±0`;
+//! - every accumulator is seeded with `+0.0`, and under round-to-nearest a sum that
+//!   starts at `+0.0` is never `−0.0` (`x + y` is `−0.0` only when both are), so adding
+//!   `±0` never changes a partial sum, and dropping it leaves every later sum as it was.
+//!
+//! Only a non-finite `w` could make a skipped term matter: `0·∞` and `0·NaN` are NaN
+//! (IEEE 754), so every product without the proof, and every [`MR`]-row tile, keeps
+//! the dense loop, where a data-dependent branch would also defeat vectorization.
 //!
 //! # Instruction-set dispatch
 //!
@@ -61,10 +77,11 @@
 //! |----------|----------------|-----------------|
 //! | baseline | 16             | 8               |
 //! | AVX2     | 32             | 8               |
-//! | AVX-512  | 64             | 16              |
+//! | AVX-512  | 128            | 16              |
 //!
-//! `W` carries a batch-1 forward pass; `NR` carries the 64-row products of a training
-//! update, `matmul_nt`'s panel tiles included.
+//! `W` carries a batch-1 forward pass (AVX-512 has 32 registers, so its 16-register
+//! single-row tile still leaves room for the operands); `NR` carries the 64-row products
+//! of a training update, `matmul_nt`'s panel tiles included.
 //!
 //! The results do not depend on the level, bit for bit. The kernels use plain
 //! mul-then-add: `fma` is never enabled and `mul_add` never called, and Rust never
@@ -90,6 +107,11 @@ thread_local! {
     /// The packed `matmul_nt` panel: `k` rows of `NR` lanes, overwritten by every
     /// product and kept per thread so packing allocates only when `k · NR` grows.
     static NT_PANEL: std::cell::Cell<Vec<f64>> = const { std::cell::Cell::new(Vec::new()) };
+    /// One edge row's nonzero `(k, a_k)` terms in a zero-skipping product, overwritten
+    /// by every row and kept per thread so collecting them allocates only when `k`
+    /// grows.
+    static NONZERO_TERMS: std::cell::Cell<Vec<(usize, f64)>> =
+        const { std::cell::Cell::new(Vec::new()) };
 }
 /// An instruction-set level the product kernels are compiled for.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -183,48 +205,84 @@ fn tile_mr<const L: usize>(
     }
 }
 
-/// One-row, `W`-lane variant of [`tile_mr`] for the `m % MR` edge rows.
+/// One-row, `W`-lane variant of [`tile_mr`] for the `m % MR` edge rows:
+/// `out_row[j0..j0+W] = Σ a_k · b[k, j0..j0+W]` over `terms`, the row's `(k, a_k)` pairs
+/// in ascending `k`.
 #[inline(always)]
 fn tile_1<const W: usize>(
-    a: &[f64],
+    terms: impl Iterator<Item = (usize, f64)>,
     b: &[f64],
-    out: &mut [f64],
-    kdim: usize,
+    out_row: &mut [f64],
     n: usize,
-    i: usize,
     j0: usize,
 ) {
     let mut acc = [0.0f64; W];
-    let arow = &a[i * kdim..(i + 1) * kdim];
-    for (kk, &av) in arow.iter().enumerate() {
+    for (kk, av) in terms {
         let brow = &b[kk * n + j0..kk * n + j0 + W];
         for (s, &bv) in acc.iter_mut().zip(brow) {
             *s += av * bv;
         }
     }
-    out[i * n + j0..i * n + j0 + W].copy_from_slice(&acc);
+    out_row[j0..j0 + W].copy_from_slice(&acc);
 }
 
-/// Scalar edge columns `j0..n` of row `i`: same strict ascending-`k` order.
+/// Scalar edge columns `j0..n` of one row over `terms`: same strict ascending-`k` order.
 #[inline(always)]
-fn edge_cols(a: &[f64], b: &[f64], out: &mut [f64], kdim: usize, n: usize, i: usize, j0: usize) {
-    let arow = &a[i * kdim..(i + 1) * kdim];
-    for j in j0..n {
+fn edge_cols(
+    terms: impl Iterator<Item = (usize, f64)> + Clone,
+    b: &[f64],
+    out_row: &mut [f64],
+    n: usize,
+    j0: usize,
+) {
+    for (j, o) in out_row.iter_mut().enumerate().skip(j0) {
         let mut s = 0.0f64;
-        for (kk, &av) in arow.iter().enumerate() {
+        for (kk, av) in terms.clone() {
             s += av * b[kk * n + j];
         }
-        out[i * n + j] = s;
+        *o = s;
     }
+}
+
+/// One `m % MR` edge row over `terms`: `W`-lane tiles, then at most one `H`-lane tile
+/// (`H = W / 2`), then [`TAIL_LANES`]-lane ones, then scalar columns.
+#[inline(always)]
+fn edge_row<const W: usize, const H: usize>(
+    terms: impl Iterator<Item = (usize, f64)> + Clone,
+    b: &[f64],
+    out_row: &mut [f64],
+    n: usize,
+) {
+    const { assert!(2 * H == W) };
+    let mut j0 = 0;
+    while j0 + W <= n {
+        tile_1::<W>(terms.clone(), b, out_row, n, j0);
+        j0 += W;
+    }
+    if j0 + H <= n {
+        tile_1::<H>(terms.clone(), b, out_row, n, j0);
+        j0 += H;
+    }
+    while j0 + TAIL_LANES <= n {
+        tile_1::<TAIL_LANES>(terms.clone(), b, out_row, n, j0);
+        j0 += TAIL_LANES;
+    }
+    edge_cols(terms, b, out_row, n, j0);
 }
 
 /// Blocked `out = a · b` (`m × k` times `k × n`, all row-major, `out` overwritten):
 /// [`MR`]-row tiles `NR` lanes wide, then at most one [`TAIL_LANES`]-wide tile (when
 /// `NR` is wider), then scalar edge columns; the `m % MR` edge rows run in `W`-lane
-/// single-row tiles, then [`TAIL_LANES`]-lane ones, then scalar columns. Bit-identical
-/// to the scalar `i, k, j` reference loop for every shape, `W` and `NR`.
+/// single-row tiles, then one `H`-lane tile (`H = W / 2`), then [`TAIL_LANES`]-lane
+/// ones, then scalar columns. Bit-identical to the scalar `i, k, j` reference loop for
+/// every shape, `W` and `NR`.
+///
+/// With `SKIP_ZEROS`, each edge row first collects its nonzero inputs and its tiles
+/// run over those rows of `b` only, in ascending `k`. That is bit-identical too when
+/// every element of `b` is finite (see the module docs); with a non-finite `b` it
+/// drops the NaN of a `0·∞` or `0·NaN` term.
 #[inline(always)]
-fn gemm_nn_body<const W: usize, const NR: usize>(
+fn gemm_nn_body<const W: usize, const H: usize, const NR: usize, const SKIP_ZEROS: bool>(
     a: &[f64],
     b: &[f64],
     out: &mut [f64],
@@ -247,22 +305,34 @@ fn gemm_nn_body<const W: usize, const NR: usize>(
             tile_mr::<TAIL_LANES>(a, b, out, kdim, n, i0, j0);
             j0 += TAIL_LANES;
         }
-        for r in 0..MR {
-            edge_cols(a, b, out, kdim, n, i0 + r, j0);
+        for i in i0..i0 + MR {
+            let terms = a[i * kdim..(i + 1) * kdim].iter().copied().enumerate();
+            edge_cols(terms, b, &mut out[i * n..(i + 1) * n], n, j0);
         }
         i0 += MR;
     }
-    for i in m_full..m {
-        let mut j0 = 0;
-        while j0 + W <= n {
-            tile_1::<W>(a, b, out, kdim, n, i, j0);
-            j0 += W;
+    let edge_rows = a[m_full * kdim..]
+        .chunks_exact(kdim)
+        .zip(out[m_full * n..].chunks_exact_mut(n));
+    if SKIP_ZEROS {
+        // Taken out of the thread-local for the product, like `NT_PANEL`.
+        let mut nonzero = NONZERO_TERMS.take();
+        nonzero.resize(kdim, (0, 0.0));
+        for (arow, out_row) in edge_rows {
+            // Branch-free: every term is written, and the count only advances past a
+            // nonzero one (about half the inputs of a ReLU layer are zero, at random).
+            let mut len = 0;
+            for (kk, &v) in arow.iter().enumerate() {
+                nonzero[len] = (kk, v);
+                len += usize::from(v != 0.0);
+            }
+            edge_row::<W, H>(nonzero[..len].iter().copied(), b, out_row, n);
         }
-        while j0 + TAIL_LANES <= n {
-            tile_1::<TAIL_LANES>(a, b, out, kdim, n, i, j0);
-            j0 += TAIL_LANES;
+        NONZERO_TERMS.set(nonzero);
+    } else {
+        for (arow, out_row) in edge_rows {
+            edge_row::<W, H>(arow.iter().copied().enumerate(), b, out_row, n);
         }
-        edge_cols(a, b, out, kdim, n, i, j0);
     }
 }
 
@@ -521,8 +591,10 @@ mod x86 {
     }
 
     with_feature! {
-        gemm_nn_avx2 = gemm_nn_body::<32, 8> @ "avx2";
-        gemm_nn_avx512 = gemm_nn_body::<64, 16> @ "avx512f";
+        gemm_nn_avx2 = gemm_nn_body::<32, 16, 8, false> @ "avx2";
+        gemm_nn_avx512 = gemm_nn_body::<128, 64, 16, false> @ "avx512f";
+        gemm_nn_skip_avx2 = gemm_nn_body::<32, 16, 8, true> @ "avx2";
+        gemm_nn_skip_avx512 = gemm_nn_body::<128, 64, 16, true> @ "avx512f";
         gemm_tn_acc_avx2 = gemm_tn_acc_body::<8> @ "avx2";
         gemm_tn_acc_avx512 = gemm_tn_acc_body::<16> @ "avx512f";
         gemm_nt_avx2 = gemm_nt_body::<8> @ "avx2";
@@ -530,18 +602,36 @@ mod x86 {
     }
 }
 
-/// [`gemm_nn_body`] at level `isa`.
-fn gemm_nn(isa: Isa, a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
-    match isa {
-        Isa::Baseline => gemm_nn_body::<16, 8>(a, b, out, m, k, n),
+/// [`gemm_nn_body`] at level `isa`, skipping the zero inputs of the edge rows when
+/// `skip_zeros` is set.
+#[allow(clippy::too_many_arguments)]
+fn gemm_nn(
+    isa: Isa,
+    skip_zeros: bool,
+    a: &[f64],
+    b: &[f64],
+    out: &mut [f64],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    match (isa, skip_zeros) {
+        (Isa::Baseline, false) => gemm_nn_body::<16, 8, 8, false>(a, b, out, m, k, n),
+        (Isa::Baseline, true) => gemm_nn_body::<16, 8, 8, true>(a, b, out, m, k, n),
         // SAFETY: an `Isa::Avx2` value only exists once `is_x86_feature_detected!("avx2")`
         // returned true (`Isa::supported`).
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => unsafe { x86::gemm_nn_avx2(a, b, out, m, k, n) },
+        (Isa::Avx2, false) => unsafe { x86::gemm_nn_avx2(a, b, out, m, k, n) },
+        // SAFETY: as above.
+        #[cfg(target_arch = "x86_64")]
+        (Isa::Avx2, true) => unsafe { x86::gemm_nn_skip_avx2(a, b, out, m, k, n) },
         // SAFETY: an `Isa::Avx512` value only exists once
         // `is_x86_feature_detected!("avx512f")` returned true (`Isa::supported`).
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 => unsafe { x86::gemm_nn_avx512(a, b, out, m, k, n) },
+        (Isa::Avx512, false) => unsafe { x86::gemm_nn_avx512(a, b, out, m, k, n) },
+        // SAFETY: as above.
+        #[cfg(target_arch = "x86_64")]
+        (Isa::Avx512, true) => unsafe { x86::gemm_nn_skip_avx512(a, b, out, m, k, n) },
     }
 }
 
@@ -674,21 +764,8 @@ impl Matrix {
     /// # Panics
     /// Panics if the inner dimensions do not match.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols, other.rows,
-            "matmul dimension mismatch: {}x{} · {}x{}",
-            self.rows, self.cols, other.rows, other.cols
-        );
         let mut out = Matrix::zeros(self.rows, other.cols);
-        gemm_nn(
-            Isa::current(),
-            &self.data,
-            &other.data,
-            &mut out.data,
-            self.rows,
-            self.cols,
-            other.cols,
-        );
+        self.matmul_into(other, &mut out);
         out
     }
 
@@ -728,6 +805,21 @@ impl Matrix {
     /// # Panics
     /// Panics if the inner dimensions do not match.
     pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
+        self.product_into(other, out, false);
+    }
+
+    /// [`Matrix::matmul_into`] with the edge rows (every row of a batch of 1–3) skipping
+    /// their zero elements: the same bits, provided every element of `finite` is
+    /// finite. A non-finite element of `finite` facing a zero of `self` would make the
+    /// dense product NaN and this one not, so callers must hold a proof of finiteness.
+    ///
+    /// # Panics
+    /// Panics if the inner dimensions do not match.
+    pub(crate) fn matmul_into_skipping_zeros(&self, finite: &Matrix, out: &mut Matrix) {
+        self.product_into(finite, out, true);
+    }
+
+    fn product_into(&self, other: &Matrix, out: &mut Matrix, skip_zeros: bool) {
         assert_eq!(
             self.cols, other.rows,
             "matmul dimension mismatch: {}x{} · {}x{}",
@@ -736,6 +828,7 @@ impl Matrix {
         out.reshape_for_overwrite(self.rows, other.cols);
         gemm_nn(
             Isa::current(),
+            skip_zeros,
             &self.data,
             &other.data,
             &mut out.data,
@@ -1201,9 +1294,11 @@ mod isa_tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// Output widths straddling the single-row tile widths (16/32/64), the 4-row tile
-    /// widths (8/16) and the 8-lane tail.
-    const EDGE_WIDTHS: [usize; 12] = [15, 16, 17, 31, 32, 33, 48, 63, 64, 65, 129, 256];
+    /// Output widths straddling the single-row tile widths (16/32/128) and their halves
+    /// (8/16/64), the 4-row tile widths (8/16) and the 8-lane tail.
+    const EDGE_WIDTHS: [usize; 17] = [
+        15, 16, 17, 31, 32, 33, 48, 63, 64, 65, 127, 128, 129, 191, 192, 193, 256,
+    ];
 
     /// Run `f` with every kernel on this thread forced to level `isa`.
     fn at_level<R>(isa: Isa, f: impl FnOnce() -> R) -> R {
@@ -1300,7 +1395,7 @@ mod isa_tests {
                 let reference = bits(&reference_nn(&a, &b, m, k, n));
                 for isa in Isa::supported() {
                     let mut out = vec![f64::NAN; m * n];
-                    gemm_nn(isa, &a, &b, &mut out, m, k, n);
+                    gemm_nn(isa, false, &a, &b, &mut out, m, k, n);
                     prop_assert_eq!(bits(&out), reference.clone(), "{:?} {}x{}x{}", isa, m, k, n);
                 }
             }
@@ -1346,6 +1441,47 @@ mod isa_tests {
         }
     }
 
+    /// Rows of ReLU-like inputs: an all-zero row (`+0.0` and `−0.0` alternating),
+    /// nonzero runs between runs of `+0.0` and of `−0.0`, and [`fill`] values with a
+    /// `−0.0` in every fifth place, by turns.
+    fn sparse_fill(m: usize, k: usize, seed: u64) -> Vec<f64> {
+        let dense = fill(m * k, seed);
+        let mut a = vec![0.0; m * k];
+        for i in 0..m {
+            for kk in 0..k {
+                let signed_zero = if kk % 2 == 0 { 0.0 } else { -0.0 };
+                a[i * k + kk] = match (i + seed as usize) % 3 {
+                    0 => signed_zero,
+                    1 if (kk / 3) % 3 == 1 => 0.0,
+                    1 if (kk / 3) % 3 == 2 => -0.0,
+                    2 if kk % 5 == 4 => -0.0,
+                    _ => dense[i * k + kk],
+                };
+            }
+        }
+        a
+    }
+
+    #[test]
+    fn zero_skipping_matches_the_scalar_reference_at_every_level() {
+        // m = 5 runs one 4-row tile (dense) and one zero-skipping edge row.
+        for m in [1, 2, 3, 5] {
+            for k in EDGE_WIDTHS {
+                for n in EDGE_WIDTHS {
+                    let seed = (m * 1_000 + k) as u64;
+                    let a = sparse_fill(m, k, seed);
+                    let b = fill(k * n, seed ^ 0x7f4a);
+                    let reference = bits(&reference_nn(&a, &b, m, k, n));
+                    for isa in Isa::supported() {
+                        let mut out = vec![f64::NAN; m * n];
+                        gemm_nn(isa, true, &a, &b, &mut out, m, k, n);
+                        assert_eq!(bits(&out), reference, "{isa:?} {m}x{k}x{n}");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn zero_times_infinity_is_nan_in_every_tile_at_every_level() {
         // A zero in column 0 of `a` meets an infinite row 0 of `b`: every output of the
@@ -1361,7 +1497,7 @@ mod isa_tests {
             b[..n].fill(f64::INFINITY);
             for isa in Isa::supported() {
                 let mut out = vec![0.0; m * n];
-                gemm_nn(isa, &a, &b, &mut out, m, k, n);
+                gemm_nn(isa, false, &a, &b, &mut out, m, k, n);
                 assert!(out.iter().all(|v| v.is_nan()), "{isa:?} NN m={m}");
 
                 // aᵀ · b: `a` read as (m × k)ᵀ, so row 0 of `at` pairs with row 0 of `bt`.

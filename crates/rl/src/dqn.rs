@@ -314,10 +314,11 @@ impl DqnAgent {
 
     /// Shrink a trained agent to its inference footprint by dropping the accumulated
     /// replay memory (a fresh minimal buffer keeps the agent valid) and the training
-    /// buffers of the update and of the online network. Greedy inference (`q_values` /
-    /// `act_greedy`) is unaffected; only further training would differ. The parallel
-    /// hyperparameter search compacts every candidate policy so a round of trained
-    /// agents does not pin one filled replay buffer per candidate.
+    /// buffers of the update and of the online network, which it freezes for inference
+    /// (`DuelingQNetwork::drop_training_buffers`). Greedy inference (`q_values` /
+    /// `act_greedy`) keeps its bits and gets faster; only further training would differ.
+    /// The parallel hyperparameter search compacts every candidate policy so a round of
+    /// trained agents does not pin one filled replay buffer per candidate.
     pub fn compact_for_inference(&mut self) {
         self.replay = PrioritizedReplay::new(1, self.config.per_alpha);
         self.update = UpdateBuffers::new();

@@ -303,11 +303,6 @@ impl MergedEvent {
             EventKind::DimmRetirement { slot } => self.retired_slots.push(*slot),
         }
     }
-
-    /// Whether the minute contained a DIMM retirement.
-    pub fn has_retirement(&self) -> bool {
-        !self.retired_slots.is_empty()
-    }
 }
 
 #[cfg(test)]
