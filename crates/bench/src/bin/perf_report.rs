@@ -7,7 +7,9 @@
 //! completion, with the survivor trace in the fingerprint), a `matmul_kernels`
 //! microbench (the cache-blocked `Matrix` kernel family at serving-shaped GEMMs and at
 //! the paper trunk's 64-row training GEMMs, with the output bits in the fingerprint and
-//! per-shape GFLOP/s plus the dispatched instruction-set level in the JSON), a
+//! per-shape GFLOP/s plus the dispatched instruction-set level in the JSON; then the
+//! trunk's single-row products on ReLU-sparse inputs, dense and zero-skipping, in µs
+//! per product, failing unless both give the same bits), a
 //! `train_update` stage (the paper agent's `train_step` with every phase span recording:
 //! updates/s and the per-phase time of an update in the JSON, the trained bits in the
 //! fingerprint), a `setup_text` stage (the scale's error and job
@@ -712,14 +714,14 @@ fn main() {
                     best_of(reps, || dense.forward_batch_into(&x, &mut dense_out)),
                     best_of(reps, || frozen.forward_batch_into(&x, &mut frozen_out)),
                 ];
-                let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                 for &v in dense_out.data() {
                     fnv(&mut single_row, v.to_bits());
                 }
+                let mut pairs = dense_out.data().iter().zip(frozen_out.data());
                 row_stats.push(SingleRowStats {
                     shape: (k, n),
                     secs,
-                    same_bits: bits(&dense_out) == bits(&frozen_out),
+                    same_bits: pairs.all(|(d, f)| d.to_bits() == f.to_bits()),
                 });
             }
             let same_bits = row_stats.iter().all(|r| r.same_bits);
