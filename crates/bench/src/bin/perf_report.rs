@@ -1041,7 +1041,6 @@ fn main() {
 
     let mut json = String::new();
     json.push_str("{\n");
-    json.push_str("  \"pr\": 10,\n");
     json.push_str(&format!("  \"scale\": \"{}\",\n", scale.label()));
     json.push_str(&format!("  \"threads\": {threads},\n"));
     json.push_str(&format!(

@@ -110,11 +110,6 @@ impl MitigationEnv {
         }
     }
 
-    /// Whether the episode has finished.
-    pub fn is_done(&self) -> bool {
-        self.done
-    }
-
     /// The cost account of the rollout so far: counters, cost totals and (under full
     /// retention) the decision / UE logs.
     pub fn account(&self) -> &CostAccount {
@@ -293,7 +288,7 @@ mod tests {
         let tl = timeline(vec![event(600, 0, true)]);
         let mut env = MitigationEnv::new(tl, one_big_job(), config(), true);
         assert!(env.reset().is_none());
-        assert!(env.is_done());
+        assert!(env.done);
         assert_eq!(env.account().ue_count(), 1);
         assert!((env.account().total_ue_cost() - 160.0).abs() < 1e-9);
         assert!(env.account().decisions().is_empty());

@@ -164,11 +164,6 @@ impl TimelineSet {
         self.timelines.iter().map(NodeTimeline::fatal_count).sum()
     }
 
-    /// The timeline of a specific node, if it has events.
-    pub fn timeline_of(&self, node: NodeId) -> Option<&NodeTimeline> {
-        self.timelines.iter().find(|t| t.node() == node)
-    }
-
     /// Pick a random node's timeline (uniformly among nodes with events), as done when
     /// assembling a training episode (Section 3.3.3).
     pub fn random_timeline<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<&NodeTimeline> {
@@ -231,12 +226,9 @@ mod tests {
     #[test]
     fn timeline_lookup_and_random_selection() {
         let set = timeline_set();
-        let first = set.timelines()[0].node();
-        assert_eq!(set.timeline_of(first).unwrap().node(), first);
-        assert!(set.timeline_of(NodeId(9_999)).is_none());
         let mut rng = StdRng::seed_from_u64(1);
         let picked = set.random_timeline(&mut rng).unwrap();
-        assert!(set.timeline_of(picked.node()).is_some());
+        assert!(set.timelines().iter().any(|t| std::ptr::eq(t, picked)));
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //!   cost, fatal accounting) and the cost accounts of the served and shadow lanes,
 //!   pushed by both the environment cursor and the server; plus [`PolicyRun`], the
 //!   fleet totals of one policy, folded from the per-node accounts.
-//! * [`env`] — the environment: a cursor that pushes a node's timeline through a
-//!   session, stops at every decision point and pays the Equation 4 reward.
+//! * [`env`](mod@env) — the environment: a cursor that pushes a node's timeline
+//!   through a session, stops at every decision point and pays the Equation 4 reward.
 //! * [`policy`] / [`policies`] — the mitigation-policy interface and the eight policies
 //!   evaluated in the paper (Never, Always, SC20-RF with optimal and perturbed
 //!   thresholds, Myopic-RF, the RL agent and the Oracle).

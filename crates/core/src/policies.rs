@@ -2,51 +2,12 @@
 
 use crate::event_stream::TimelineSet;
 use crate::policy::MitigationPolicy;
-use crate::state::{StateFeatures, STATE_DIM};
-use std::cell::RefCell;
+use crate::state::StateFeatures;
 use std::collections::HashSet;
 use std::sync::Arc;
 use uerl_forest::RandomForest;
-use uerl_rl::{greedy_action, DqnAgent, InferenceScratch};
+use uerl_rl::{greedy_action, DqnAgent};
 use uerl_trace::types::{NodeId, SimTime};
-
-thread_local! {
-    /// Per-thread inference scratch shared by every RL policy instance. The evaluator
-    /// replays policies over thousands of node timelines in parallel from one shared
-    /// `&policy`, so the scratch cannot live in the policy itself; a thread-local keeps
-    /// the rollout hot loop allocation-free without poisoning `decide`'s `&self`
-    /// signature. Scratch contents are overwritten on every call and never influence
-    /// results, so sharing across agents and threads is sound.
-    static RL_SCRATCH: RefCell<InferenceScratch> = RefCell::new(InferenceScratch::new());
-}
-
-/// Greedy decision for one state through the thread-local scratch (no allocation after
-/// the thread's first call). Bit-identical to `agent.act_greedy(&state.to_vector())`.
-fn decide_greedy(agent: &DqnAgent, state: &StateFeatures) -> bool {
-    RL_SCRATCH.with(|scratch| {
-        let scratch = &mut *scratch.borrow_mut();
-        state.write_vector(scratch.input_mut(1, STATE_DIM).row_mut(0));
-        greedy_action(agent.q_values_batch(scratch).row(0)) == 1
-    })
-}
-
-/// Greedy decisions for a micro-batch of states through one batched forward pass over
-/// the thread-local scratch. Each row's Q-values are bit-identical to single-state
-/// inference, so the decisions are independent of how states are grouped into batches.
-fn decide_greedy_batch(agent: &DqnAgent, states: &[StateFeatures], out: &mut Vec<bool>) {
-    if states.is_empty() {
-        return;
-    }
-    RL_SCRATCH.with(|scratch| {
-        let scratch = &mut *scratch.borrow_mut();
-        let input = scratch.input_mut(states.len(), STATE_DIM);
-        for (i, state) in states.iter().enumerate() {
-            state.write_vector(input.row_mut(i));
-        }
-        let q = agent.q_values_batch(scratch);
-        out.extend((0..states.len()).map(|i| greedy_action(q.row(i)) == 1));
-    });
-}
 
 /// *Never-mitigate*: never initiates a mitigation. Maximum UE cost, zero mitigation cost.
 #[derive(Debug, Clone, Copy, Default)]
@@ -101,11 +62,6 @@ impl OraclePolicy {
             }
         }
         Self { mitigate_at }
-    }
-
-    /// Number of planned mitigations.
-    pub fn planned_mitigations(&self) -> usize {
-        self.mitigate_at.len()
     }
 }
 
@@ -225,7 +181,7 @@ impl MyopicRfPolicy {
     }
 
     /// The expected UE cost at a state.
-    pub fn expected_ue_cost(&self, state: &StateFeatures) -> f64 {
+    fn expected_ue_cost(&self, state: &StateFeatures) -> f64 {
         self.forest.predict_proba(&state.to_error_vector()) * state.potential_ue_cost
     }
 }
@@ -270,25 +226,19 @@ impl RlPolicy {
     pub fn agent(&self) -> &DqnAgent {
         &self.agent
     }
-
-    /// Q-values of (do-nothing, mitigate) at a state: the learned Q-surface Figure 6
-    /// inspects.
-    pub fn q_values(&self, state: &StateFeatures) -> Vec<f64> {
-        self.agent.q_values(&state.to_vector())
-    }
 }
 
 impl MitigationPolicy for RlPolicy {
     fn name(&self) -> &str {
-        "RL"
+        self.agent.name()
     }
 
     fn decide(&self, state: &StateFeatures) -> bool {
-        decide_greedy(&self.agent, state)
+        self.agent.decide(state)
     }
 
     fn decide_batch(&self, states: &[StateFeatures], out: &mut Vec<bool>) {
-        decide_greedy_batch(&self.agent, states, out);
+        self.agent.decide_batch(states, out);
     }
 
     fn training_cost_node_hours(&self) -> f64 {
@@ -296,36 +246,35 @@ impl MitigationPolicy for RlPolicy {
     }
 }
 
-/// A borrowing view of a (possibly still-training) agent as the greedy RL policy.
-///
-/// The successive-halving hyperparameter search scores every surviving candidate at
-/// every rung; wrapping the live agent by reference lets those replays run without
-/// cloning the agent (and its replay memory) or compacting it — compaction would end
-/// the candidate's training. Decisions are identical to [`RlPolicy`] wrapping the same
-/// agent state.
-#[derive(Debug, Clone, Copy)]
-pub struct RlPolicyView<'a> {
-    agent: &'a DqnAgent,
-}
-
-impl<'a> RlPolicyView<'a> {
-    /// Borrow a trained (or training) agent as a greedy policy.
-    pub fn new(agent: &'a DqnAgent) -> Self {
-        Self { agent }
-    }
-}
-
-impl MitigationPolicy for RlPolicyView<'_> {
+/// *RL* without a training cost: a (possibly still-training) agent queried greedily. The
+/// successive-halving search scores its live candidates through this, with no clone and
+/// no compaction, which would end the candidate's training.
+impl MitigationPolicy for DqnAgent {
     fn name(&self) -> &str {
         "RL"
     }
 
     fn decide(&self, state: &StateFeatures) -> bool {
-        decide_greedy(self.agent, state)
+        self.with_q_values(
+            1,
+            |_, row| state.write_vector(row),
+            |q| greedy_action(q.row(0)) == 1,
+        )
     }
 
+    /// One [`DqnAgent::with_q_values`] query for the whole batch. Each row's Q-values are
+    /// bit-identical to a single-state query, so the decisions do not depend on how
+    /// states are grouped into batches.
     fn decide_batch(&self, states: &[StateFeatures], out: &mut Vec<bool>) {
-        decide_greedy_batch(self.agent, states, out);
+        // `Matrix` rejects an empty batch.
+        if states.is_empty() {
+            return;
+        }
+        self.with_q_values(
+            states.len(),
+            |i, row| states[i].write_vector(row),
+            |q| out.extend((0..states.len()).map(|i| greedy_action(q.row(i)) == 1)),
+        );
     }
 }
 
@@ -395,7 +344,7 @@ mod tests {
         );
         let timelines = TimelineSet::from_timelines(SimTime::ZERO, SimTime::from_days(1), vec![tl]);
         let oracle = OraclePolicy::from_timelines(&timelines);
-        assert_eq!(oracle.planned_mitigations(), 1);
+        assert_eq!(oracle.mitigate_at.len(), 1);
         assert!(!oracle.decide(&state(1, 10, 1, 0.0)));
         assert!(oracle.decide(&state(1, 20, 2, 0.0)));
         assert!(
@@ -415,7 +364,7 @@ mod tests {
         );
         let timelines = TimelineSet::from_timelines(SimTime::ZERO, SimTime::from_days(1), vec![tl]);
         let oracle = OraclePolicy::from_timelines(&timelines);
-        assert_eq!(oracle.planned_mitigations(), 0);
+        assert_eq!(oracle.mitigate_at.len(), 0);
     }
 
     #[test]
@@ -454,7 +403,7 @@ mod tests {
         let policy = RlPolicy::new(agent).with_training_cost(0.5);
         let s = state(1, 10, 5, 10.0);
         let decision = policy.decide(&s);
-        let q = policy.q_values(&s);
+        let q = policy.agent().q_values(&s.to_vector());
         assert_eq!(q.len(), 2);
         assert_eq!(decision, q[1] > q[0]);
         assert_eq!(policy.name(), "RL");
@@ -469,9 +418,9 @@ mod tests {
 
     #[test]
     fn rl_decisions_match_the_allocating_agent_path_exactly() {
-        // The scratch-routed decide must agree with act_greedy on to_vector for every
-        // state, and decide_batch must be batch-transparent: the same decisions at any
-        // grouping.
+        // Both the agent and its wrapping policy must decide as the greedy action of the
+        // agent's Q-values on to_vector for every state, and decide_batch must be
+        // batch-transparent: the same decisions at any grouping.
         let agent = DqnAgent::new(AgentConfig::small(crate::state::STATE_DIM).with_seed(9));
         let states: Vec<StateFeatures> = (0..13)
             .map(|i| {
@@ -484,22 +433,25 @@ mod tests {
         let policy = RlPolicy::new(agent);
         let reference: Vec<bool> = states
             .iter()
-            .map(|s| policy.agent().act_greedy(&s.to_vector()) == 1)
+            .map(|s| greedy_action(&policy.agent().q_values(&s.to_vector())) == 1)
             .collect();
-        let singles: Vec<bool> = states.iter().map(|s| policy.decide(s)).collect();
-        assert_eq!(singles, reference);
-        for batch_size in [1, 2, 5, 13] {
-            let mut batched = Vec::new();
-            for chunk in states.chunks(batch_size) {
-                policy.decide_batch(chunk, &mut batched);
+        let deciders: [(&str, &dyn MitigationPolicy); 2] =
+            [("RlPolicy", &policy), ("DqnAgent", policy.agent())];
+        for (label, decider) in deciders {
+            assert_eq!(decider.name(), "RL");
+            let singles: Vec<bool> = states.iter().map(|s| decider.decide(s)).collect();
+            assert_eq!(singles, reference, "{label} diverged");
+            for batch_size in [1, 2, 5, 13] {
+                let mut batched = Vec::new();
+                for chunk in states.chunks(batch_size) {
+                    decider.decide_batch(chunk, &mut batched);
+                }
+                assert_eq!(
+                    batched, reference,
+                    "{label} batch size {batch_size} diverged"
+                );
             }
-            assert_eq!(batched, reference, "batch size {batch_size} diverged");
         }
-        // The borrowing view decides identically.
-        let view = RlPolicyView::new(policy.agent());
-        let mut viewed = Vec::new();
-        view.decide_batch(&states, &mut viewed);
-        assert_eq!(viewed, reference);
     }
 
     #[test]

@@ -198,7 +198,7 @@ impl CostAccount {
     }
 
     /// Approximate heap footprint of the logs in bytes.
-    pub fn approx_log_bytes(&self) -> usize {
+    fn approx_log_bytes(&self) -> usize {
         self.decisions.capacity() * std::mem::size_of::<(SimTime, bool)>()
             + self.ue_records.capacity() * std::mem::size_of::<UeRecord>()
     }

@@ -222,11 +222,6 @@ impl TrainingSession {
         self.total_steps
     }
 
-    /// Episodes run so far.
-    pub fn episodes_run(&self) -> usize {
-        self.episodes_run
-    }
-
     /// Whether the configured episode budget is exhausted (no further training).
     pub fn exhausted(&self) -> bool {
         self.episodes_run >= self.config.episodes
@@ -422,7 +417,7 @@ mod tests {
         let mut session = trainer.session();
         let added = session.train_until_steps(&timelines, &sampler, 10);
         assert!(added >= 10, "must train at least to the target");
-        assert!(session.episodes_run() > 0);
+        assert!(session.episodes_run > 0);
         assert!(!session.exhausted());
         // A target at or below the trained amount is a no-op.
         let again = session.train_until_steps(&timelines, &sampler, session.total_steps());

@@ -12,8 +12,7 @@ use rayon::prelude::*;
 use std::sync::Arc;
 use uerl_core::event_stream::TimelineSet;
 use uerl_core::policies::{
-    AlwaysMitigate, MyopicRfPolicy, NeverMitigate, OraclePolicy, RlPolicy, RlPolicyView,
-    ThresholdRfPolicy,
+    AlwaysMitigate, MyopicRfPolicy, NeverMitigate, OraclePolicy, RlPolicy, ThresholdRfPolicy,
 };
 use uerl_core::policy::MitigationPolicy;
 use uerl_core::rf_dataset::build_rf_dataset_1day;
@@ -391,7 +390,7 @@ fn train_rl_agent(
     search.best.with_training_cost(search.total_cost)
 }
 
-/// The split-level hyperparameter search behind [`train_rl_agent`], exposed with its
+/// The split-level hyperparameter search behind `train_rl_agent`, exposed with its
 /// full candidate and rung traces for the cost-accounting and determinism tests.
 ///
 /// Candidate parameters and per-candidate trainer seeds are pre-drawn by the two-round
@@ -477,10 +476,10 @@ pub fn estimated_full_steps(train_tl: &TimelineSet, episodes: usize) -> u64 {
 ///
 /// `train_to` budgets are cumulative environment-step targets (`u64::MAX` = the full
 /// episode budget); each increment is charged through the deterministic step-count cost
-/// model, so the search bills exactly the steps actually trained. Scoring borrows the
-/// live agent through [`RlPolicyView`] — no clone, no compaction — and the final
-/// artifact is compacted: the filled replay buffer dominates an agent's footprint and
-/// inference never reads it.
+/// model, so the search bills exactly the steps actually trained. Scoring replays the
+/// live [`uerl_rl::DqnAgent`] itself as the greedy policy — no clone, no compaction —
+/// and the final artifact is compacted: the filled replay buffer dominates an agent's
+/// footprint and inference never reads it.
 pub struct DqnCandidateSession<'a> {
     session: TrainingSession,
     train_tl: &'a TimelineSet,
@@ -509,7 +508,7 @@ impl Trainable for DqnCandidateSession<'_> {
             0.0
         } else {
             -run_policy(
-                &RlPolicyView::new(self.session.agent()),
+                self.session.agent(),
                 self.selection_tl,
                 self.sampler,
                 self.config,

@@ -7,7 +7,7 @@
 //! `O(features · n)` per node instead of the `O(mtry · n log n)` full re-sort the
 //! previous implementation paid at every node.
 //!
-//! On nodes with at least [`PARALLEL_SPLIT_MIN_SAMPLES`] samples, the candidate
+//! On nodes with at least `PARALLEL_SPLIT_MIN_SAMPLES` samples, the candidate
 //! features of `best_split` are evaluated in parallel via recursive [`rayon::join`]
 //! over the (already rng-drawn) feature list; per-feature minima are reduced in
 //! feature order with earlier features winning ties, so the chosen split — and hence

@@ -127,12 +127,6 @@ impl DuelingQNetwork {
             + self.advantage_head.param_count()
     }
 
-    fn combine(value: &Matrix, advantage: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(advantage.rows(), advantage.cols());
-        Self::combine_into(value, advantage, &mut out);
-        out
-    }
-
     /// `Q = V + A − mean(A)` written into `out` (reshaped as needed, allocation reused).
     /// The per-row mean uses the same left-to-right summation as the original
     /// element-wise combine, so results are bit-identical.
@@ -149,27 +143,21 @@ impl DuelingQNetwork {
         }
     }
 
-    /// Inference-only forward pass producing the Q-values for a batch of states.
-    pub fn forward(&self, input: &Matrix) -> Matrix {
-        let (first, rest) = self
-            .trunk
-            .split_first()
-            .expect("dueling network has a trunk");
-        let mut h = first.forward(input);
-        for layer in rest {
-            h = layer.forward(&h);
-        }
-        let v = self.value_head.forward(&h);
-        let a = self.advantage_head.forward(&h);
-        Self::combine(&v, &a)
+    /// Allocating wrapper over [`DuelingQNetwork::forward_batch_into`] for tests.
+    #[cfg(test)]
+    pub(crate) fn forward(&self, input: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(1, 1);
+        self.forward_batch_into(input, &mut BatchScratch::new(), &mut out);
+        out
     }
 
-    /// Batched inference written into `out` with zero allocations after warm-up: trunk
-    /// activations ping-pong through the scratch buffers, the two heads write into the
-    /// scratch's value/advantage buffers, and the dueling combine lands in `out`. One
-    /// row per input state; each row is **bit-identical** to forwarding it alone (same
-    /// kernels, same op order), which is what keeps micro-batched serving decisions
-    /// independent of the batch size.
+    /// The network's one inference pass: the Q-values of a batch of states written into
+    /// `out`, with zero allocations after warm-up. Trunk activations ping-pong through
+    /// the scratch buffers, the two heads write into the scratch's value/advantage
+    /// buffers, and the dueling combine lands in `out`. One row per input state; each
+    /// row is **bit-identical** to forwarding it alone (same kernels, same op order),
+    /// which is what keeps micro-batched serving decisions independent of the batch
+    /// size.
     pub fn forward_batch_into(&self, input: &Matrix, scratch: &mut BatchScratch, out: &mut Matrix) {
         let BatchScratch {
             ping,
@@ -191,8 +179,8 @@ impl DuelingQNetwork {
     }
 
     /// Training forward pass (caches activations in every layer), returning the
-    /// Q-values. Bit-identical to [`DuelingQNetwork::forward`]; every buffer is reused
-    /// across passes.
+    /// Q-values. Bit-identical to [`DuelingQNetwork::forward_batch_into`]; every buffer
+    /// is reused across passes.
     pub fn forward_train(&mut self, input: &Matrix) -> &Matrix {
         let Self {
             trunk,
@@ -301,13 +289,6 @@ impl DuelingQNetwork {
         }
         self.value_head.copy_params_from(&other.value_head);
         self.advantage_head.copy_params_from(&other.advantage_head);
-    }
-
-    /// Convenience single-state Q-value prediction.
-    pub fn predict_one(&self, features: &[f64]) -> Vec<f64> {
-        self.forward(&Matrix::row_from_slice(features))
-            .row(0)
-            .to_vec()
     }
 }
 
@@ -426,33 +407,20 @@ mod tests {
         // Each row also matches the single-state path bit-for-bit after scratch reuse.
         net.forward_batch_into(&x, &mut scratch, &mut out);
         for i in 0..6 {
-            let single = net.predict_one(x.row(i));
-            for (a, b) in out.row(i).iter().zip(&single) {
+            let single = net.forward(&Matrix::row_from_slice(x.row(i)));
+            for (a, b) in out.row(i).iter().zip(single.data()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "row {i} diverged from single-row");
             }
         }
-    }
-
-    #[test]
-    fn predict_one_matches_batch_forward() {
-        let net = small(8);
-        let f = [0.9, -0.9, 0.5, 0.0];
-        assert_eq!(
-            net.predict_one(&f),
-            net.forward(&Matrix::row_from_slice(&f)).row(0)
-        );
     }
 
     fn bits(values: &[f64]) -> Vec<u64> {
         values.iter().map(|v| v.to_bits()).collect()
     }
 
-    /// The Q-values of `net` for `x` through both inference paths, which must agree.
+    /// The bits of the Q-values of `net` for `x`.
     fn q_bits(net: &DuelingQNetwork, x: &Matrix) -> Vec<u64> {
-        let mut out = Matrix::zeros(1, 1);
-        net.forward_batch_into(x, &mut BatchScratch::new(), &mut out);
-        assert_eq!(bits(out.data()), bits(&net.predict_one(x.row(0))));
-        bits(out.data())
+        bits(net.forward(x).data())
     }
 
     #[test]

@@ -109,8 +109,9 @@ impl DenseLayer {
         self.weights_finite = other.weights_finite;
     }
 
-    /// Inference-only forward pass (no caches touched).
-    pub fn forward(&self, input: &Matrix) -> Matrix {
+    /// Allocating wrapper over [`DenseLayer::forward_batch_into`] for tests.
+    #[cfg(test)]
+    pub(crate) fn forward(&self, input: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(1, 1);
         self.forward_batch_into(input, &mut out);
         out
@@ -131,8 +132,9 @@ impl DenseLayer {
     }
 
     /// Training forward pass: caches the input and pre-activation for the backward pass
-    /// and returns the output. Same kernels and op order as [`DenseLayer::forward`], so
-    /// the results are bit-identical; the buffers are reused across passes.
+    /// and returns the output. Same kernels and op order as
+    /// [`DenseLayer::forward_batch_into`], so the results are bit-identical; the buffers
+    /// are reused across passes.
     pub fn forward_train(&mut self, input: &Matrix) -> &Matrix {
         let activation = self.activation;
         let buffers = self.train.get_or_insert_with(|| TrainBuffers {

@@ -21,7 +21,9 @@
 //! * [`optim`] — the Adam optimizer;
 //! * [`network`] — the trunk configuration and the reusable batched-inference scratch;
 //! * [`dueling`] — the dueling Q-network: a dense trunk under a value and an advantage
-//!   head, recombined as `Q(s, a) = V(s) + A(s, a) − mean(A)`.
+//!   head, recombined as `Q(s, a) = V(s) + A(s, a) − mean(A)`. Its one inference pass
+//!   is [`DuelingQNetwork::forward_batch_into`]: serving, evaluation, acting and the
+//!   training update's next-state forwards all run through it.
 //!
 //! Everything is deterministic under a seeded RNG and is exercised by gradient-check
 //! tests, which is what makes the RL results reproducible.

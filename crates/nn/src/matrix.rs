@@ -11,16 +11,16 @@
 //! arrays (which the autovectorizer keeps in SIMD registers), and the inner loop walks
 //! the shared dimension once with the operand panels loaded contiguously:
 //!
-//! - `matmul` / `matmul_into`: [`MR`] output rows × `NR` contiguous lanes, then one
-//!   [`TAIL_LANES`]-lane tile where `NR` is wider, then a scalar column loop; the
+//! - `matmul` / `matmul_into`: `MR` output rows × `NR` contiguous lanes, then one
+//!   `TAIL_LANES`-lane tile where `NR` is wider, then a scalar column loop; the
 //!   `m % MR` edge rows (every row of a batch of 1–3, the serving case) use a single-row
-//!   tile of `W` contiguous lanes, then one of `W / 2` lanes, then [`TAIL_LANES`] lanes,
+//!   tile of `W` contiguous lanes, then one of `W / 2` lanes, then `TAIL_LANES` lanes,
 //!   then scalar columns. `W` and `NR` are sized to the instruction set (see below).
-//! - `matmul_tn_acc`: [`MR`] accumulator rows × `NR` lanes, then narrower edges.
+//! - `matmul_tn_acc`: `MR` accumulator rows × `NR` lanes, then narrower edges.
 //! - `matmul_nt` / `matmul_nt_into`: each block of `NR` outputs (rows of the right
-//!   operand) is packed once into a panel of `NR`-lane columns, and [`MR`]-row tiles run
+//!   operand) is packed once into a panel of `NR`-lane columns, and `MR`-row tiles run
 //!   through it one interleaved partial sum at a time; the `m % MR` edge rows and the
-//!   `n % NR` edge outputs run [`NT_OUTS`] dot products per pass over the left row,
+//!   `n % NR` edge outputs run `NT_OUTS` dot products per pass over the left row,
 //!   then single dot products.
 //!
 //! The load-bearing invariant is that the **per-output-element reduction order is a
@@ -35,7 +35,7 @@
 //!   same row forwarded alone, which is the invariant the online serving layer's
 //!   micro-batching and the `serving_parity` suite rest on.
 //! - `matmul_nt` / `matmul_nt_into`: each element is an independent dot product, which
-//!   a single serial chain would leave latency-bound; it is accumulated in [`DOT_LANES`]
+//!   a single serial chain would leave latency-bound; it is accumulated in `DOT_LANES`
 //!   interleaved partial sums (lane `c` takes `k ≡ c (mod DOT_LANES)` in ascending
 //!   order) combined by a fixed balanced tree. The order is still a pure function of
 //!   the inner dimension, so results remain independent of batch size and thread
@@ -58,7 +58,7 @@
 //!   `±0` never changes a partial sum, and dropping it leaves every later sum as it was.
 //!
 //! Only a non-finite `w` could make a skipped term matter: `0·∞` and `0·NaN` are NaN
-//! (IEEE 754), so every product without the proof, and every [`MR`]-row tile, keeps
+//! (IEEE 754), so every product without the proof, and every `MR`-row tile, keeps
 //! the dense loop, where a data-dependent branch would also defeat vectorization.
 //!
 //! # Instruction-set dispatch

@@ -112,8 +112,8 @@ mod tests {
             net.forward_batch_into(&x, &mut scratch, &mut out);
             assert_eq!((out.rows(), out.cols()), (rows, 2));
             for i in 0..rows {
-                let single = net.predict_one(x.row(i));
-                for (a, b) in out.row(i).iter().zip(&single) {
+                let single = net.forward(&Matrix::row_from_slice(x.row(i)));
+                for (a, b) in out.row(i).iter().zip(single.data()) {
                     assert_eq!(a.to_bits(), b.to_bits(), "row {i} diverged from single-row");
                 }
             }

@@ -16,15 +16,16 @@ use crate::transition::Transition;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use uerl_nn::{
     Activation, Adam, BatchScratch, DuelingQNetwork, Loss, Matrix, MlpConfig, WeightInit,
 };
 
 /// Deterministic greedy action over one state's Q-values: the argmax, with exact ties
-/// going to the **last** maximal action (the semantics [`DqnAgent::act_greedy`] has
-/// always had, via `Iterator::max_by`). Every inference path — single-state, scratch
-/// and micro-batched — must route through this one helper so the offline evaluator and
-/// the online serving layer cannot diverge on a tie.
+/// going to the **last** maximal action (via `Iterator::max_by`). Every greedy decision
+/// — acting in training, offline evaluation and online serving — reads the Q-values of
+/// [`DqnAgent::with_q_values`] through this one helper, so the offline evaluator and the
+/// online serving layer cannot diverge on a tie.
 ///
 /// # Panics
 /// Panics if a Q-value is NaN.
@@ -36,49 +37,24 @@ pub fn greedy_action(q: &[f64]) -> usize {
         .unwrap_or(0)
 }
 
-/// Reusable buffers for allocation-free greedy inference: a staging matrix for the
-/// input batch, the network's internal forward scratch, and the Q-value output. One
-/// scratch serves any batch size and any agent; the buffers are overwritten on every
-/// call and never influence results.
-#[derive(Debug, Clone)]
-pub struct InferenceScratch {
+/// The buffers of one Q-value query: the staged input batch, the network's forward
+/// scratch and the Q-values. Overwritten by every query and never observable.
+struct QueryBuffers {
     input: Matrix,
     forward: BatchScratch,
     q: Matrix,
 }
 
-impl InferenceScratch {
-    /// Create an empty scratch; buffers are sized lazily on first use.
-    pub fn new() -> Self {
-        Self {
-            input: Matrix::zeros(1, 1),
-            forward: BatchScratch::new(),
-            q: Matrix::zeros(1, 1),
-        }
-    }
-
-    /// Reset the staging batch to `rows × state_dim` zeros and hand it out for filling
-    /// (one row per state, written via [`Matrix::row_mut`]); the allocation is reused.
-    pub fn input_mut(&mut self, rows: usize, state_dim: usize) -> &mut Matrix {
-        self.input.reset_to(rows, state_dim);
-        &mut self.input
-    }
-}
-
-impl Default for InferenceScratch {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// [`greedy_action`] of `net` on one state, through the preallocated forward path of
-/// `scratch`: bit-identical Q-values to `net.predict_one(state)` (same kernels).
-fn greedy_with(net: &DuelingQNetwork, state: &[f64], scratch: &mut InferenceScratch) -> usize {
-    let InferenceScratch { input, forward, q } = scratch;
-    input.reset_to(1, state.len());
-    input.row_mut(0).copy_from_slice(state);
-    net.forward_batch_into(input, forward, q);
-    greedy_action(q.row(0))
+thread_local! {
+    /// The per-thread buffers of [`DqnAgent::with_q_values`], shared by every agent on
+    /// the thread. The evaluator replays one shared `&DqnAgent` over many node timelines
+    /// in parallel, so the buffers cannot live in the agent; since every query overwrites
+    /// them, sharing them across agents is sound.
+    static QUERY: RefCell<QueryBuffers> = RefCell::new(QueryBuffers {
+        input: Matrix::zeros(1, 1),
+        forward: BatchScratch::new(),
+        q: Matrix::zeros(1, 1),
+    });
 }
 
 /// Configuration of a [`DqnAgent`].
@@ -194,37 +170,6 @@ fn q_network(config: &AgentConfig, rng: &mut StdRng) -> DuelingQNetwork {
     DuelingQNetwork::new(&trunk, config.n_actions, rng)
 }
 
-/// A complete snapshot of an agent mid-training: networks, optimizer moments, replay
-/// memory, exploration RNG and the env-step/update counters. Resuming from a checkpoint
-/// and continuing to train is **bit-equal** to never having paused.
-///
-/// This is the agent-level statement of the resumability contract the successive-
-/// halving search builds on (its rung-by-rung training holds live agents inside
-/// `TrainingSession`s rather than going through this type); the checkpoint API is the
-/// surface for callers that need to pause and hand off an agent explicitly, and its
-/// tests pin the bit-equality contract itself.
-#[derive(Debug, Clone)]
-pub struct AgentCheckpoint {
-    agent: DqnAgent,
-}
-
-impl AgentCheckpoint {
-    /// Environment steps the checkpointed agent had observed.
-    pub fn env_steps(&self) -> u64 {
-        self.agent.env_steps
-    }
-
-    /// Gradient updates the checkpointed agent had performed.
-    pub fn updates(&self) -> u64 {
-        self.agent.updates
-    }
-
-    /// Resume training from this checkpoint.
-    pub fn resume(self) -> DqnAgent {
-        self.agent
-    }
-}
-
 /// A deep Q-network agent.
 #[derive(Debug, Clone)]
 pub struct DqnAgent {
@@ -241,8 +186,6 @@ pub struct DqnAgent {
     compacted: bool,
     /// Buffers of one update, overwritten by every `train_step` and never observable.
     update: UpdateBuffers,
-    /// Scratch of the greedy forward pass inside `act`.
-    act_scratch: InferenceScratch,
 }
 
 /// The buffers [`DqnAgent::train_step`] reuses across updates: the sampled batch, the
@@ -303,7 +246,6 @@ impl DqnAgent {
             last_loss: None,
             compacted: false,
             update: UpdateBuffers::new(),
-            act_scratch: InferenceScratch::new(),
         }
     }
 
@@ -315,37 +257,16 @@ impl DqnAgent {
     /// Shrink a trained agent to its inference footprint by dropping the accumulated
     /// replay memory (a fresh minimal buffer keeps the agent valid) and the training
     /// buffers of the update and of the online network, which it freezes for inference
-    /// (`DuelingQNetwork::drop_training_buffers`). Greedy inference (`q_values` /
-    /// `act_greedy`) keeps its bits and gets faster; only further training would differ.
-    /// The parallel hyperparameter search compacts every candidate policy so a round of
-    /// trained agents does not pin one filled replay buffer per candidate.
+    /// (`DuelingQNetwork::drop_training_buffers`). Greedy inference
+    /// ([`DqnAgent::with_q_values`]) keeps its bits and gets faster; only further
+    /// training would differ. The parallel hyperparameter search compacts every
+    /// candidate policy so a round of trained agents does not pin one filled replay
+    /// buffer per candidate.
     pub fn compact_for_inference(&mut self) {
         self.replay = PrioritizedReplay::new(1, self.config.per_alpha);
         self.update = UpdateBuffers::new();
         self.online.drop_training_buffers();
         self.compacted = true;
-    }
-
-    /// Whether [`DqnAgent::compact_for_inference`] dropped the replay memory. A
-    /// compacted agent can still be queried but must not be trained or checkpointed.
-    pub fn is_compacted(&self) -> bool {
-        self.compacted
-    }
-
-    /// Capture the complete training state (networks, optimizer, replay, RNG,
-    /// counters), so training can later continue from exactly this point.
-    ///
-    /// # Panics
-    /// Panics if the agent was compacted for inference — its replay memory is gone, so
-    /// resumed training could not be bit-equal to uninterrupted training.
-    pub fn checkpoint(&self) -> AgentCheckpoint {
-        assert!(
-            !self.compacted,
-            "a compacted agent cannot be checkpointed for resumable training"
-        );
-        AgentCheckpoint {
-            agent: self.clone(),
-        }
     }
 
     /// Number of environment steps observed so far.
@@ -373,43 +294,53 @@ impl DqnAgent {
         self.config.epsilon.value(self.env_steps)
     }
 
+    /// The one Q-value query of the online network: stages `rows` states (`fill(i, row)`
+    /// writes state `i` into its zeroed row), runs them through
+    /// [`DuelingQNetwork::forward_batch_into`] in the thread's query buffers and hands
+    /// the `rows × n_actions` Q-values to `read`. No allocation after the thread's
+    /// buffers have seen the batch shape. Each row is **bit-identical** to querying that
+    /// state alone, so decisions do not depend on how states are grouped into batches.
+    ///
+    /// # Panics
+    /// Panics if `rows` is zero, or if `fill` or `read` queries again on the same thread.
+    pub fn with_q_values<R>(
+        &self,
+        rows: usize,
+        mut fill: impl FnMut(usize, &mut [f64]),
+        read: impl FnOnce(&Matrix) -> R,
+    ) -> R {
+        QUERY.with(|buffers| {
+            let QueryBuffers { input, forward, q } = &mut *buffers.borrow_mut();
+            input.reset_to(rows, self.config.state_dim);
+            for i in 0..rows {
+                fill(i, input.row_mut(i));
+            }
+            self.online.forward_batch_into(input, forward, q);
+            read(q)
+        })
+    }
+
     /// Q-values predicted by the online network for one state.
     pub fn q_values(&self, state: &[f64]) -> Vec<f64> {
-        self.online.predict_one(state)
+        self.with_q_values(
+            1,
+            |_, row| row.copy_from_slice(state),
+            |q| q.row(0).to_vec(),
+        )
     }
 
-    /// Q-values of the online network for the batch staged in `scratch` (one row per
-    /// state, filled through [`InferenceScratch::input_mut`]). The entire pass reuses
-    /// the scratch's preallocated buffers — no allocation after warm-up — and each
-    /// output row is **bit-identical** to [`DqnAgent::q_values`] on that state alone,
-    /// which is what lets the serving layer stack a tick's decision requests into one
-    /// forward pass at any batch size without changing a single decision.
-    pub fn q_values_batch<'s>(&self, scratch: &'s mut InferenceScratch) -> &'s Matrix {
-        let InferenceScratch { input, forward, q } = scratch;
-        self.online.forward_batch_into(input, forward, q);
-        q
-    }
-
-    /// Greedy action (no exploration): argmax of the online Q-values.
-    pub fn act_greedy(&self, state: &[f64]) -> usize {
-        greedy_action(&self.q_values(state))
-    }
-
-    /// Allocation-free [`DqnAgent::act_greedy`]: stages the state into the scratch's
-    /// single-row batch and runs the preallocated forward path. Bit-identical decision
-    /// to `act_greedy` (same kernels, same tie rule).
-    pub fn act_greedy_with(&self, state: &[f64], scratch: &mut InferenceScratch) -> usize {
-        greedy_with(&self.online, state, scratch)
-    }
-
-    /// ε-greedy action for training. The greedy branch runs through the agent's own
-    /// inference scratch, with the decision of [`DqnAgent::act_greedy`].
+    /// ε-greedy action for training: a uniform action with probability ε, otherwise the
+    /// [`greedy_action`] of the online Q-values.
     pub fn act(&mut self, state: &[f64]) -> usize {
         let eps = self.epsilon();
         if self.rng.gen::<f64>() < eps {
             self.rng.gen_range(0..self.config.n_actions)
         } else {
-            greedy_with(&self.online, state, &mut self.act_scratch)
+            self.with_q_values(
+                1,
+                |_, row| row.copy_from_slice(state),
+                |q| greedy_action(q.row(0)),
+            )
         }
     }
 
@@ -431,8 +362,8 @@ impl DqnAgent {
         }
     }
 
-    /// Force a target-network synchronisation.
-    pub fn sync_target(&mut self) {
+    /// Synchronise the target network with the online one.
+    fn sync_target(&mut self) {
         self.target.sync_from(&self.online);
         crate::metrics::metrics().target_syncs.inc();
     }
@@ -581,8 +512,8 @@ mod tests {
     #[test]
     fn dddqn_with_per_solves_contextual_bandit() {
         let agent = train_bandit(AgentConfig::small(2).with_seed(1), 2_000);
-        assert_eq!(agent.act_greedy(&[1.0, 0.0]), 0);
-        assert_eq!(agent.act_greedy(&[0.0, 1.0]), 1);
+        assert_eq!(greedy_action(&agent.q_values(&[1.0, 0.0])), 0);
+        assert_eq!(greedy_action(&agent.q_values(&[0.0, 1.0])), 1);
         assert!(agent.updates() > 0);
         assert!(agent.last_loss().is_some());
     }
@@ -603,10 +534,21 @@ mod tests {
         }
     }
 
+    /// The Q-values of `net` for one state through fresh forward buffers.
+    fn fresh_q_values(net: &DuelingQNetwork, state: &[f64]) -> Vec<f64> {
+        let mut q = Matrix::zeros(1, 1);
+        net.forward_batch_into(
+            &Matrix::row_from_slice(state),
+            &mut BatchScratch::new(),
+            &mut q,
+        );
+        q.data().to_vec()
+    }
+
     #[test]
     fn batched_q_values_are_bit_identical_to_single_state_inference() {
-        // Each row of a staged batch must match `q_values` on that state to the bit, and
-        // the scratch paths must agree with the allocating ones.
+        // Each row of a batched query must match a single-state query of that row to the
+        // bit, and the thread's reused query buffers must agree with fresh ones.
         let agent = train_bandit(AgentConfig::small(2).with_seed(21), 500);
         let states = [
             vec![1.0, 0.0],
@@ -615,28 +557,27 @@ mod tests {
             vec![-0.2, 0.9],
             vec![0.0, 0.0],
         ];
-        let mut scratch = InferenceScratch::new();
-        let input = scratch.input_mut(states.len(), 2);
-        for (i, s) in states.iter().enumerate() {
-            input.row_mut(i).copy_from_slice(s);
-        }
-        let q = agent.q_values_batch(&mut scratch);
-        let rows: Vec<Vec<f64>> = (0..states.len()).map(|i| q.row(i).to_vec()).collect();
+        let rows: Vec<Vec<f64>> = agent.with_q_values(
+            states.len(),
+            |i, row| row.copy_from_slice(&states[i]),
+            |q| (0..states.len()).map(|i| q.row(i).to_vec()).collect(),
+        );
         for (s, row) in states.iter().zip(&rows) {
-            for (a, b) in row.iter().zip(agent.q_values(s)) {
+            for ((a, b), c) in row
+                .iter()
+                .zip(agent.q_values(s))
+                .zip(fresh_q_values(&agent.online, s))
+            {
                 assert_eq!(a.to_bits(), b.to_bits());
+                assert_eq!(a.to_bits(), c.to_bits());
             }
-        }
-        // The scratch single-state path and the tie rule agree with act_greedy.
-        for s in &states {
-            assert_eq!(agent.act_greedy_with(s, &mut scratch), agent.act_greedy(s));
         }
     }
 
     #[test]
     fn greedy_action_ties_keep_the_last_maximal_action() {
-        // act_greedy has always resolved exact ties through `max_by`, which returns the
-        // last maximal element; the shared helper must preserve that so the batched
+        // Greedy acting has always resolved exact ties through `max_by`, which returns
+        // the last maximal element; the shared helper must preserve that so the batched
         // serving path and the offline evaluator decide identically on ties.
         assert_eq!(greedy_action(&[1.0, 1.0]), 1);
         assert_eq!(greedy_action(&[2.0, 1.0]), 0);
@@ -686,10 +627,10 @@ mod tests {
             agent.observe(Transition::terminal(vec![0.5, -0.5], i % 2, 1.0));
         }
         let before_online = agent.q_values(&s);
-        let before_target = agent.target.predict_one(&s);
+        let before_target = fresh_q_values(&agent.target, &s);
         assert_ne!(before_online, before_target, "online should have drifted");
         agent.sync_target();
-        let after_target = agent.target.predict_one(&s);
+        let after_target = fresh_q_values(&agent.target, &s);
         assert_eq!(agent.q_values(&s), after_target);
     }
 
@@ -725,15 +666,14 @@ mod tests {
 
     #[test]
     fn resumed_training_is_bit_equal_to_straight_through() {
-        // Train 500 steps, checkpoint, continue to 1500 — and compare against an agent
+        // Train 500 steps, clone, continue both to 1500 — and compare against an agent
         // that trained the same 1500 steps without pausing. Counters, Q-values and the
-        // next exploration decisions must agree to the bit: the checkpoint carries the
+        // next exploration decisions must agree to the bit: the clone carries the
         // networks, optimizer moments, replay contents/priorities and the RNG.
         let straight = train_bandit(AgentConfig::small(2).with_seed(11), 1_500);
         let mut paused = train_bandit(AgentConfig::small(2).with_seed(11), 500);
-        let checkpoint = paused.checkpoint();
-        assert_eq!(checkpoint.env_steps(), 500);
-        let mut resumed = checkpoint.resume();
+        let mut resumed = paused.clone();
+        assert_eq!(resumed.env_steps(), 500);
         continue_bandit(&mut paused, 500, 1_000);
         continue_bandit(&mut resumed, 500, 1_000);
         for agent in [&paused, &resumed] {
@@ -746,16 +686,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "compacted agent cannot be checkpointed")]
-    fn compacted_agents_refuse_to_checkpoint() {
-        let mut agent = train_bandit(AgentConfig::small(2).with_seed(12), 300);
-        assert!(!agent.is_compacted());
-        agent.compact_for_inference();
-        assert!(agent.is_compacted());
-        let _ = agent.checkpoint();
     }
 
     #[test]

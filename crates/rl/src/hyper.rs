@@ -33,7 +33,7 @@ pub struct HyperParams {
 
 impl HyperParams {
     /// A reasonable default point in the search space.
-    pub fn default_point() -> Self {
+    fn default_point() -> Self {
         Self {
             learning_rate: 1e-3,
             gamma: 0.99,

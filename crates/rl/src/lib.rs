@@ -12,7 +12,9 @@
 //! * [`schedule`] — ε-greedy exploration schedules and the β annealing schedule of PER;
 //! * [`dqn`] — the paper's agent, a dueling double deep Q-network (DDDQN) trained from
 //!   prioritized replay with Adam, with target-network synchronisation and Huber-loss TD
-//!   updates;
+//!   updates. Every Q-value query — the greedy branch of `act`, `q_values`, offline
+//!   evaluation and online serving — is one call of [`DqnAgent::with_q_values`], and
+//!   every greedy decision reads its Q-values through [`greedy_action`];
 //! * [`hyper`] — the hyperparameter set and the two-round random search used during
 //!   time-series nested cross-validation. Its one driver, [`HyperSearch::run`], runs
 //!   successive halving inside each round, so losing candidates stop training early.
@@ -25,7 +27,7 @@ pub mod schedule;
 pub mod sumtree;
 pub mod transition;
 
-pub use dqn::{greedy_action, AgentCheckpoint, AgentConfig, DqnAgent, InferenceScratch};
+pub use dqn::{greedy_action, AgentConfig, DqnAgent};
 pub use hyper::{
     better_score, EvaluatedCandidate, HyperParams, HyperSearch, RungTrace, SearchOutcome, Trainable,
 };

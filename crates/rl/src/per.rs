@@ -122,18 +122,14 @@ impl PrioritizedReplay {
     ///
     /// # Panics
     /// Panics if the floor is not strictly positive and finite.
-    pub fn with_priority_floor(mut self, floor: f64) -> Self {
+    #[cfg(test)]
+    fn with_priority_floor(mut self, floor: f64) -> Self {
         assert!(
             floor.is_finite() && floor > 0.0,
             "priority floor must be positive and finite"
         );
         self.priority_floor = floor;
         self
-    }
-
-    /// The stored (post-exponentiation) priority of a slot, for diagnostics and tests.
-    pub fn priority_of(&self, slot: usize) -> f64 {
-        self.tree.get(slot)
     }
 
     /// Add a transition with the maximum priority seen so far, so every new experience is
@@ -425,15 +421,15 @@ mod tests {
         let mut per = PrioritizedReplay::new(4, alpha).with_priority_floor(floor);
         per.push(t(0.0)); // max_priority = 1.0 < floor
         assert!(
-            (per.priority_of(0) - floor.powf(alpha)).abs() < 1e-15,
+            (per.tree.get(0) - floor.powf(alpha)).abs() < 1e-15,
             "push stored {}, want floor^alpha = {}",
-            per.priority_of(0),
+            per.tree.get(0),
             floor.powf(alpha)
         );
         // `update_priorities` with a sub-floor error must store the same value.
         per.push(t(1.0));
         per.update_priorities(&[1], &[0.0]);
-        assert_eq!(per.priority_of(0).to_bits(), per.priority_of(1).to_bits());
+        assert_eq!(per.tree.get(0).to_bits(), per.tree.get(1).to_bits());
     }
 
     #[test]
@@ -442,7 +438,7 @@ mod tests {
         per.push(t(0.0));
         per.update_priorities(&[0], &[1e-9]);
         let expected = 1e-4f64.powf(0.6);
-        assert!((per.priority_of(0) - expected).abs() < 1e-15);
+        assert!((per.tree.get(0) - expected).abs() < 1e-15);
     }
 
     #[test]

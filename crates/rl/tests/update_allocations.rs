@@ -3,14 +3,14 @@
 //! inference of an agent compacted for serving, whose products skip zero inputs. A
 //! counting global allocator watches the test thread through updates on the paper
 //! network over batches with changing terminal mixes, target-network syncs included,
-//! and through served batches of 1 and 3 states.
+//! and through `DqnAgent::with_q_values` queries of 1 and 3 states.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use uerl_rl::{AgentConfig, DqnAgent, EpsilonSchedule, InferenceScratch, Transition};
+use uerl_rl::{AgentConfig, DqnAgent, EpsilonSchedule, Transition};
 
 /// The system allocator, counting the allocations and reallocations a thread makes
 /// while its `COUNTING` flag is set.
@@ -117,44 +117,43 @@ fn train_step_and_greedy_act_allocate_nothing_after_warm_up() {
 #[test]
 fn compacted_agent_inference_allocates_nothing_after_warm_up() {
     const STATE_DIM: usize = 15;
-    let mut agent = DqnAgent::new(AgentConfig::paper(STATE_DIM).with_seed(3));
+    let config = AgentConfig {
+        epsilon: EpsilonSchedule::new(0.0, 0.0, 1),
+        ..AgentConfig::paper(STATE_DIM).with_seed(3)
+    };
+    let mut agent = DqnAgent::new(config);
     agent.compact_for_inference();
-    let mut scratch = InferenceScratch::new();
     let mut rng = StdRng::seed_from_u64(4);
     // Features in [0, 1), about one in eight exactly zero, as the served states have.
-    let mut stage = |scratch: &mut InferenceScratch, rows: usize| {
-        let input = scratch.input_mut(rows, STATE_DIM);
-        for i in 0..rows {
-            for x in input.row_mut(i) {
-                *x = if rng.gen_range(0..8) == 0 {
-                    0.0
-                } else {
-                    rng.gen_range(0.0..1.0)
-                };
-            }
+    let mut feature = move || {
+        if rng.gen_range(0..8) == 0 {
+            0.0
+        } else {
+            rng.gen_range(0.0..1.0)
         }
+    };
+    let mut query = |agent: &DqnAgent, rows: usize| {
+        agent.with_q_values(
+            rows,
+            |_, row| row.iter_mut().for_each(|x| *x = feature()),
+            |q| q.data().iter().all(|q| q.is_finite()),
+        )
     };
     let probe: Vec<f64> = (0..STATE_DIM).map(|j| (j % 3) as f64 * 0.4).collect();
 
-    // Warm-up: the scratch buffers reach their 3-row shapes, and the lazily built state
+    // Warm-up: the query buffers reach their 3-row shapes, and the lazily built state
     // (kernel level, the nonzero-input buffer) exists.
     for rows in [3, 1] {
-        stage(&mut scratch, rows);
-        agent.q_values_batch(&mut scratch);
+        query(&agent, rows);
     }
-    agent.act_greedy_with(&probe, &mut scratch);
+    agent.act(&probe);
 
     for round in 0..6 {
         let (allocations, _) = allocations_in(|| {
             for rows in [1, 3] {
-                stage(&mut scratch, rows);
-                assert!(agent
-                    .q_values_batch(&mut scratch)
-                    .data()
-                    .iter()
-                    .all(|q| q.is_finite()));
+                assert!(query(&agent, rows));
             }
-            agent.act_greedy_with(&probe, &mut scratch)
+            agent.act(&probe)
         });
         assert_eq!(allocations, 0, "round {round} allocated");
     }

@@ -12,10 +12,10 @@
 //!   [`uerl_core::policy::MitigationPolicy::decide_batch`]), and the out-of-order
 //!   ingestion guard.
 //! * [`metrics`] — the serving instruments (tick tracing, decision counters,
-//!   accumulated Equation 3 costs, work-stealing pool gauges) fed into the
-//!   process-wide [`uerl_obs`] registry, plus **shadow-policy scoring**: baseline
-//!   policies scored counterfactually on the identical served stream, with a live
-//!   cost-regret gauge ([`FleetServer::with_shadow_policies`]).
+//!   accumulated Equation 3 costs) fed into the process-wide [`uerl_obs`] registry,
+//!   plus **shadow-policy scoring**: baseline policies scored counterfactually on the
+//!   identical served stream, with a live cost-regret gauge
+//!   ([`FleetServer::with_shadow_policies`]).
 //!
 //! Per-node state is the core crate's [`NodeSession`] — one session type, pushed by
 //! both the offline environment cursor and this server. That is what carries the

@@ -8,8 +8,8 @@
 //!   batch size — except `uerl_serve_batch_size`, which is deterministic
 //!   *per configuration* (the batch boundaries are part of the configuration) — and
 //!   they participate in the snapshot fingerprint.
-//! * **Wall-clock** instruments (tick durations, work-stealing pool statistics) vary
-//!   run to run and are excluded from the fingerprint.
+//! * **Wall-clock** instruments (tick durations) vary run to run and are excluded
+//!   from the fingerprint.
 //!
 //! Recording is gated inside `uerl-obs` by `UERL_METRICS`; with the gate closed every
 //! hook is one relaxed atomic load and no clock is ever read.
@@ -44,15 +44,6 @@ pub struct ServeMetrics {
     /// Served total cost minus the best shadow policy's total cost (negative when the
     /// served policy is beating every shadow).
     pub shadow_regret: Arc<Gauge>,
-    /// Work-stealing pool: jobs dispensed by the queues (wall-clock class — stealing
-    /// is scheduling, not event time).
-    pub pool_jobs_executed: Arc<Gauge>,
-    /// Work-stealing pool: jobs stolen from another worker's deque.
-    pub pool_steals: Arc<Gauge>,
-    /// Work-stealing pool: injector-queue depth high-water mark.
-    pub pool_injector_depth_hwm: Arc<Gauge>,
-    /// Work-stealing pool: worker-deque depth high-water mark.
-    pub pool_deque_depth_hwm: Arc<Gauge>,
 }
 
 /// The process-wide serving instruments.
@@ -126,30 +117,6 @@ pub fn serve_metrics() -> &'static ServeMetrics {
                 "Served total cost minus the best shadow policy's total cost",
                 &[],
                 MetricClass::EventTime,
-            ),
-            pool_jobs_executed: r.gauge(
-                "uerl_pool_jobs_executed",
-                "Work-stealing pool: jobs dispensed by the queues",
-                &[],
-                MetricClass::WallClock,
-            ),
-            pool_steals: r.gauge(
-                "uerl_pool_steals",
-                "Work-stealing pool: jobs stolen from another worker's deque",
-                &[],
-                MetricClass::WallClock,
-            ),
-            pool_injector_depth_hwm: r.gauge(
-                "uerl_pool_injector_depth_hwm",
-                "Work-stealing pool: injector-queue depth high-water mark",
-                &[],
-                MetricClass::WallClock,
-            ),
-            pool_deque_depth_hwm: r.gauge(
-                "uerl_pool_deque_depth_hwm",
-                "Work-stealing pool: worker-deque depth high-water mark",
-                &[],
-                MetricClass::WallClock,
             ),
         }
     })

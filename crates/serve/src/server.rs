@@ -46,7 +46,7 @@ pub type ShadowPolicy = Arc<dyn MitigationPolicy + Send + Sync>;
 /// excluded from fingerprints) at ~1/8 of the cost.
 const TICK_SPAN_SAMPLE: u64 = 8;
 
-/// The internal per-tick flush republishes the cost/regret/pool gauges one tick in
+/// The internal per-tick flush republishes the cost/regret gauges one tick in
 /// this many (an explicit [`FleetServer::flush`] always republishes). The gauge
 /// *values* stay event-time deterministic — the cadence is a tick count, never wall
 /// clock — and the final state after a stream's closing flush is exact.
@@ -404,7 +404,7 @@ impl<P: MitigationPolicy> FleetServer<P> {
     /// Called automatically when a later tick starts; call it after the last event of
     /// a stream (or use [`FleetServer::ingest_all`], which does). An explicit flush
     /// also republishes the cost/regret gauges, which the internal per-tick flush
-    /// refreshes only every [`GAUGE_UPDATE_TICKS`] ticks to stay off the hot path.
+    /// refreshes only every `GAUGE_UPDATE_TICKS` ticks to stay off the hot path.
     pub fn flush(&mut self, out: &mut Vec<ServedDecision>) {
         self.flush_tick(out);
         self.update_gauges();
@@ -462,9 +462,8 @@ impl<P: MitigationPolicy> FleetServer<P> {
         }
     }
 
-    /// Refresh the cost / regret gauges and poll the work-stealing pool counters.
-    /// Gauge *values* are event-time deterministic (they mirror the running totals);
-    /// the pool statistics are wall-clock scheduler state.
+    /// Refresh the cost / regret gauges. Their *values* are event-time deterministic
+    /// (they mirror the running totals).
     fn update_gauges(&self) {
         if !uerl_obs::enabled() {
             return;
@@ -486,15 +485,6 @@ impl<P: MitigationPolicy> FleetServer<P> {
         if let Some(best) = best_shadow {
             metrics.shadow_regret.set(served_total - best);
         }
-        let pool = rayon::pool_stats();
-        metrics.pool_jobs_executed.set(pool.jobs_executed as f64);
-        metrics.pool_steals.set(pool.steals as f64);
-        metrics
-            .pool_injector_depth_hwm
-            .set(pool.injector_depth_hwm as f64);
-        metrics
-            .pool_deque_depth_hwm
-            .set(pool.deque_depth_hwm as f64);
     }
 
     /// Serve one round (at most one event per node, node-id order): absorb the events,
