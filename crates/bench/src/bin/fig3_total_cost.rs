@@ -1,13 +1,6 @@
 //! Regenerate Figure 3: total cost (UE + mitigation) for mitigation costs of 2, 5 and 10
 //! node-minutes, all eight policies. Scale is selected with `UERL_SCALE`.
 
-use uerl_bench::Scale;
-use uerl_eval::experiments::fig3;
-
 fn main() {
-    let scale = Scale::from_env();
-    let ctx = uerl_bench::context(scale, 2024);
-    eprintln!("[fig3] scale={} scenario={}", scale.label(), ctx.label);
-    let result = fig3::run(&ctx, &[2.0, 5.0, 10.0]);
-    println!("{}", result.render());
+    uerl_bench::print_artefact(env!("CARGO_BIN_NAME"));
 }

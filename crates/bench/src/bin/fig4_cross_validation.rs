@@ -1,13 +1,6 @@
 //! Regenerate Figure 4: per-split total cost from the time-series nested
 //! cross-validation at the 2 node-minute mitigation cost. Scale via `UERL_SCALE`.
 
-use uerl_bench::Scale;
-use uerl_eval::experiments::fig4;
-
 fn main() {
-    let scale = Scale::from_env();
-    let ctx = uerl_bench::context(scale, 2024);
-    eprintln!("[fig4] scale={} scenario={}", scale.label(), ctx.label);
-    let result = fig4::run(&ctx);
-    println!("{}", result.render());
+    uerl_bench::print_artefact(env!("CARGO_BIN_NAME"));
 }

@@ -1,13 +1,6 @@
 //! Regenerate Figure 5: total cost per DRAM manufacturer (MN/All, MN/A, MN/B, MN/C,
 //! MN/ABC). Scale via `UERL_SCALE`.
 
-use uerl_bench::Scale;
-use uerl_eval::experiments::fig5;
-
 fn main() {
-    let scale = Scale::from_env();
-    let ctx = uerl_bench::context(scale, 2024);
-    eprintln!("[fig5] scale={} scenario={}", scale.label(), ctx.label);
-    let result = fig5::run(&ctx);
-    println!("{}", result.render());
+    uerl_bench::print_artefact(env!("CARGO_BIN_NAME"));
 }

@@ -1,13 +1,6 @@
 //! Regenerate Figure 6: the RL agent's mitigation-fraction map over potential UE cost
 //! (log x-axis) and UE likelihood (RF-probability y-axis). Scale via `UERL_SCALE`.
 
-use uerl_bench::Scale;
-use uerl_eval::experiments::fig6;
-
 fn main() {
-    let scale = Scale::from_env();
-    let ctx = uerl_bench::context(scale, 2024);
-    eprintln!("[fig6] scale={} scenario={}", scale.label(), ctx.label);
-    let result = fig6::run(&ctx, 12, 10);
-    println!("{}", result.render());
+    uerl_bench::print_artefact(env!("CARGO_BIN_NAME"));
 }

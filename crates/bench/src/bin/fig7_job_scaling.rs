@@ -1,13 +1,6 @@
 //! Regenerate Figure 7: total cost (7a) and mitigation cost (7b) as a function of the
 //! job-size scaling factor. Scale via `UERL_SCALE`.
 
-use uerl_bench::Scale;
-use uerl_eval::experiments::fig7;
-
 fn main() {
-    let scale = Scale::from_env();
-    let ctx = uerl_bench::context(scale, 2024);
-    eprintln!("[fig7] scale={} scenario={}", scale.label(), ctx.label);
-    let result = fig7::run(&ctx, &[0.1, 0.3, 1.0, 3.0, 10.0]);
-    println!("{}", result.render());
+    uerl_bench::print_artefact(env!("CARGO_BIN_NAME"));
 }

@@ -1,13 +1,6 @@
 //! Regenerate Table 2: TP/FN/FP/TN, mitigation counts, recall and precision for every
 //! approach, plus the three cost-conditioned RL rows. Scale via `UERL_SCALE`.
 
-use uerl_bench::Scale;
-use uerl_eval::experiments::table2;
-
 fn main() {
-    let scale = Scale::from_env();
-    let ctx = uerl_bench::context(scale, 2024);
-    eprintln!("[table2] scale={} scenario={}", scale.label(), ctx.label);
-    let result = table2::run(&ctx);
-    println!("{}", result.render());
+    uerl_bench::print_artefact(env!("CARGO_BIN_NAME"));
 }

@@ -1,8 +1,9 @@
 //! Shared helpers for the UERL benchmark suite and the figure-regeneration binaries.
 //!
-//! Every paper artefact (Figure 3–7, Table 2) has a binary that prints the regenerated
-//! table/series; `perf_report` times the same pipelines, one stage per artefact. Both
-//! use the same scale selection so results are comparable:
+//! Every paper artefact (Figure 3–7, Table 2) has an entry in [`ARTEFACTS`] and a binary
+//! of the same name that prints the regenerated table/series; `perf_report` times the
+//! same pipelines, one stage per artefact. Both use the same scale selection so results
+//! are comparable:
 //!
 //! * `small` (default) — a dense-fault ~40-node fleet over ~3 months, tiny training
 //!   budget; finishes in seconds and reproduces the qualitative shape.
@@ -12,6 +13,7 @@
 //!
 //! Select with the `UERL_SCALE` environment variable (`small` / `laptop` / `paper`).
 
+use uerl_eval::experiments::{fig3, fig4, fig5, fig6, fig7, table2};
 use uerl_eval::scenario::{EvalBudget, ExperimentContext};
 use uerl_jobs::{JobLog, JobLogConfig, JobTraceGenerator};
 use uerl_trace::generator::{SyntheticLogConfig, TraceGenerator};
@@ -95,6 +97,38 @@ pub fn context(scale: Scale, seed: u64) -> ExperimentContext {
     )
 }
 
+/// Runs one paper artefact's pipeline on a context and renders its table.
+pub type Render = fn(&ExperimentContext) -> String;
+
+/// The six paper artefacts with the paper's arguments, keyed by the name of the binary
+/// that prints each (also its `perf_report` stage).
+pub const ARTEFACTS: [(&str, Render); 6] = [
+    ("fig3_total_cost", |ctx| {
+        fig3::run(ctx, &[2.0, 5.0, 10.0]).render()
+    }),
+    ("fig4_cross_validation", |ctx| fig4::run(ctx).render()),
+    ("fig5_manufacturers", |ctx| fig5::run(ctx).render()),
+    ("fig6_agent_behavior", |ctx| fig6::run(ctx, 12, 10).render()),
+    ("fig7_job_scaling", |ctx| {
+        fig7::run(ctx, &[0.1, 0.3, 1.0, 3.0, 10.0]).render()
+    }),
+    ("table2_ml_metrics", |ctx| table2::run(ctx).render()),
+];
+
+/// The body of an artefact binary: build the `UERL_SCALE` context and print the named
+/// artefact of [`ARTEFACTS`] on stdout.
+pub fn print_artefact(name: &str) {
+    let (_, render) = ARTEFACTS
+        .iter()
+        .find(|(artefact, _)| *artefact == name)
+        .unwrap_or_else(|| panic!("no paper artefact is named {name:?}"));
+    let scale = Scale::from_env();
+    let ctx = context(scale, 2024);
+    let tag = name.split('_').next().unwrap_or(name);
+    eprintln!("[{tag}] scale={} scenario={}", scale.label(), ctx.label);
+    println!("{}", render(&ctx));
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,6 +136,14 @@ mod tests {
     #[test]
     fn default_scale_is_small() {
         assert_eq!(Scale::from_env().label(), "small");
+    }
+
+    #[test]
+    fn every_artefact_has_a_binary_of_its_name() {
+        let bins = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src/bin");
+        for (name, _) in ARTEFACTS {
+            assert!(bins.join(format!("{name}.rs")).exists(), "no binary {name}");
+        }
     }
 
     #[test]

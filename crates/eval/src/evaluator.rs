@@ -2,7 +2,6 @@
 //! RL agent on the data preceding the test part, then evaluate every policy on the test
 //! part and accumulate the cost-benefit results.
 
-use crate::metrics::ClassificationMetrics;
 use crate::run::{run_policy, PolicyRun};
 use crate::scenario::{EvalBudget, ExperimentContext};
 use crate::splits::{nested_splits, SplitSpec};
@@ -37,15 +36,6 @@ pub const POLICY_ORDER: [&str; 8] = [
     "Oracle",
 ];
 
-/// A policy's accumulated run plus its classical ML metrics.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PolicyTotals {
-    /// Accumulated cost-benefit run.
-    pub run: PolicyRun,
-    /// Classification metrics over the accumulated decisions.
-    pub metrics: ClassificationMetrics,
-}
-
 /// The per-split outcome: one [`PolicyRun`] per policy, in [`POLICY_ORDER`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SplitOutcome {
@@ -70,14 +60,6 @@ impl EvaluationResult {
     /// The accumulated run of a policy.
     pub fn total_for(&self, policy: &str) -> Option<&PolicyRun> {
         self.totals.iter().find(|r| r.policy == policy)
-    }
-
-    /// The accumulated run plus metrics of a policy.
-    pub fn totals_for(&self, policy: &str) -> Option<PolicyTotals> {
-        self.total_for(policy).map(|run| PolicyTotals {
-            run: run.clone(),
-            metrics: ClassificationMetrics::from_run_1day(run),
-        })
     }
 
     /// Total cost (node-hours) of a policy, or infinity if it was not evaluated.
@@ -561,6 +543,7 @@ pub fn dqn_candidate_session_factory<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::ClassificationMetrics;
     use crate::scenario::EvalBudget;
 
     fn small_result() -> EvaluationResult {
@@ -608,9 +591,10 @@ mod tests {
     #[test]
     fn metrics_are_available_for_every_policy() {
         let result = small_result();
+        let metrics_of =
+            |name: &str| ClassificationMetrics::from_run_1day(result.total_for(name).unwrap());
         for &name in POLICY_ORDER.iter() {
-            let totals = result.totals_for(name).unwrap();
-            let m = totals.metrics;
+            let m = metrics_of(name);
             assert_eq!(
                 m.true_positives + m.false_negatives,
                 result.total_for(name).unwrap().ue_count,
@@ -621,10 +605,10 @@ mod tests {
         // so its precision is the best among all policies that mitigate at all. (It can
         // fall short of 100% only when the last event before a UE lies outside the 1-day
         // classification window, which the cost-benefit analysis does not penalise.)
-        let oracle = result.totals_for("Oracle").unwrap().metrics;
+        let oracle = metrics_of("Oracle");
         if let Some(oracle_precision) = oracle.precision() {
             for &name in POLICY_ORDER.iter() {
-                if let Some(p) = result.totals_for(name).unwrap().metrics.precision() {
+                if let Some(p) = metrics_of(name).precision() {
                     assert!(
                         oracle_precision + 1e-9 >= p,
                         "oracle precision {oracle_precision} below {name}'s {p}"
@@ -633,12 +617,7 @@ mod tests {
             }
         }
         // Never-mitigate has undefined precision.
-        assert!(result
-            .totals_for("Never-mitigate")
-            .unwrap()
-            .metrics
-            .precision()
-            .is_none());
+        assert!(metrics_of("Never-mitigate").precision().is_none());
     }
 
     /// A context split into train/validate parts for direct search-level tests.

@@ -100,7 +100,7 @@ pub fn run(ctx: &ExperimentContext) -> Table2Result {
         if !TABLE2_POLICIES.contains(&policy) {
             continue;
         }
-        let totals = evaluation.totals_for(policy).expect("policy evaluated");
+        let run = evaluation.total_for(policy).expect("policy evaluated");
         let label = if policy == "RL" {
             "RL (MN4 job distribution)".to_string()
         } else {
@@ -108,7 +108,7 @@ pub fn run(ctx: &ExperimentContext) -> Table2Result {
         };
         rows.push(Table2Row {
             approach: label,
-            metrics: totals.metrics,
+            metrics: ClassificationMetrics::from_run_1day(run),
         });
     }
 

@@ -28,7 +28,7 @@ pub mod run;
 pub mod scenario;
 pub mod splits;
 
-pub use evaluator::{EvaluationResult, Evaluator, PolicyTotals, SplitOutcome};
+pub use evaluator::{EvaluationResult, Evaluator, SplitOutcome};
 pub use metrics::ClassificationMetrics;
 pub use run::{run_policy, PolicyRun};
 pub use scenario::{EvalBudget, ExperimentContext};
