@@ -15,7 +15,6 @@
 //!
 //! The stages, in run order:
 //!
-//! * `pool_overhead` — many tiny parallel calls: the persistent pool's dispatch cost.
 //! * `matmul_kernels` — the `Matrix` kernels at serving and training GEMM shapes
 //!   (GFLOP/s, dispatched instruction set), then the paper trunk's single-row products
 //!   dense and zero-skipping; fails unless both give the same bits.
@@ -123,8 +122,7 @@ fn failures<const N: usize>(gates: [(bool, String); N]) -> Vec<String> {
 type StageFn = fn(&Inputs) -> StageRun;
 
 /// Every stage, in run order.
-const STAGES: [(&str, StageFn); 16] = [
-    ("pool_overhead", pool_overhead),
+const STAGES: [(&str, StageFn); 15] = [
     ("matmul_kernels", matmul_kernels),
     ("train_update", train_update),
     ("setup_text", setup_text),
@@ -316,41 +314,6 @@ fn select_stages(args: &[String]) -> Vec<(&'static str, StageFn)> {
         .into_iter()
         .filter(|(name, _)| wanted.is_empty() || wanted.contains(name))
         .collect()
-}
-
-/// Pool-overhead microbench: many tiny parallel calls, the pattern that made the old
-/// per-call fork-join (a thread spawn + join per `par_iter`) hurt most. With the
-/// persistent pool each call is queue traffic only, so the serial/pooled gap here
-/// isolates dispatch overhead from real work. Two flavors: indexed fan-outs
-/// (join-splitting under the hood) and scope/spawn bursts. The fingerprint is an
-/// accumulated sum that any dropped or double-run item would change; the spawn sum
-/// goes through wrapping u64 addition, which commutes, so the digest is independent
-/// of the (intentionally unordered) spawn schedule.
-fn pool_overhead(_: &Inputs) -> StageRun {
-    let mut acc = 0u64;
-    for round in 0..256u64 {
-        let out: Vec<u64> = (0..64)
-            .into_par_iter()
-            .map(|i| (i as u64).wrapping_mul(round + 1).rotate_left(7))
-            .collect();
-        acc = acc.wrapping_add(out.into_iter().sum::<u64>());
-    }
-    for round in 0..64u64 {
-        let sum = std::sync::atomic::AtomicU64::new(0);
-        rayon::scope(|s| {
-            for i in 0..64u64 {
-                let sum = &sum;
-                s.spawn(move |_| {
-                    sum.fetch_add(
-                        i.wrapping_mul(round + 1).rotate_left(11),
-                        std::sync::atomic::Ordering::Relaxed,
-                    );
-                });
-            }
-        });
-        acc = acc.wrapping_add(sum.into_inner());
-    }
-    StageRun::bare(format!("acc={acc}"))
 }
 
 /// Kernel microbench: the cache-blocked `Matrix` family (NN forward, TN-accumulate
@@ -1214,7 +1177,7 @@ mod tests {
     fn no_arguments_select_every_stage_in_table_order() {
         let all: Vec<&str> = STAGES.iter().map(|(name, _)| *name).collect();
         assert_eq!(names(&[]), all);
-        assert_eq!(all.len(), 16);
+        assert_eq!(all.len(), 15);
     }
 
     #[test]

@@ -74,21 +74,16 @@ impl EvaluationResult {
 pub struct Evaluator {
     /// Job-size scaling factor applied to the workload (Figure 7). 1.0 = as logged.
     pub job_scaling: f64,
-    /// Run the cross-validation splits on parallel threads.
-    pub parallel_splits: bool,
 }
 
 impl Default for Evaluator {
     fn default() -> Self {
-        Self {
-            job_scaling: 1.0,
-            parallel_splits: true,
-        }
+        Self { job_scaling: 1.0 }
     }
 }
 
 impl Evaluator {
-    /// An evaluator with the default (unscaled, parallel) settings.
+    /// An evaluator with the default (unscaled) settings.
     pub fn new() -> Self {
         Self::default()
     }
@@ -106,12 +101,6 @@ impl Evaluator {
         self
     }
 
-    /// Disable split-level parallelism (useful for debugging and deterministic profiling).
-    pub fn sequential(mut self) -> Self {
-        self.parallel_splits = false;
-        self
-    }
-
     /// Run the full protocol on a context.
     pub fn evaluate(&self, ctx: &ExperimentContext) -> EvaluationResult {
         let sampler = ctx.job_sampler(self.job_scaling);
@@ -121,20 +110,13 @@ impl Evaluator {
             ctx.budget.cv_parts,
         );
 
-        let outcomes: Vec<SplitOutcome> = if self.parallel_splits {
-            // Each split is independent and every per-split seed derives only from
-            // (ctx.seed, split index), so the rayon fan-out preserves split order and is
-            // bit-identical to the sequential path.
-            splits
-                .par_iter()
-                .map(|spec| evaluate_split(ctx, &sampler, *spec))
-                .collect()
-        } else {
-            splits
-                .iter()
-                .map(|spec| evaluate_split(ctx, &sampler, *spec))
-                .collect()
-        };
+        // Each split is independent and every per-split seed derives only from
+        // (ctx.seed, split index), so the fan-out preserves split order and is
+        // bit-identical at any thread count (`ThreadPool::install(1)` runs it serially).
+        let outcomes: Vec<SplitOutcome> = splits
+            .par_iter()
+            .map(|spec| evaluate_split(ctx, &sampler, *spec))
+            .collect();
 
         // Merge per-policy totals across splits.
         let mut totals: Vec<PolicyRun> =
@@ -179,10 +161,9 @@ fn evaluate_split(
 
     // The two expensive split stages — the SC20-RF threshold selection and the RL
     // hyperparameter search — are independent, so they run as the two branches of a
-    // `rayon::join`: the work-stealing pool interleaves threshold-scan replays with RL
-    // candidate training instead of serializing the stages (and without dividing a
-    // static thread budget across nesting levels, as the pre-pool fork-join had to).
-    // Each branch is deterministic on its own, so the overlap cannot change results.
+    // `rayon::join`. They share one thread budget: whichever branch finishes first hands
+    // its core to the nested fan-outs of the other. Each branch is deterministic on its
+    // own, so the overlap cannot change results.
     let ((best_threshold, sc20_run), rl_run) = rayon::join(
         || {
             // SC20-RF with its cost-optimal threshold ("maximum advantage"; the cost of
@@ -775,11 +756,16 @@ mod tests {
         assert!(halving.total_cost > 0.0);
     }
 
+    fn serial<R: Send>(f: impl FnOnce() -> R + Send) -> R {
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(1).build();
+        pool.expect("serial pool").install(f)
+    }
+
     #[test]
     fn sequential_and_parallel_evaluation_agree() {
         let ctx = ExperimentContext::synthetic_small(25, 60, EvalBudget::tiny(), 43);
         let par = Evaluator::new().evaluate(&ctx);
-        let seq = Evaluator::new().sequential().evaluate(&ctx);
+        let seq = serial(|| Evaluator::new().evaluate(&ctx));
         for (a, b) in par.totals.iter().zip(&seq.totals) {
             assert_eq!(a.policy, b.policy);
             assert_eq!(a.ue_count, b.ue_count);
@@ -791,11 +777,8 @@ mod tests {
     #[test]
     fn job_scaling_raises_unmitigated_costs() {
         let ctx = ExperimentContext::synthetic_small(25, 60, EvalBudget::tiny(), 47);
-        let base = Evaluator::new().sequential().evaluate(&ctx);
-        let scaled = Evaluator::new()
-            .sequential()
-            .with_job_scaling(10.0)
-            .evaluate(&ctx);
+        let base = serial(|| Evaluator::new().evaluate(&ctx));
+        let scaled = serial(|| Evaluator::new().with_job_scaling(10.0).evaluate(&ctx));
         let never_base = base.total_cost_of("Never-mitigate");
         let never_scaled = scaled.total_cost_of("Never-mitigate");
         assert!(

@@ -33,7 +33,8 @@ impl Dataset {
     ///
     /// # Panics
     /// Panics if the lengths differ or feature vectors have inconsistent dimensions.
-    pub fn from_parts(features: Vec<Vec<f64>>, labels: Vec<bool>) -> Self {
+    #[cfg(test)]
+    fn from_parts(features: Vec<Vec<f64>>, labels: Vec<bool>) -> Self {
         assert_eq!(
             features.len(),
             labels.len(),
@@ -59,7 +60,8 @@ impl Dataset {
     ///
     /// # Panics
     /// Panics if `data.len() != labels.len() * n_features`.
-    pub fn from_flat(data: Vec<f64>, n_features: usize, labels: Vec<bool>) -> Self {
+    #[cfg(test)]
+    fn from_flat(data: Vec<f64>, n_features: usize, labels: Vec<bool>) -> Self {
         assert_eq!(
             data.len(),
             labels.len() * n_features,
@@ -77,14 +79,6 @@ impl Dataset {
     /// # Panics
     /// Panics if the feature dimension does not match the existing samples.
     pub fn push(&mut self, features: Vec<f64>, label: bool) {
-        self.push_slice(&features, label);
-    }
-
-    /// Append one sample without taking ownership of the feature buffer.
-    ///
-    /// # Panics
-    /// Panics if the feature dimension does not match the existing samples.
-    pub fn push_slice(&mut self, features: &[f64], label: bool) {
         if self.labels.is_empty() {
             self.n_features = features.len();
         } else {
@@ -94,7 +88,7 @@ impl Dataset {
                 "inconsistent feature dimensions"
             );
         }
-        self.data.extend_from_slice(features);
+        self.data.extend_from_slice(&features);
         self.labels.push(label);
     }
 
@@ -138,7 +132,8 @@ impl Dataset {
     }
 
     /// The contiguous row-major feature buffer.
-    pub fn flat_data(&self) -> &[f64] {
+    #[cfg(test)]
+    fn flat_data(&self) -> &[f64] {
         &self.data
     }
 

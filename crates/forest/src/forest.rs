@@ -1,9 +1,10 @@
 //! Bootstrap-aggregated random forests with probability output.
 //!
 //! Trees are fitted in parallel by recursive [`rayon::join`] splitting over the tree
-//! index range: the range halves until single trees remain, and the work-stealing pool
-//! balances the halves across workers (tree costs vary with the bootstrap draw, so
-//! stealing beats static chunking). Each tree derives its own RNG from the forest seed
+//! index range: the range halves until single trees remain, and each `join` hands its
+//! second half to a helper thread whenever the thread budget has a slot idle (tree
+//! costs vary with the bootstrap draw, so a half that finishes early frees its core for
+//! the halves still running). Each tree derives its own RNG from the forest seed
 //! and its tree index and writes its result into its own index slot, so the fitted
 //! forest is **bit-identical at any thread count** — the per-tree work is a pure
 //! function of `(dataset, config, tree_idx)`. Per-tree under-sampling and bootstrap
@@ -113,7 +114,7 @@ impl RandomForest {
     }
 
     /// Fit the trees whose indices start at `first_idx` into `out`, halving the range
-    /// via `rayon::join` so the work-stealing pool balances the halves. Each slot is
+    /// via `rayon::join`, so idle budget slots pick up the halves. Each entry of `out` is
     /// filled by tree index, keeping the forest independent of who ran what.
     fn fit_tree_range(
         dataset: &Dataset,
@@ -175,13 +176,6 @@ impl RandomForest {
     pub fn predict_proba(&self, features: &[f64]) -> f64 {
         let sum: f64 = self.trees.iter().map(|t| t.predict_proba(features)).sum();
         sum / self.trees.len() as f64
-    }
-
-    /// Predicted probabilities for a batch of samples. Serial on purpose: callers on
-    /// hot paths (e.g. the evaluator's data-driven threshold sweep) parallelise at
-    /// their own level, where the fan-out shape is known.
-    pub fn predict_proba_batch(&self, samples: &[Vec<f64>]) -> Vec<f64> {
-        samples.iter().map(|s| self.predict_proba(s)).collect()
     }
 
     /// Hard classification at a decision threshold.
@@ -259,16 +253,6 @@ mod tests {
         let x = [0.6, 0.7];
         assert_eq!(a.predict_proba(&x), b.predict_proba(&x));
         assert_ne!(a.predict_proba(&x), c.predict_proba(&x));
-    }
-
-    #[test]
-    fn batch_prediction_matches_single() {
-        let d = imbalanced(300);
-        let forest = RandomForest::fit(&d, &RandomForestConfig::small(3));
-        let samples = vec![vec![0.2, 0.2], vec![0.9, 0.8]];
-        let batch = forest.predict_proba_batch(&samples);
-        assert_eq!(batch[0], forest.predict_proba(&samples[0]));
-        assert_eq!(batch[1], forest.predict_proba(&samples[1]));
     }
 
     #[test]

@@ -9,8 +9,6 @@
 //! maintaining the confusion matrix incrementally — `O(n log n)` for the sort plus
 //! `O(1)` per candidate — instead of re-scoring all `n` samples per candidate, which
 //! made the previous implementation `O(n²)` on the evaluator's cost path.
-//! [`optimal_threshold_scan`] keeps the legacy opaque-closure form for costs that are
-//! not a function of the confusion matrix.
 
 /// Confusion counts of the classifier "predict positive iff probability ≥ threshold".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -103,36 +101,6 @@ pub fn optimal_threshold(
         }
     }
     best.expect("candidate list always contains 0 and 1")
-}
-
-/// Find the threshold (among the candidate values) that minimises an opaque cost
-/// closure. `O(candidates · cost)` — prefer [`optimal_threshold`] whenever the cost is
-/// a function of the confusion matrix.
-///
-/// The candidates are the distinct predicted probabilities plus 0 and 1. Returns
-/// `(threshold, cost)`.
-///
-/// # Panics
-/// Panics if `probabilities` is empty.
-pub fn optimal_threshold_scan(
-    probabilities: &[f64],
-    mut cost: impl FnMut(f64) -> f64,
-) -> (f64, f64) {
-    assert!(!probabilities.is_empty(), "need at least one probability");
-    let mut candidates: Vec<f64> = probabilities.to_vec();
-    candidates.push(0.0);
-    candidates.push(1.0);
-    candidates.retain(|p| p.is_finite());
-    candidates.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    candidates.dedup();
-    let mut best = (candidates[0], f64::INFINITY);
-    for &t in &candidates {
-        let c = cost(t);
-        if c < best.1 {
-            best = (t, c);
-        }
-    }
-    best
 }
 
 /// Perturb a threshold away from its optimal value by a relative `fraction` (0.02 for
@@ -257,18 +225,6 @@ mod tests {
         let labels = [false, true];
         let (t, _) = optimal_threshold(&probs, &labels, |_| 1.0);
         assert_eq!(t, 0.0, "constant cost keeps the first (lowest) candidate");
-    }
-
-    #[test]
-    fn scan_variant_matches_legacy_behaviour() {
-        let probs = [0.1, 0.4, 0.6, 0.9];
-        let (t, c) = optimal_threshold_scan(&probs, |t| (t - 0.6).abs());
-        assert_eq!(t, 0.6);
-        assert_eq!(c, 0.0);
-        let (t, _) = optimal_threshold_scan(&[0.5], |t| 1.0 - t);
-        assert_eq!(t, 1.0);
-        let (t, _) = optimal_threshold_scan(&[0.2, 0.8], |_| 1.0);
-        assert_eq!(t, 0.0);
     }
 
     #[test]

@@ -297,7 +297,7 @@ impl<'a> TreeBuilder<'a> {
     /// Find the `(feature, threshold)` split minimising the weighted Gini impurity over
     /// `[lo, hi)`, or `None` if no split improves on the parent. Walks each candidate
     /// feature's presorted order — no sorting, no allocation. Large nodes fan the
-    /// feature scans out over the work-stealing pool; the reduction keeps the earliest
+    /// feature scans out over the thread budget; the reduction keeps the earliest
     /// feature on ties, so the result matches the serial scan bit-for-bit.
     fn best_split<R: Rng + ?Sized>(
         &mut self,

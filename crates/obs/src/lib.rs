@@ -29,7 +29,7 @@
 //!   thread count, and — for the serving metrics — at any batch size.
 //!   They are covered by [`MetricsSnapshot::fingerprint`].
 //! * [`MetricClass::WallClock`] — timings and scheduler-dependent statistics (span
-//!   durations, work-stealing pool steal counts, queue depths). These legitimately
+//!   durations of ticks and training phases). These legitimately
 //!   vary run to run and are **excluded** from the fingerprint.
 //!
 //! ## Rendering

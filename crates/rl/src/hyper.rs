@@ -267,7 +267,7 @@ impl HyperSearch {
     /// trained to completion) and scored, and the top half — `ceil(alive / 2)`, ranked
     /// by score with non-finite scores last and ties keeping the earliest candidate —
     /// survives to the next rung. Training happens in parallel
-    /// over the work-stealing pool, but eliminations, cost accumulation and every other
+    /// under the thread budget, but eliminations, cost accumulation and every other
     /// reduction happen in candidate order, so the outcome is **bit-identical at any
     /// thread count**. The winner of each round is its last survivor, trained to
     /// completion; the overall winner is whichever round winner scores higher (broad
@@ -352,7 +352,7 @@ impl HyperSearch {
 /// rung increments) and one [`RungTrace`] per rung, and returns the round winner as
 /// `(global candidate index, artifact, final score)`.
 ///
-/// Within a rung, training and scoring fan out over the pool via `execute_owned`, which
+/// Within a rung, training and scoring fan out via `execute_owned`, which
 /// returns results in input order; everything else — cost accumulation, the score
 /// ranking, survivor selection, dropping eliminated candidates — walks the candidates
 /// in candidate order, so the round is bit-identical at any thread count.
@@ -396,7 +396,7 @@ where
         } else {
             (full >> (n_rungs - 1 - rung)).max(1)
         };
-        // Move the alive sessions through the pool: init on the first rung, then train
+        // Move the alive sessions through the fan-out: init on the first rung, then train
         // to the rung budget and score. `execute_owned` keeps results in input order.
         // A survivor whose training increment was a no-op (zero cost — e.g. its episode
         // budget ran out on an earlier rung) keeps its previous score instead of paying

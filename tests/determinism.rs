@@ -1,13 +1,13 @@
 //! Thread-count determinism: every parallel fan-out in the engine (forest fitting,
 //! per-node rollouts, per-policy and per-split evaluation, figure drivers) must produce
-//! **bit-identical** results whether it runs on one thread or many — including under
-//! the persistent work-stealing pool, where *which worker* runs a chunk is a race but
-//! results are always reduced in input-index order.
+//! **bit-identical** results whether it runs on one thread or many. Under a thread
+//! budget *which thread* runs an item is a race, but results are always reduced in
+//! input-index order.
 //!
 //! The tests pin the thread count with `rayon::ThreadPool::install`, which is the same
 //! mechanism the `RAYON_NUM_THREADS` environment variable feeds; running the whole
 //! suite under `RAYON_NUM_THREADS=1` therefore exercises the same single-thread path,
-//! and CI re-runs it under `RAYON_NUM_THREADS=4` to exercise actual stealing.
+//! and CI re-runs it under `RAYON_NUM_THREADS=4` to force the spawning fan-out paths.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -153,56 +153,98 @@ fn halving_search_is_bit_identical_across_thread_counts() {
 }
 
 #[test]
-fn work_stealing_pool_is_reused_not_respawned() {
-    // Prime the pool with a real engine workload, then run every kind of parallel call
-    // the engine makes (flat fan-out, nested join recursion, install overrides): the
-    // worker-spawn counter must not move — parallel calls after pool init spawn zero
-    // new OS threads, whatever the nesting.
+fn nested_fan_out_never_exceeds_the_thread_budget() {
+    // Under `install(4)` a nested fan-out — a `par_iter` whose items `join` and fit a
+    // small forest, itself a `join` recursion — never has more than 4 closures running
+    // at once. A fan-out in which one item panics leaks no slot of the budget: the next
+    // fan-out still reaches 4 live closures, which its items check by waiting for each
+    // other (a leaked slot leaves one of them waiting until the timeout).
+    use rayon::prelude::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    let live = AtomicUsize::new(0);
+    let max_live = AtomicUsize::new(0);
+    let busy = |ms: u64| {
+        let now = live.fetch_add(1, Ordering::SeqCst) + 1;
+        max_live.fetch_max(now, Ordering::SeqCst);
+        std::thread::sleep(std::time::Duration::from_millis(ms));
+        live.fetch_sub(1, Ordering::SeqCst);
+    };
     let data = rf_dataset(400);
     let config = RandomForestConfig::small(7);
-    let _ = RandomForest::fit(&data, &config);
-    let spawned_after_init = rayon::pool_worker_threads_spawned();
-    assert_eq!(
-        spawned_after_init,
-        rayon::pool_size(),
-        "every spawned worker belongs to the sized pool"
-    );
-    for round in 0..8 {
-        let _ = RandomForest::fit(&data, &config);
-        let _ = pool(4).install(|| RandomForest::fit(&data, &config));
-        let (a, b) = rayon::join(|| round * 2, || round * 3);
-        assert_eq!(a + b, round * 5);
-    }
-    assert_eq!(
-        rayon::pool_worker_threads_spawned(),
-        spawned_after_init,
-        "parallel calls after pool init must spawn zero new OS threads"
+    let serial = pool(1).install(|| RandomForest::fit(&data, &config));
+    let four = pool(4);
+    let forests: Vec<RandomForest> = four.install(|| {
+        (0..12)
+            .into_par_iter()
+            .map(|_| {
+                rayon::join(|| busy(2), || busy(2));
+                RandomForest::fit(&data, &config)
+            })
+            .collect()
+    });
+    assert!(forests.iter().all(|forest| *forest == serial));
+    let peak = max_live.load(Ordering::SeqCst);
+    assert!(peak <= 4, "{peak} closures ran at once");
+
+    // One planted panic in a flat fan-out item, one in a `join` branch that runs on a
+    // helper thread and unwinds through its slot's drop guard.
+    let planted = [
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            four.install(|| {
+                (0..8)
+                    .into_par_iter()
+                    .map(|i| {
+                        busy(1);
+                        assert_ne!(i, 3, "planted panic");
+                    })
+                    .collect::<Vec<()>>()
+            });
+        })),
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            four.install(|| rayon::join(|| busy(5), || panic!("planted panic")));
+        })),
+    ];
+    assert!(planted.iter().all(Result::is_err));
+    let arrived = std::sync::Mutex::new(0);
+    let all_live = std::sync::Condvar::new();
+    let met: Vec<bool> = four.install(|| {
+        (0..4)
+            .into_par_iter()
+            .map(|_| {
+                let mut live = arrived.lock().expect("no closure panics holding it");
+                *live += 1;
+                all_live.notify_all();
+                let timeout = std::time::Duration::from_secs(10);
+                let (live, _) = all_live
+                    .wait_timeout_while(live, timeout, |live| *live < 4)
+                    .expect("no closure panics holding it");
+                *live == 4
+            })
+            .collect()
+    });
+    assert!(
+        met.iter().all(|&m| m),
+        "a panicked fan-out leaked budget slots"
     );
 }
 
 #[test]
 fn join_based_forest_recursion_is_bit_identical_under_stealing() {
     // The forest fans out through recursive `rayon::join` halving (not flat chunks);
-    // under work stealing the halves land on arbitrary workers, so this pins that the
-    // assembled forest is still bit-identical between the serial path and a stealing
-    // pool, and stable across repeated stolen executions.
+    // under a 4-thread budget the halves land on whichever threads have a slot free, so
+    // this pins that the assembled forest is still bit-identical between the serial
+    // path and the spawning one, and stable across repeated runs.
     let data = rf_dataset(1200);
     let config = RandomForestConfig::sc20(3, 99);
     let serial = pool(1).install(|| RandomForest::fit(&data, &config));
     for _ in 0..3 {
-        let stolen = pool(4).install(|| RandomForest::fit(&data, &config));
-        assert_eq!(serial, stolen, "stealing changed the fitted forest");
+        let spawned = pool(4).install(|| RandomForest::fit(&data, &config));
+        assert_eq!(
+            serial, spawned,
+            "the spawning path changed the fitted forest"
+        );
     }
-}
-
-#[test]
-fn sequential_evaluator_mode_matches_parallel_mode_exactly() {
-    // Beyond thread counts: the evaluator's explicit `.sequential()` escape hatch must
-    // agree bit-for-bit with the rayon path.
-    let ctx = ExperimentContext::synthetic_small(25, 60, EvalBudget::tiny(), 555);
-    let par = Evaluator::new().evaluate(&ctx);
-    let seq = Evaluator::new().sequential().evaluate(&ctx);
-    assert_eq!(par.totals, seq.totals);
 }
 
 /// The Q-value and last-loss bits of a trained agent, in a fixed probe order.

@@ -63,11 +63,12 @@ fn manufacturer_partitions_cover_the_whole_fleet() {
 #[test]
 fn larger_jobs_increase_unmitigated_cost_roughly_proportionally() {
     let ctx = ExperimentContext::synthetic_small(28, 60, EvalBudget::tiny(), 99);
-    let base = Evaluator::new().sequential().evaluate(&ctx);
-    let scaled = Evaluator::new()
-        .sequential()
-        .with_job_scaling(10.0)
-        .evaluate(&ctx);
+    let serial = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("serial pool");
+    let base = serial.install(|| Evaluator::new().evaluate(&ctx));
+    let scaled = serial.install(|| Evaluator::new().with_job_scaling(10.0).evaluate(&ctx));
     let never_base = base.total_cost_of("Never-mitigate");
     let never_scaled = scaled.total_cost_of("Never-mitigate");
     let ratio = never_scaled / never_base;
