@@ -465,7 +465,9 @@ fn matmul_kernels(_: &Inputs) -> StageRun {
 /// fills its replay to `min_replay` with seeded random transitions, one in eight
 /// terminal, then observes `TRAIN_UPDATES × train_every` more, so it runs
 /// `TRAIN_UPDATES` updates. The metrics gate is open for the stage, so every
-/// `train_step` phase span records; the JSON holds the time of each phase per update.
+/// `train_step` phase span records; the JSON holds the time of each phase per update
+/// and the next-state rows per update forwarded through the online network (distinct
+/// slots) and through the target network (slots without cached target Q-values).
 /// The fingerprint covers the update count, the last loss and probe Q-values, bit for
 /// bit.
 fn train_update(_: &Inputs) -> StageRun {
@@ -490,9 +492,11 @@ fn train_update(_: &Inputs) -> StageRun {
     }
     let phases = uerl_rl::metrics::metrics();
     let read = || UpdatePhase::ALL.map(|p| (phases.phase(p).sum(), phases.phase(p).count()));
+    let read_rows = || [phases.next_state_rows.get(), phases.target_rows.get()];
     let was_enabled = uerl_obs::enabled();
     uerl_obs::set_enabled(true);
     let before = read();
+    let rows_before = read_rows();
     let updates_before = agent.updates();
     let t0 = Instant::now();
     for i in warm - 1..warm - 1 + TRAIN_UPDATES * every {
@@ -500,9 +504,12 @@ fn train_update(_: &Inputs) -> StageRun {
     }
     let secs = t0.elapsed().as_secs_f64();
     let after = read();
+    let rows_after = read_rows();
     uerl_obs::set_enabled(was_enabled);
     let updates = agent.updates() - updates_before;
     let updates_per_sec = updates as f64 / secs.max(1e-9);
+    let [next_state_rows, target_rows] =
+        [0, 1].map(|k| (rows_after[k] - rows_before[k]) as f64 / updates.max(1) as f64);
     let us_per_update: Vec<(&str, f64)> = UpdatePhase::ALL
         .iter()
         .enumerate()
@@ -532,12 +539,13 @@ fn train_update(_: &Inputs) -> StageRun {
         sections: vec![(
             "train_update",
             format!(
-                "{{\"updates\": {updates}, \"updates_per_sec\": {updates_per_sec:.1}, \"phase_us_per_update\": {{{}}}}}",
+                "{{\"updates\": {updates}, \"updates_per_sec\": {updates_per_sec:.1}, \"phase_us_per_update\": {{{}}}, \"next_state_rows_per_update\": {next_state_rows:.2}, \"target_rows_per_update\": {target_rows:.2}}}",
                 phases_json.join(", ")
             ),
         )],
         summary: vec![format!(
-            "train update: {updates} updates at {updates_per_sec:.1}/s; µs per update: {}",
+            "train update: {updates} updates at {updates_per_sec:.1}/s; µs per update: {}; \
+             rows per update: online s′ {next_state_rows:.1}, target s′ {target_rows:.1}",
             split.join(", ")
         )],
         failures: Vec::new(),

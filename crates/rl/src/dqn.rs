@@ -8,6 +8,14 @@
 //! double Q-learning, the online network chooses the argmax action for the next state
 //! while the target network provides its value, which removes the max-operator
 //! overestimation bias.
+//!
+//! An update forwards each next state it needs once. The sampled batch holds one row
+//! per distinct non-terminal slot, however often prioritized replay drew it, and the
+//! online network forwards those rows. The target network is fixed between syncs, so
+//! the agent keeps its Q-values of every replay slot's next state until the next sync
+//! (or until the slot is overwritten) and forwards only the rows of slots it has not
+//! valued since. Each row of a batched forward has the same bits as that row forwarded
+//! alone, so neither the deduplication nor the cache moves a bit of training.
 
 use crate::metrics::UpdatePhase;
 use crate::per::{PrioritizedReplay, SampledBatch};
@@ -184,18 +192,81 @@ pub struct DqnAgent {
     loss: Loss,
     last_loss: Option<f64>,
     compacted: bool,
+    /// The target network's Q-values of the replay slots' next states.
+    target_q: TargetCache,
     /// Buffers of one update, overwritten by every `train_step` and never observable.
     update: UpdateBuffers,
 }
 
+/// The target network's Q-values of each replay slot's next state: one row per slot,
+/// stamped with the target epoch it was computed in. A row is valid while its stamp
+/// equals the current epoch. Every target sync starts a new epoch, and storing a
+/// transition clears its slot's stamp, so no row outlives its target network or its
+/// transition. At most `n_actions + 1` words per slot.
+#[derive(Debug, Clone)]
+struct TargetCache {
+    n_actions: usize,
+    /// The current target epoch; it starts at 1, so a cleared stamp is never valid.
+    epoch: u64,
+    /// Per slot, the epoch its row was computed in (0: none).
+    stamps: Vec<u64>,
+    /// `n_actions` Q-values per slot.
+    q: Vec<f64>,
+}
+
+impl TargetCache {
+    fn new(n_actions: usize) -> Self {
+        Self {
+            n_actions,
+            epoch: 1,
+            stamps: Vec::new(),
+            q: Vec::new(),
+        }
+    }
+
+    /// Forget the row of `slot`, which now holds a new transition; the cache grows to
+    /// cover a slot filled for the first time.
+    fn invalidate(&mut self, slot: usize) {
+        if slot >= self.stamps.len() {
+            self.stamps.resize(slot + 1, 0);
+            self.q.resize((slot + 1) * self.n_actions, 0.0);
+        }
+        self.stamps[slot] = 0;
+    }
+
+    /// Forget every row: the target network changed.
+    fn next_epoch(&mut self) {
+        self.epoch += 1;
+    }
+
+    /// Whether `slot` has a row from the current target network.
+    fn is_fresh(&self, slot: usize) -> bool {
+        self.stamps[slot] == self.epoch
+    }
+
+    /// Store the current target network's Q-values of `slot`'s next state.
+    fn store(&mut self, slot: usize, q: &[f64]) {
+        self.q[slot * self.n_actions..(slot + 1) * self.n_actions].copy_from_slice(q);
+        self.stamps[slot] = self.epoch;
+    }
+
+    /// The stored Q-values of `slot`'s next state.
+    fn row(&self, slot: usize) -> &[f64] {
+        &self.q[slot * self.n_actions..(slot + 1) * self.n_actions]
+    }
+}
+
 /// The buffers [`DqnAgent::train_step`] reuses across updates: the sampled batch, the
-/// next-state forward scratch and Q-values, the TD targets, predictions, errors and
-/// gradients, and `dL/dQ`.
+/// next-state forward scratch, the rows the target network values and their Q-values,
+/// the online next-state Q-values, the TD targets, predictions, errors and gradients,
+/// and `dL/dQ`.
 #[derive(Debug, Clone)]
 struct UpdateBuffers {
     batch: SampledBatch,
     forward: BatchScratch,
-    q_target_next: Matrix,
+    target_rows: Vec<usize>,
+    target_states: Matrix,
+    q_target: Matrix,
     q_online_next: Matrix,
     targets: Vec<f64>,
     predictions: Vec<f64>,
@@ -209,7 +280,9 @@ impl UpdateBuffers {
         Self {
             batch: SampledBatch::new(),
             forward: BatchScratch::new(),
-            q_target_next: Matrix::zeros(1, 1),
+            target_rows: Vec::new(),
+            target_states: Matrix::zeros(1, 1),
+            q_target: Matrix::zeros(1, 1),
             q_online_next: Matrix::zeros(1, 1),
             targets: Vec::new(),
             predictions: Vec::new(),
@@ -234,7 +307,6 @@ impl DqnAgent {
         let replay = PrioritizedReplay::new(config.replay_capacity, config.per_alpha);
         let optimizer = Adam::new(config.learning_rate);
         Self {
-            config,
             online,
             target,
             optimizer,
@@ -245,7 +317,9 @@ impl DqnAgent {
             loss: Loss::huber(),
             last_loss: None,
             compacted: false,
+            target_q: TargetCache::new(config.n_actions),
             update: UpdateBuffers::new(),
+            config,
         }
     }
 
@@ -255,8 +329,9 @@ impl DqnAgent {
     }
 
     /// Shrink a trained agent to its inference footprint by dropping the accumulated
-    /// replay memory (a fresh minimal buffer keeps the agent valid) and the training
-    /// buffers of the update and of the online network, which it freezes for inference
+    /// replay memory (a fresh minimal buffer keeps the agent valid), its cached target
+    /// Q-values and the training buffers of the update and of the online network,
+    /// which it freezes for inference
     /// (`DuelingQNetwork::drop_training_buffers`). Greedy inference
     /// ([`DqnAgent::with_q_values`]) keeps its bits and gets faster; only further
     /// training would differ. The parallel hyperparameter search compacts every
@@ -264,18 +339,21 @@ impl DqnAgent {
     /// buffer per candidate.
     pub fn compact_for_inference(&mut self) {
         self.replay = PrioritizedReplay::new(1, self.config.per_alpha);
+        self.target_q = TargetCache::new(self.config.n_actions);
         self.update = UpdateBuffers::new();
         self.online.drop_training_buffers();
         self.compacted = true;
     }
 
     /// Number of environment steps observed so far.
-    pub fn env_steps(&self) -> u64 {
+    #[cfg(test)]
+    fn env_steps(&self) -> u64 {
         self.env_steps
     }
 
     /// Number of transitions currently held in the replay memory.
-    pub fn replay_len(&self) -> usize {
+    #[cfg(test)]
+    fn replay_len(&self) -> usize {
         self.replay.len()
     }
 
@@ -351,7 +429,8 @@ impl DqnAgent {
             "agent was compacted for inference; training would sample a 1-slot replay"
         );
         debug_assert_eq!(transition.state_dim(), self.config.state_dim);
-        self.replay.push(transition);
+        let slot = self.replay.push(transition);
+        self.target_q.invalidate(slot);
         self.env_steps += 1;
         if self.replay.len() >= self.config.min_replay.max(self.config.batch_size)
             && self
@@ -362,9 +441,11 @@ impl DqnAgent {
         }
     }
 
-    /// Synchronise the target network with the online one.
+    /// Synchronise the target network with the online one, which voids every cached
+    /// target Q-value.
     fn sync_target(&mut self) {
         self.target.sync_from(&self.online);
+        self.target_q.next_epoch();
         crate::metrics::metrics().target_syncs.inc();
     }
 
@@ -385,7 +466,9 @@ impl DqnAgent {
         let UpdateBuffers {
             batch,
             forward,
-            q_target_next,
+            target_rows,
+            target_states,
+            q_target,
             q_online_next,
             targets,
             predictions,
@@ -406,24 +489,41 @@ impl DqnAgent {
         let n = batch.len();
 
         // Next-state values for the non-terminal transitions (zero for the terminal
-        // ones). Double Q-learning: the online network picks a*, the target network
-        // values it.
+        // ones). Double Q-learning: the online network picks a* on each distinct next
+        // state, and the target network's cached row of the slot values it. Only the
+        // slots without a row from the current target network are forwarded.
         targets.clear();
         targets.resize(n, 0.0);
-        if !batch.non_terminal.is_empty() {
+        target_rows.clear();
+        if !batch.next_slots.is_empty() {
             {
                 let _span = m.phase(UpdatePhase::TargetNext).span();
-                self.target
-                    .forward_batch_into(&batch.next_states, forward, q_target_next);
+                let cache = &mut self.target_q;
+                target_rows.extend(
+                    (0..batch.next_slots.len()).filter(|&r| !cache.is_fresh(batch.next_slots[r])),
+                );
+                if !target_rows.is_empty() {
+                    target_states.reset_to(target_rows.len(), self.config.state_dim);
+                    for (k, &r) in target_rows.iter().enumerate() {
+                        target_states
+                            .row_mut(k)
+                            .copy_from_slice(batch.next_states.row(r));
+                    }
+                    self.target
+                        .forward_batch_into(target_states, forward, q_target);
+                    for (k, &r) in target_rows.iter().enumerate() {
+                        cache.store(batch.next_slots[r], q_target.row(k));
+                    }
+                }
             }
             {
                 let _span = m.phase(UpdatePhase::OnlineNext).span();
                 self.online
                     .forward_batch_into(&batch.next_states, forward, q_online_next);
             }
-            for (row, &i) in batch.non_terminal.iter().enumerate() {
+            for (&i, &row) in batch.non_terminal.iter().zip(&batch.next_state_rows) {
                 let a_star = q_online_next.row_argmax(row);
-                targets[i] = q_target_next.get(row, a_star);
+                targets[i] = self.target_q.row(batch.next_slots[row])[a_star];
             }
         }
 
@@ -473,6 +573,8 @@ impl DqnAgent {
         }
         if uerl_obs::enabled() {
             m.updates.inc();
+            m.next_state_rows.add(batch.next_slots.len() as u64);
+            m.target_rows.add(target_rows.len() as u64);
             m.replay_len.set(self.replay.len() as f64);
             for &e in td_errors.iter() {
                 m.td_error_micros.record_micros(e);
@@ -776,6 +878,104 @@ mod tests {
         0x3ff8a13e58d60d80,
         0x3fd6435279c3e0fb,
         0x3ff1e16f557961aa,
+    ];
+
+    /// Updates across target syncs (every 2 updates), ring-buffer wrap (24 slots, 90
+    /// pushes) and duplicate draws (one large reward lifts the max priority every new
+    /// push inherits), so next-state rows recur within a batch and across updates while
+    /// their slots are overwritten and the target network moves. Every loss is folded
+    /// into a digest, and every 15 pushes the loss and two probes' Q-values are pinned;
+    /// the bits were captured before the next-state rows were deduplicated and cached.
+    #[test]
+    fn updates_across_syncs_wraps_and_duplicate_draws_keep_their_bits() {
+        let config = AgentConfig {
+            state_dim: 4,
+            hidden: vec![24, 16],
+            batch_size: 16,
+            replay_capacity: 24,
+            min_replay: 16,
+            target_sync_every: 2,
+            ..AgentConfig::small(4).with_seed(53)
+        };
+        let mut agent = DqnAgent::new(config);
+        let state = |i: usize| -> Vec<f64> {
+            (0..4)
+                .map(|j| ((i * 5 + j * 11) as f64 * 0.37).cos())
+                .collect()
+        };
+        let (mut digest, mut bits) = (0xcbf2_9ce4_8422_2325u64, Vec::new());
+        let mut repeated_next_states = 0;
+        for i in 0..90 {
+            let (s, action) = (state(i), i % 2);
+            let reward = if i == 20 { 40.0 } else { -0.1 * (i % 3) as f64 };
+            let updates = agent.updates();
+            agent.observe(if i % 5 == 4 {
+                Transition::terminal(s, action, reward)
+            } else {
+                Transition::new(s, action, reward, state(i + 1))
+            });
+            if agent.updates() > updates {
+                let loss = agent.last_loss().expect("an update ran");
+                digest = (digest ^ loss.to_bits()).wrapping_mul(0x0100_0000_01b3);
+                let batch = &agent.update.batch;
+                let slots: Vec<usize> = batch
+                    .non_terminal
+                    .iter()
+                    .map(|&k| batch.indices[k])
+                    .collect();
+                repeated_next_states += (1..slots.len())
+                    .filter(|&k| slots[..k].contains(&slots[k]))
+                    .count();
+            }
+            if i % 15 == 14 && i > 15 {
+                bits.push(agent.last_loss().expect("an update ran").to_bits());
+                for probe in [state(1000), state(1001)] {
+                    bits.extend(agent.q_values(&probe).iter().map(|q| q.to_bits()));
+                }
+            }
+        }
+        assert_eq!(agent.updates(), 75);
+        assert!(
+            repeated_next_states > 75,
+            "{repeated_next_states} repeated rows"
+        );
+        bits.push(digest);
+        let expected: [u64; 26] = SYNC_WRAP_DUPLICATE_BITS;
+        for (i, (got, want)) in bits.iter().zip(&expected).enumerate() {
+            assert_eq!(got, want, "value {i}: {got:#018x} != {want:#018x}");
+        }
+        assert_eq!(bits.len(), expected.len());
+    }
+
+    /// Every 15 pushes: the loss, then the two probes' Q-values; last, the digest of
+    /// every update's loss.
+    const SYNC_WRAP_DUPLICATE_BITS: [u64; 26] = [
+        0x4007fb07c44c1c0a,
+        0xbfe9bf1c3511a8f8,
+        0x3fa44367b8e2ea20,
+        0xbfe152befea8d2fa,
+        0xbfc6ebd16d880ec6,
+        0x3fbad704fe54a9fe,
+        0xbfe08bba9b472154,
+        0x3f88c53bd8c55fc0,
+        0xbfc9d52820022e9a,
+        0x3fc42c8f2218b5d6,
+        0x3fa130e6426d7e16,
+        0xbfc5fd1b0fd21b3e,
+        0x3fc49720502c0790,
+        0x3fb3cd0b3800ea7a,
+        0x3fddd835771f1074,
+        0x3f91c6cee1bd8617,
+        0x3fb7731f05f854e8,
+        0x3fd998144a10bcc4,
+        0x3fc312ac3a361913,
+        0x3fe4c3cc616ca604,
+        0x3f80cfe6d434e509,
+        0x3fd22e4159ae67c6,
+        0x3fdf15d0d5d1513e,
+        0x3fb9008bcb7c7d2e,
+        0x3fe4563631b14747,
+        0x6c80373771eb7523,
     ];
 
     #[test]

@@ -1,13 +1,14 @@
 //! Training-loop metrics: instruments registered once in the global
 //! [`uerl_obs::registry`] and shared by every agent in the process.
 //!
-//! Gradient updates, target-network syncs, replay occupancy and the TD-error
-//! distribution are **event-time** (deterministic given the seeded training sequence):
-//! they do not depend on wall clocks or scheduling, so they participate in the snapshot
-//! fingerprint. The per-phase durations of an update ([`UpdatePhase`]) are
-//! **wall-clock** and stay out of it. The instruments are always registered; recording
-//! is gated inside `uerl-obs` by `UERL_METRICS`, so with the gate closed each hook is
-//! one relaxed atomic load and no clock is read.
+//! Gradient updates, target-network syncs, the next-state rows each network forwards,
+//! replay occupancy and the TD-error distribution are **event-time** (deterministic
+//! given the seeded training sequence): they do not depend on wall clocks or
+//! scheduling, so they participate in the snapshot fingerprint. The per-phase
+//! durations of an update ([`UpdatePhase`]) are **wall-clock** and stay out of it. The
+//! instruments are always registered; recording is gated inside `uerl-obs` by
+//! `UERL_METRICS`, so with the gate closed each hook is one relaxed atomic load and no
+//! clock is read.
 
 use std::sync::{Arc, OnceLock};
 use uerl_obs::{registry, Counter, Gauge, Histogram, MetricClass};
@@ -19,9 +20,12 @@ pub enum UpdatePhase {
     Sample,
     /// TD targets, the weighted loss and the action-gated `dL/dQ` matrix.
     Assemble,
-    /// Target-network forward pass over the non-terminal next states.
+    /// Target-network forward pass over the distinct next states that have no cached
+    /// Q-values from the current target network (their slot was filled or overwritten
+    /// since the last sync, or not sampled since it), and the cache refill.
     TargetNext,
-    /// Online-network forward pass over the same next states (the double-DQN argmax).
+    /// Online-network forward pass over the batch's distinct next states, one row per
+    /// sampled non-terminal slot (the double-DQN argmax).
     OnlineNext,
     /// Online-network training forward pass over the states.
     ForwardTrain,
@@ -67,6 +71,12 @@ pub struct RlMetrics {
     pub updates: Arc<Counter>,
     /// Target-network synchronisations.
     pub target_syncs: Arc<Counter>,
+    /// Next-state rows forwarded through the online network (distinct non-terminal
+    /// slots per batch).
+    pub next_state_rows: Arc<Counter>,
+    /// Next-state rows forwarded through the target network (distinct slots without
+    /// cached target Q-values).
+    pub target_rows: Arc<Counter>,
     /// Current replay-memory occupancy (transitions).
     pub replay_len: Arc<Gauge>,
     /// Distribution of |TD error| per replayed sample, recorded in micro-units
@@ -99,6 +109,18 @@ pub fn metrics() -> &'static RlMetrics {
             target_syncs: r.counter(
                 "uerl_rl_target_syncs_total",
                 "Target-network synchronisations across all agents",
+                &[],
+                MetricClass::EventTime,
+            ),
+            next_state_rows: r.counter(
+                "uerl_rl_next_state_rows_total",
+                "Distinct next-state rows forwarded through the online network",
+                &[],
+                MetricClass::EventTime,
+            ),
+            target_rows: r.counter(
+                "uerl_rl_target_rows_total",
+                "Next-state rows forwarded through the target network",
                 &[],
                 MetricClass::EventTime,
             ),

@@ -29,8 +29,15 @@ pub struct SampledBatch {
     pub rewards: Vec<f64>,
     /// The samples that have a next state, as ascending batch positions.
     pub non_terminal: Vec<usize>,
-    /// Row `r` is the next state of sample `non_terminal[r]`. Stale when
-    /// `non_terminal` is empty: a matrix has at least one row.
+    /// `next_state_rows[k]` is the row of `next_states` that holds the next state of
+    /// sample `non_terminal[k]`. Samples that drew the same slot share a row.
+    pub next_state_rows: Vec<usize>,
+    /// The distinct slots among the non-terminal samples, in order of first draw: row
+    /// `r` of `next_states` is the next state of slot `next_slots[r]`.
+    pub next_slots: Vec<usize>,
+    /// One row per distinct non-terminal slot (see `next_slots`), so a next state drawn
+    /// several times is copied and forwarded once. Stale when `non_terminal` is empty:
+    /// a matrix has at least one row.
     pub next_states: Matrix,
 }
 
@@ -44,6 +51,8 @@ impl SampledBatch {
             actions: Vec::new(),
             rewards: Vec::new(),
             non_terminal: Vec::new(),
+            next_state_rows: Vec::new(),
+            next_slots: Vec::new(),
             next_states: Matrix::zeros(1, 1),
         }
     }
@@ -97,11 +106,6 @@ impl PrioritizedReplay {
         }
     }
 
-    /// Maximum number of stored transitions.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Current number of stored transitions.
     pub fn len(&self) -> usize {
         self.transitions.len()
@@ -110,11 +114,6 @@ impl PrioritizedReplay {
     /// Whether the memory is empty.
     pub fn is_empty(&self) -> bool {
         self.transitions.is_empty()
-    }
-
-    /// The prioritisation exponent.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
     }
 
     /// Override the priority floor (the minimum TD-error magnitude credited to a
@@ -133,8 +132,9 @@ impl PrioritizedReplay {
     }
 
     /// Add a transition with the maximum priority seen so far, so every new experience is
-    /// replayed at least once soon after being stored.
-    pub fn push(&mut self, transition: Transition) {
+    /// replayed at least once soon after being stored. Returns the slot it was written
+    /// to, which held the oldest transition once the memory is full.
+    pub fn push(&mut self, transition: Transition) -> usize {
         let slot = if self.transitions.len() < self.capacity {
             self.transitions.push(transition);
             self.transitions.len() - 1
@@ -147,6 +147,7 @@ impl PrioritizedReplay {
         // the floor lives in TD-error space, not in priority (`magnitude^alpha`) space.
         let magnitude = self.max_priority.max(self.priority_floor);
         self.tree.set(slot, magnitude.powf(self.alpha));
+        slot
     }
 
     /// Sample `batch` transitions proportionally to priority into `out`, copying each
@@ -165,6 +166,8 @@ impl PrioritizedReplay {
         out.actions.clear();
         out.rewards.clear();
         out.non_terminal.clear();
+        out.next_state_rows.clear();
+        out.next_slots.clear();
         let n = self.transitions.len();
         let total = self.tree.total();
         // Guard the degenerate trees (empty, all-zero, or a sum corrupted to NaN/inf —
@@ -223,12 +226,21 @@ impl PrioritizedReplay {
             out.rewards.push(t.reward);
             if !t.is_terminal() {
                 out.non_terminal.push(i);
+                // A batch holds tens of samples, so a linear scan beats keeping a map.
+                let row = match out.next_slots.iter().position(|&slot| slot == idx) {
+                    Some(row) => row,
+                    None => {
+                        out.next_slots.push(idx);
+                        out.next_slots.len() - 1
+                    }
+                };
+                out.next_state_rows.push(row);
             }
         }
-        if !out.non_terminal.is_empty() {
-            out.next_states.reset_to(out.non_terminal.len(), dim);
-            for (row, &i) in out.non_terminal.iter().enumerate() {
-                let next = self.transitions[out.indices[i]].next_state.as_deref();
+        if !out.next_slots.is_empty() {
+            out.next_states.reset_to(out.next_slots.len(), dim);
+            for (row, &slot) in out.next_slots.iter().enumerate() {
+                let next = self.transitions[slot].next_state.as_deref();
                 out.next_states
                     .row_mut(row)
                     .copy_from_slice(next.expect("non-terminal"));
@@ -272,7 +284,8 @@ mod tests {
     #[test]
     fn sampled_rows_are_the_stored_transitions() {
         // Two-feature states, every third transition terminal; one batch reused across
-        // samples of different sizes and terminal mixes.
+        // samples of different sizes and terminal mixes. 20 draws of 12 slots repeat some
+        // of the 8 non-terminal ones, which must share one next-state row.
         let mut per = PrioritizedReplay::new(16, 0.6);
         for i in 0..12 {
             let state = vec![i as f64, -(i as f64)];
@@ -288,32 +301,44 @@ mod tests {
             per.sample(size, 0.4, &mut rng, &mut batch);
             assert_eq!(batch.len(), size);
             assert_eq!((batch.states.rows(), batch.states.cols()), (size, 2));
-            let mut next_row = 0;
+            let mut k = 0;
             for (i, &slot) in batch.indices.iter().enumerate() {
                 let t = &per.transitions[slot];
                 assert_eq!(batch.states.row(i), &t.state[..]);
                 assert_eq!((batch.actions[i], batch.rewards[i]), (t.action, t.reward));
                 if let Some(next) = &t.next_state {
-                    assert_eq!(batch.non_terminal[next_row], i);
-                    assert_eq!(batch.next_states.row(next_row), &next[..]);
-                    next_row += 1;
+                    assert_eq!(batch.non_terminal[k], i);
+                    let row = batch.next_state_rows[k];
+                    assert_eq!(batch.next_slots[row], slot);
+                    assert_eq!(batch.next_states.row(row), &next[..]);
+                    k += 1;
                 }
             }
-            assert_eq!(batch.non_terminal.len(), next_row);
-            if next_row > 0 {
-                assert_eq!(batch.next_states.rows(), next_row);
+            assert_eq!(batch.non_terminal.len(), k);
+            assert_eq!(batch.next_state_rows.len(), k);
+            if k > 0 {
+                assert_eq!(batch.next_states.rows(), batch.next_slots.len());
+            }
+            for (row, slot) in batch.next_slots.iter().enumerate() {
+                assert!(!batch.next_slots[..row].contains(slot), "slot {slot} twice");
+            }
+            if size == 20 {
+                assert!(batch.next_slots.len() < k, "no next state was drawn twice");
             }
         }
     }
 
     #[test]
     fn push_and_len_with_eviction() {
-        let mut per = PrioritizedReplay::new(2, 0.6);
-        per.push(t(1.0));
-        per.push(t(2.0));
-        per.push(t(3.0));
-        assert_eq!(per.len(), 2);
-        assert_eq!(per.capacity(), 2);
+        // `push` returns the slot it wrote: slots fill in order, then the ring
+        // overwrites the oldest transition first.
+        let mut per = PrioritizedReplay::new(3, 0.6);
+        let slots: Vec<usize> = (0..8).map(|i| per.push(t(i as f64))).collect();
+        assert_eq!(slots, [0, 1, 2, 0, 1, 2, 0, 1]);
+        assert_eq!(per.len(), 3);
+        for (i, &slot) in slots.iter().enumerate().skip(5) {
+            assert_eq!(per.transitions[slot].reward, i as f64);
+        }
     }
 
     #[test]
