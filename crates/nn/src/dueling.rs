@@ -14,7 +14,7 @@
 use crate::activation::Activation;
 use crate::layer::DenseLayer;
 use crate::matrix::Matrix;
-use crate::network::{BatchScratch, MlpConfig};
+use crate::network::BatchScratch;
 use crate::optim::Adam;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -51,30 +51,29 @@ impl CombineBuffers {
 }
 
 impl DuelingQNetwork {
-    /// Build a dueling network with the trunk described by `config`; the heads are sized
-    /// from `n_actions`. Weights are drawn trunk first, then the value head, then the
-    /// advantage head.
+    /// Build a dueling network over `input_dim` state features: a ReLU trunk of the
+    /// `hidden` widths, then a linear value head and a linear advantage head over
+    /// `n_actions`. Weights are He-normal, drawn trunk first, then the value head, then
+    /// the advantage head.
     ///
     /// # Panics
     /// Panics if there are no hidden layers or fewer than two actions.
-    pub fn new<R: Rng + ?Sized>(config: &MlpConfig, n_actions: usize, rng: &mut R) -> Self {
-        assert!(!config.hidden.is_empty(), "dueling network needs a trunk");
+    pub fn new<R: Rng + ?Sized>(
+        input_dim: usize,
+        hidden: &[usize],
+        n_actions: usize,
+        rng: &mut R,
+    ) -> Self {
+        assert!(!hidden.is_empty(), "dueling network needs a trunk");
         assert!(n_actions >= 2, "need at least two actions");
-        let mut trunk = Vec::with_capacity(config.hidden.len());
-        let mut in_dim = config.input_dim;
-        for &width in &config.hidden {
-            trunk.push(DenseLayer::new(
-                in_dim,
-                width,
-                config.hidden_activation,
-                config.init,
-                rng,
-            ));
+        let mut trunk = Vec::with_capacity(hidden.len());
+        let mut in_dim = input_dim;
+        for &width in hidden {
+            trunk.push(DenseLayer::new(in_dim, width, Activation::Relu, rng));
             in_dim = width;
         }
-        let value_head = DenseLayer::new(in_dim, 1, Activation::Identity, config.init, rng);
-        let advantage_head =
-            DenseLayer::new(in_dim, n_actions, Activation::Identity, config.init, rng);
+        let value_head = DenseLayer::new(in_dim, 1, Activation::Identity, rng);
+        let advantage_head = DenseLayer::new(in_dim, n_actions, Activation::Identity, rng);
         Self {
             trunk,
             value_head,
@@ -84,13 +83,16 @@ impl DuelingQNetwork {
         }
     }
 
-    /// The paper's configuration: 256-256-128-64 ReLU trunk, two actions.
-    pub fn paper<R: Rng + ?Sized>(input_dim: usize, rng: &mut R) -> Self {
-        Self::new(&MlpConfig::paper_q_network(input_dim), 2, rng)
+    /// The paper's configuration (Section 3.3.2): 256-256-128-64 ReLU trunk, two
+    /// actions.
+    #[cfg(test)]
+    pub(crate) fn paper<R: Rng + ?Sized>(input_dim: usize, rng: &mut R) -> Self {
+        Self::new(input_dim, &[256, 256, 128, 64], 2, rng)
     }
 
     /// Number of actions.
-    pub fn n_actions(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn n_actions(&self) -> usize {
         self.n_actions
     }
 
@@ -113,12 +115,14 @@ impl DuelingQNetwork {
     }
 
     /// Input dimension.
-    pub fn input_dim(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn input_dim(&self) -> usize {
         self.trunk.first().map(DenseLayer::input_dim).unwrap_or(0)
     }
 
     /// Total number of trainable parameters.
-    pub fn param_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn param_count(&self) -> usize {
         self.trunk
             .iter()
             .map(DenseLayer::param_count)
@@ -295,13 +299,13 @@ impl DuelingQNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::loss::Loss;
+    use crate::loss::Huber;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn small(seed: u64) -> DuelingQNetwork {
         let mut rng = StdRng::seed_from_u64(seed);
-        DuelingQNetwork::new(&MlpConfig::small(4), 2, &mut rng)
+        DuelingQNetwork::new(4, &[32, 16], 2, &mut rng)
     }
 
     #[test]
@@ -369,17 +373,17 @@ mod tests {
     fn training_fits_simple_q_targets() {
         let mut net = small(5);
         let mut opt = Adam::new(0.01);
-        let loss = Loss::MeanSquaredError;
         let states = Matrix::from_vec(2, 4, vec![1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0]);
         let targets = Matrix::from_vec(2, 2, vec![1.0, -1.0, -2.0, 2.0]);
-        let initial = loss.batch_value(net.forward(&states).data(), targets.data(), None);
+        let initial = Huber.batch_value(net.forward(&states).data(), targets.data(), None);
+        let mut grads = Vec::new();
         for _ in 0..800 {
             let q = net.forward_train(&states);
-            let grad = Matrix::from_vec(2, 2, loss.batch_gradient(q.data(), targets.data(), None));
-            let _ = net.backward(&grad);
+            Huber.batch_gradient_into(q.data(), targets.data(), None, &mut grads);
+            let _ = net.backward(&Matrix::from_vec(2, 2, grads.clone()));
             net.apply_gradients(&mut opt);
         }
-        let fitted = loss.batch_value(net.forward(&states).data(), targets.data(), None);
+        let fitted = Huber.batch_value(net.forward(&states).data(), targets.data(), None);
         assert!(fitted < initial * 0.05, "loss {initial} -> {fitted}");
     }
 
@@ -502,6 +506,6 @@ mod tests {
     #[should_panic(expected = "at least two actions")]
     fn single_action_rejected() {
         let mut rng = StdRng::seed_from_u64(9);
-        DuelingQNetwork::new(&MlpConfig::small(4), 1, &mut rng);
+        DuelingQNetwork::new(4, &[32, 16], 1, &mut rng);
     }
 }

@@ -1,10 +1,10 @@
 //! A dense (fully-connected) layer with forward and backward passes.
 
 use crate::activation::Activation;
-use crate::init::WeightInit;
 use crate::matrix::Matrix;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use uerl_stats::{Distribution, Normal};
 
 /// A fully-connected layer: `output = activation(input · W + b)`.
 ///
@@ -44,17 +44,17 @@ struct TrainBuffers {
 }
 
 impl DenseLayer {
-    /// Create a layer with the given fan-in/fan-out, activation and initialisation.
+    /// Create a layer with the given fan-in/fan-out and activation. The weights are
+    /// He-normal, `N(0, sqrt(2 / input_dim))` (the standard choice for ReLU networks),
+    /// drawn in row-major order; the bias starts at zero.
     pub fn new<R: Rng + ?Sized>(
         input_dim: usize,
         output_dim: usize,
         activation: Activation,
-        init: WeightInit,
         rng: &mut R,
     ) -> Self {
-        let weights = Matrix::from_fn(input_dim, output_dim, |_, _| {
-            init.sample(input_dim, output_dim, rng)
-        });
+        let he_normal = Normal::new(0.0, (2.0 / input_dim.max(1) as f64).sqrt());
+        let weights = Matrix::from_fn(input_dim, output_dim, |_, _| he_normal.sample(rng));
         Self {
             weights,
             bias: vec![0.0; output_dim],
@@ -76,23 +76,21 @@ impl DenseLayer {
         self.weights.cols()
     }
 
-    /// The activation function.
-    pub fn activation(&self) -> Activation {
-        self.activation
-    }
-
     /// Number of trainable parameters.
-    pub fn param_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn param_count(&self) -> usize {
         self.weights.rows() * self.weights.cols() + self.bias.len()
     }
 
-    /// Immutable access to the weights (for inspection and tests).
-    pub fn weights(&self) -> &Matrix {
+    /// The weights.
+    #[cfg(test)]
+    pub(crate) fn weights(&self) -> &Matrix {
         &self.weights
     }
 
-    /// Immutable access to the bias.
-    pub fn bias(&self) -> &[f64] {
+    /// The bias.
+    #[cfg(test)]
+    pub(crate) fn bias(&self) -> &[f64] {
         &self.bias
     }
 
@@ -224,13 +222,15 @@ impl DenseLayer {
         visit(base_id + 1, &mut self.bias, &self.grad_bias);
     }
 
-    /// Accumulated weight-gradient matrix (for tests).
-    pub fn grad_weights(&self) -> &Matrix {
+    /// Accumulated weight-gradient matrix.
+    #[cfg(test)]
+    pub(crate) fn grad_weights(&self) -> &Matrix {
         &self.grad_weights
     }
 
-    /// Accumulated bias gradient (for tests).
-    pub fn grad_bias(&self) -> &[f64] {
+    /// Accumulated bias gradient.
+    #[cfg(test)]
+    pub(crate) fn grad_bias(&self) -> &[f64] {
         &self.grad_bias
     }
 }
@@ -240,10 +240,11 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use uerl_stats::Summary;
 
     fn layer(act: Activation) -> DenseLayer {
         let mut rng = StdRng::seed_from_u64(1);
-        DenseLayer::new(3, 2, act, WeightInit::HeNormal, &mut rng)
+        DenseLayer::new(3, 2, act, &mut rng)
     }
 
     #[test]
@@ -255,9 +256,20 @@ mod tests {
     }
 
     #[test]
+    fn he_normal_std_matches_fan_in() {
+        let mut rng = StdRng::seed_from_u64(1);
+        let l = DenseLayer::new(128, 160, Activation::Relu, &mut rng);
+        let s = Summary::from_slice(l.weights().data());
+        let expected_std = (2.0 / 128.0f64).sqrt();
+        assert!(s.mean().abs() < 0.01);
+        assert!((s.std_dev() - expected_std).abs() / expected_std < 0.05);
+        assert!(l.bias().iter().all(|&b| b == 0.0));
+    }
+
+    #[test]
     fn forward_matches_manual_computation_for_identity() {
         let mut rng = StdRng::seed_from_u64(2);
-        let mut l = DenseLayer::new(2, 1, Activation::Identity, WeightInit::Zeros, &mut rng);
+        let mut l = DenseLayer::new(2, 1, Activation::Identity, &mut rng);
         // Manually set weights to [1, 2]^T and bias to 0.5.
         l.weights = Matrix::from_vec(2, 1, vec![1.0, 2.0]);
         l.bias = vec![0.5];
@@ -268,7 +280,7 @@ mod tests {
 
     #[test]
     fn forward_and_forward_train_agree() {
-        let mut l = layer(Activation::Tanh);
+        let mut l = layer(Activation::Relu);
         let x = Matrix::from_vec(2, 3, vec![0.1, -0.2, 0.3, 1.0, 0.5, -0.5]);
         let a = l.forward(&x);
         let b = l.forward_train(&x);
@@ -278,10 +290,12 @@ mod tests {
     #[test]
     fn backward_gradients_match_numerical_gradients() {
         // Loss = sum(output); check dL/dW numerically.
-        let mut l = layer(Activation::Tanh);
+        let mut l = layer(Activation::Relu);
         let x = Matrix::from_vec(2, 3, vec![0.3, -0.1, 0.8, -0.4, 0.9, 0.2]);
         let ones = Matrix::from_vec(2, 2, vec![1.0; 4]);
-        let _ = l.forward_train(&x);
+        let out = l.forward_train(&x);
+        // Both ReLU branches are exercised: some units pass, some are cut.
+        assert!(out.data().iter().any(|&y| y > 0.0) && out.data().contains(&0.0));
         let _ = l.backward(&ones);
         let analytic = l.grad_weights().clone();
 

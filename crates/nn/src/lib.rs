@@ -13,13 +13,13 @@
 //!   invariant matmul kernels (the operations a dense MLP needs), dispatched at run
 //!   time to the CPU's best SIMD level with the same bits at every level
 //!   ([`kernel_isa`] reports the level);
-//! * [`init`] — He / Xavier weight initialisation;
-//! * [`activation`] — ReLU / leaky ReLU / tanh / sigmoid / identity activations;
-//! * [`layer`] — a dense (fully-connected) layer with forward and backward passes;
-//! * [`loss`] — mean-squared-error and Huber losses with per-sample weights (needed for
-//!   the importance-sampling weights of prioritized experience replay);
+//! * [`activation`] — the trunk's ReLU and the heads' identity;
+//! * [`layer`] — a dense (fully-connected) layer with He-normal weights and forward and
+//!   backward passes;
+//! * [`loss`] — the DQN Huber loss (δ = 1) with per-sample weights (needed for the
+//!   importance-sampling weights of prioritized experience replay);
 //! * [`optim`] — the Adam optimizer;
-//! * [`network`] — the trunk configuration and the reusable batched-inference scratch;
+//! * [`network`] — the reusable batched-inference scratch;
 //! * [`dueling`] — the dueling Q-network: a dense trunk under a value and an advantage
 //!   head, recombined as `Q(s, a) = V(s) + A(s, a) − mean(A)`. Its one inference pass
 //!   is [`DuelingQNetwork::forward_batch_into`]: serving, evaluation, acting and the
@@ -30,7 +30,6 @@
 
 pub mod activation;
 pub mod dueling;
-pub mod init;
 pub mod layer;
 pub mod loss;
 pub mod matrix;
@@ -39,9 +38,8 @@ pub mod optim;
 
 pub use activation::Activation;
 pub use dueling::DuelingQNetwork;
-pub use init::WeightInit;
 pub use layer::DenseLayer;
-pub use loss::Loss;
+pub use loss::Huber;
 pub use matrix::{kernel_isa, Matrix};
-pub use network::{BatchScratch, MlpConfig};
+pub use network::BatchScratch;
 pub use optim::Adam;

@@ -838,21 +838,10 @@ impl Matrix {
         );
     }
 
-    /// Transpose-free product `selfᵀ · other` (a `cols × other.cols` result). Equivalent
-    /// to `self.transpose().matmul(other)` without materialising the transposed copy;
-    /// this is the backward pass's `dL/dW = inputᵀ · dL/dz`.
-    ///
-    /// # Panics
-    /// Panics if the row counts differ.
-    pub fn matmul_tn(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, other.cols);
-        self.matmul_tn_acc(other, &mut out);
-        out
-    }
-
-    /// Accumulate `selfᵀ · other` into `acc` (which must already have the right shape).
-    /// Lets gradient accumulation write straight into the gradient buffer with no
-    /// temporary.
+    /// Accumulate the transpose-free product `selfᵀ · other` into `acc` (which must
+    /// already have the `cols × other.cols` shape), without materialising the
+    /// transposed copy: the backward pass's `dL/dW += inputᵀ · dL/dz`, written straight
+    /// into the gradient buffer with no temporary.
     ///
     /// # Panics
     /// Panics if shapes are inconsistent.
@@ -878,9 +867,9 @@ impl Matrix {
         );
     }
 
-    /// Transpose-free product `self · otherᵀ` (a `rows × other.rows` result). Equivalent
-    /// to `self.matmul(&other.transpose())` without materialising the transposed copy;
-    /// this is the backward pass's `dL/d(input) = dL/dz · Wᵀ`.
+    /// Transpose-free product `self · otherᵀ` (a `rows × other.rows` result), without
+    /// materialising the transposed copy; this is the backward pass's
+    /// `dL/d(input) = dL/dz · Wᵀ`.
     ///
     /// # Panics
     /// Panics if the column counts differ.
@@ -912,8 +901,9 @@ impl Matrix {
         );
     }
 
-    /// Transposed copy.
-    pub fn transpose(&self) -> Matrix {
+    /// Transposed copy (the explicit reference of the transpose-free products' tests).
+    #[cfg(test)]
+    fn transpose(&self) -> Matrix {
         Matrix::from_fn(self.cols, self.rows, |i, j| self.get(j, i))
     }
 
@@ -965,13 +955,6 @@ impl Matrix {
         }
     }
 
-    /// In-place scaling by a constant.
-    pub fn scale_assign(&mut self, factor: f64) {
-        for a in &mut self.data {
-            *a *= factor;
-        }
-    }
-
     /// Add a row vector (e.g. a bias) to every row.
     ///
     /// # Panics
@@ -998,11 +981,6 @@ impl Matrix {
         }
     }
 
-    /// Mean of all elements.
-    pub fn mean(&self) -> f64 {
-        self.data.iter().sum::<f64>() / self.data.len() as f64
-    }
-
     /// Index of the maximum element of row `i`.
     pub fn row_argmax(&self, i: usize) -> usize {
         let row = self.row(i);
@@ -1016,7 +994,8 @@ impl Matrix {
     }
 
     /// Frobenius norm (root of the sum of squared elements).
-    pub fn frobenius_norm(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn frobenius_norm(&self) -> f64 {
         self.data.iter().map(|&x| x * x).sum::<f64>().sqrt()
     }
 }
@@ -1077,17 +1056,21 @@ mod tests {
     fn matmul_tn_matches_explicit_transpose() {
         let a = Matrix::from_vec(3, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let b = Matrix::from_vec(3, 4, (1..=12).map(f64::from).collect());
-        assert_eq!(a.matmul_tn(&b), a.transpose().matmul(&b));
+        let mut acc = Matrix::zeros(2, 4);
+        a.matmul_tn_acc(&b, &mut acc);
+        assert_eq!(acc, a.transpose().matmul(&b));
     }
 
     #[test]
     fn matmul_tn_acc_accumulates() {
         let a = Matrix::from_vec(2, 2, vec![1.0, 0.0, 0.0, 1.0]);
         let b = Matrix::from_vec(2, 2, vec![3.0, 4.0, 5.0, 6.0]);
-        let mut acc = a.matmul_tn(&b);
+        let mut acc = Matrix::zeros(2, 2);
         a.matmul_tn_acc(&b, &mut acc);
-        let mut doubled = a.transpose().matmul(&b);
-        doubled.scale_assign(2.0);
+        a.matmul_tn_acc(&b, &mut acc);
+        let once = a.transpose().matmul(&b);
+        let mut doubled = once.clone();
+        doubled.add_assign(&once);
         assert_eq!(acc, doubled);
     }
 
@@ -1130,7 +1113,7 @@ mod tests {
         let mut c = a.clone();
         c.add_assign(&b);
         assert_eq!(c.data(), &[11.0, 18.0, 33.0]);
-        c.scale_assign(0.5);
+        c.map_assign(|x| x * 0.5);
         assert_eq!(c.data(), &[5.5, 9.0, 16.5]);
     }
 
@@ -1149,7 +1132,6 @@ mod tests {
         let m = Matrix::from_vec(2, 3, vec![1.0, 5.0, 3.0, -1.0, -5.0, -3.0]);
         assert_eq!(m.row_argmax(0), 1);
         assert_eq!(m.row_argmax(1), 0);
-        assert!((m.mean() - 0.0).abs() < 1e-12);
     }
 
     #[test]

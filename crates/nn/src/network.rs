@@ -1,47 +1,6 @@
-//! The Q-network's trunk configuration and the reusable scratch of its batched
-//! inference path.
+//! The reusable scratch of the Q-network's batched inference path.
 
-use crate::activation::Activation;
-use crate::init::WeightInit;
 use crate::matrix::Matrix;
-use serde::{Deserialize, Serialize};
-
-/// Configuration of the dense trunk under the dueling heads of a
-/// [`crate::DuelingQNetwork`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MlpConfig {
-    /// Input dimension (number of state features).
-    pub input_dim: usize,
-    /// Hidden layer widths.
-    pub hidden: Vec<usize>,
-    /// Activation of the hidden layers.
-    pub hidden_activation: Activation,
-    /// Weight initialisation scheme.
-    pub init: WeightInit,
-}
-
-impl MlpConfig {
-    /// The paper's Q-network body: four hidden layers of 256, 256, 128 and 64 ReLU units
-    /// (Section 3.3.2).
-    pub fn paper_q_network(input_dim: usize) -> Self {
-        Self {
-            input_dim,
-            hidden: vec![256, 256, 128, 64],
-            hidden_activation: Activation::Relu,
-            init: WeightInit::HeNormal,
-        }
-    }
-
-    /// A small trunk for tests and fast experiments.
-    pub fn small(input_dim: usize) -> Self {
-        Self {
-            input_dim,
-            hidden: vec![32, 16],
-            hidden_activation: Activation::Relu,
-            init: WeightInit::HeNormal,
-        }
-    }
-}
 
 /// Reusable buffers for the allocation-free batched inference path
 /// ([`crate::DuelingQNetwork::forward_batch_into`]).
@@ -90,7 +49,7 @@ mod tests {
     #[test]
     fn paper_architecture_matches_section_3_3_2() {
         let mut rng = StdRng::seed_from_u64(2);
-        let net = DuelingQNetwork::new(&MlpConfig::paper_q_network(14), 2, &mut rng);
+        let net = DuelingQNetwork::paper(14, &mut rng);
         let widths: Vec<usize> = net.trunk().iter().map(DenseLayer::output_dim).collect();
         assert_eq!(widths, vec![256, 256, 128, 64]);
         assert_eq!(net.value_head().output_dim(), 1);
@@ -103,8 +62,8 @@ mod tests {
         // different sizes: every row equals the single-row forward of that state, to the
         // bit, so the buffers never leak state between calls.
         let mut rng = StdRng::seed_from_u64(9);
-        let small = DuelingQNetwork::new(&MlpConfig::small(3), 2, &mut rng);
-        let paper = DuelingQNetwork::new(&MlpConfig::paper_q_network(3), 2, &mut rng);
+        let small = DuelingQNetwork::new(3, &[32, 16], 2, &mut rng);
+        let paper = DuelingQNetwork::paper(3, &mut rng);
         let mut scratch = BatchScratch::new();
         let mut out = Matrix::zeros(1, 1);
         for (net, rows) in [(&small, 5), (&paper, 3), (&small, 2), (&paper, 7)] {
@@ -122,8 +81,7 @@ mod tests {
 
     #[test]
     fn seeds_give_reproducible_networks() {
-        let build =
-            |seed| DuelingQNetwork::new(&MlpConfig::small(3), 2, &mut StdRng::seed_from_u64(seed));
+        let build = |seed| DuelingQNetwork::new(3, &[32, 16], 2, &mut StdRng::seed_from_u64(seed));
         assert_eq!(build(42), build(42));
         assert_ne!(build(42), build(43));
     }

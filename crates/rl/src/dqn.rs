@@ -25,9 +25,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
-use uerl_nn::{
-    Activation, Adam, BatchScratch, DuelingQNetwork, Loss, Matrix, MlpConfig, WeightInit,
-};
+use uerl_nn::{Adam, BatchScratch, DuelingQNetwork, Huber, Matrix};
 
 /// Deterministic greedy action over one state's Q-values: the argmax, with exact ties
 /// going to the **last** maximal action (via `Iterator::max_by`). Every greedy decision
@@ -166,16 +164,11 @@ impl AgentConfig {
     }
 }
 
-/// Build one dueling Q-network: a ReLU trunk of `config.hidden` widths with He-normal
-/// weights, then the value and advantage heads.
+/// Build one dueling Q-network over `config.state_dim` features: a ReLU trunk of
+/// `config.hidden` widths, then the value and advantage heads over `config.n_actions`,
+/// all He-normal.
 fn q_network(config: &AgentConfig, rng: &mut StdRng) -> DuelingQNetwork {
-    let trunk = MlpConfig {
-        input_dim: config.state_dim,
-        hidden: config.hidden.clone(),
-        hidden_activation: Activation::Relu,
-        init: WeightInit::HeNormal,
-    };
-    DuelingQNetwork::new(&trunk, config.n_actions, rng)
+    DuelingQNetwork::new(config.state_dim, &config.hidden, config.n_actions, rng)
 }
 
 /// A deep Q-network agent.
@@ -189,7 +182,6 @@ pub struct DqnAgent {
     rng: StdRng,
     env_steps: u64,
     updates: u64,
-    loss: Loss,
     last_loss: Option<f64>,
     compacted: bool,
     /// The target network's Q-values of the replay slots' next states.
@@ -314,7 +306,6 @@ impl DqnAgent {
             rng,
             env_steps: 0,
             updates: 0,
-            loss: Loss::huber(),
             last_loss: None,
             compacted: false,
             target_q: TargetCache::new(config.n_actions),
@@ -549,13 +540,12 @@ impl DqnAgent {
             td_errors.clear();
             td_errors.extend(predictions.iter().zip(targets.iter()).map(|(&p, &y)| p - y));
             let weights = Some(&batch.weights[..]);
-            self.loss
-                .batch_gradient_into(predictions, targets, weights, grads);
+            Huber.batch_gradient_into(predictions, targets, weights, grads);
             grad_q.reset_to(n, self.config.n_actions);
             for (i, (&a, &g)) in batch.actions.iter().zip(grads.iter()).enumerate() {
                 grad_q.set(i, a, g);
             }
-            self.loss.batch_value(predictions, targets, weights)
+            Huber.batch_value(predictions, targets, weights)
         };
         {
             let _span = m.phase(UpdatePhase::Backward).span();
