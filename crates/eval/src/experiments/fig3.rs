@@ -130,6 +130,21 @@ mod tests {
     use super::*;
     use crate::scenario::EvalBudget;
 
+    /// The smoke test's `render` output, pinned byte for byte.
+    const RENDERED: &str = r"Figure 3 — total cost (Synthetic/Small)
+| mit. cost (node-min) |          policy | UE cost (nh) | mitigation (nh) | total (nh) |
+|----------------------|-----------------|--------------|-----------------|------------|
+|                    2 |  Never-mitigate |         2702 |           0.000 |       2702 |
+|                    2 | Always-mitigate |         1030 |            38.7 |       1068 |
+|                    2 |         SC20-RF |         1030 |            33.9 |       1064 |
+|                    2 |      SC20-RF-2% |         1030 |            35.0 |       1065 |
+|                    2 |      SC20-RF-5% |         1030 |            36.0 |       1066 |
+|                    2 |       Myopic-RF |         1467 |            33.3 |       1500 |
+|                    2 |              RL |         2271 |            16.7 |       2288 |
+|                    2 |          Oracle |         1030 |           0.367 |       1030 |
+headline @2 node-min: RL reduces lost compute by 15.3% vs Never-mitigate, 122.1% above Oracle
+";
+
     #[test]
     fn figure3_smoke_test_reproduces_the_shape() {
         let ctx = ExperimentContext::synthetic_small(30, 75, EvalBudget::tiny(), 51);
@@ -143,6 +158,7 @@ mod tests {
         let rendered = result.render();
         assert!(rendered.contains("Figure 3"));
         assert!(rendered.contains("Never-mitigate"));
+        assert_eq!(rendered, RENDERED);
         let (reduction, _gap) = result.headline(2.0).unwrap();
         assert!((-1.0..=1.0).contains(&reduction));
     }

@@ -105,6 +105,15 @@ mod tests {
     use super::*;
     use crate::scenario::EvalBudget;
 
+    /// The smoke test's `render` output, pinned byte for byte.
+    const RENDERED: &str = r"Figure 4 — per-split total cost, 2 node-minute mitigation (Synthetic/Small)
+| split | Never-mitigate | Always-mitigate | SC20-RF | SC20-RF-2% | SC20-RF-5% | Myopic-RF |    RL | Oracle |
+|-------|----------------|-----------------|---------|------------|------------|-----------|-------|--------|
+|     1 |           67.6 |            11.3 |    11.3 |       11.3 |       11.3 |      67.6 |  11.0 |  7.033 |
+|     2 |          125.7 |           137.7 |   126.7 |      126.7 |      126.7 |     137.6 | 127.9 |  125.7 |
+|     3 |           1250 |            1000 |   999.8 |      999.9 |      999.9 |     999.9 |  1018 |  981.2 |
+";
+
     #[test]
     fn figure4_covers_every_split_and_policy() {
         let ctx = ExperimentContext::synthetic_small(30, 75, EvalBudget::tiny(), 53);
@@ -113,6 +122,6 @@ mod tests {
         assert_eq!(result.cells.len(), result.splits * POLICY_ORDER.len());
         // Per-split totals add up to a positive overall cost for Never-mitigate.
         assert!(result.total_for("Never-mitigate") > 0.0);
-        assert!(result.render().contains("Figure 4"));
+        assert_eq!(result.render(), RENDERED);
     }
 }

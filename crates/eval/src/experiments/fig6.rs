@@ -131,6 +131,26 @@ mod tests {
     use super::*;
     use crate::scenario::EvalBudget;
 
+    /// The six log-spaced cost-bin centres of the smoke map, as `f64` bits.
+    const COST_BIN_CENTER_BITS: [u64; 6] = [
+        0x4009_4c58_3ada_5b53,
+        0x403f_9f6e_4990_f227,
+        0x4073_c3a4_edfa_9759,
+        0x40a8_b48e_2979_3d2f,
+        0x40de_e1b1_b3d7_8c7a,
+        0x4113_4d0f_1066_b7cc,
+    ];
+
+    /// The smoke test's `render` output, pinned byte for byte.
+    const RENDERED: &str = r"Figure 6 — fraction of events mitigated by the RL agent (393 states)
+| P(UE) \ cost |    3 |   32 |  316 | 3162 | 31623 | 316228 |
+|--------------|------|------|------|------|-------|--------|
+|         0.88 | 0.23 | 0.23 | 0.23 | 0.31 |  0.69 |   1.00 |
+|         0.62 | 0.19 | 0.14 | 0.22 | 0.58 |  0.75 |   1.00 |
+|         0.38 | 0.42 | 0.41 | 0.42 | 0.71 |  0.92 |   1.00 |
+|         0.12 | 0.60 | 0.45 | 0.49 | 0.83 |  0.93 |   1.00 |
+";
+
     #[test]
     fn figure6_builds_a_complete_map() {
         let ctx = ExperimentContext::synthetic_small(30, 75, EvalBudget::tiny(), 67);
@@ -150,7 +170,13 @@ mod tests {
                 assert!((0.0..=1.0).contains(cell));
             }
         }
-        assert!(result.render().contains("Figure 6"));
+        let center_bits: Vec<u64> = result
+            .cost_bin_centers
+            .iter()
+            .map(|c| c.to_bits())
+            .collect();
+        assert_eq!(center_bits, COST_BIN_CENTER_BITS);
+        assert_eq!(result.render(), RENDERED);
         let _ = result.mean_fraction_for_cost_range(1.0, 1e6);
     }
 }

@@ -118,6 +118,28 @@ mod tests {
     use super::*;
     use crate::scenario::EvalBudget;
 
+    /// The smoke test's `render` output, pinned byte for byte.
+    const RENDERED: &str = r"Figure 7 — job-size sensitivity (Synthetic/Small)
+| scaling |          policy | total cost (nh) [7a] | mitigation cost (nh) [7b] |
+|---------|-----------------|----------------------|---------------------------|
+|     0.3 |  Never-mitigate |                876.9 |                     0.000 |
+|     0.3 | Always-mitigate |                795.4 |                      22.2 |
+|     0.3 |         SC20-RF |                789.5 |                      12.1 |
+|     0.3 |      SC20-RF-2% |                789.5 |                      12.1 |
+|     0.3 |      SC20-RF-5% |                789.5 |                      12.1 |
+|     0.3 |       Myopic-RF |                792.8 |                      19.6 |
+|     0.3 |              RL |                831.5 |                     9.134 |
+|     0.3 |          Oracle |                773.6 |                     0.433 |
+|       3 |  Never-mitigate |                 8963 |                     0.000 |
+|       3 | Always-mitigate |                 7911 |                      22.2 |
+|       3 |         SC20-RF |                 7909 |                      19.8 |
+|       3 |      SC20-RF-2% |                 7909 |                      19.8 |
+|       3 |      SC20-RF-5% |                 7909 |                      19.8 |
+|       3 |       Myopic-RF |                 7909 |                      19.8 |
+|       3 |              RL |                 8406 |                     9.200 |
+|       3 |          Oracle |                 7890 |                     0.433 |
+";
+
     #[test]
     fn figure7_total_cost_scales_with_job_size() {
         let ctx = ExperimentContext::synthetic_small(28, 60, EvalBudget::tiny(), 79);
@@ -143,6 +165,6 @@ mod tests {
             .unwrap()
             .mitigation_cost;
         assert!((always_small - always_large).abs() < 1e-6);
-        assert!(result.render().contains("Figure 7"));
+        assert_eq!(result.render(), RENDERED);
     }
 }
