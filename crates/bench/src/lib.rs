@@ -104,13 +104,13 @@ pub type Render = fn(&ExperimentContext) -> String;
 /// that prints each (also its `perf_report` stage).
 pub const ARTEFACTS: [(&str, Render); 6] = [
     ("fig3_total_cost", |ctx| {
-        fig3::run(ctx, &[2.0, 5.0, 10.0]).render()
+        fig3::render(&fig3::run(ctx, &[2.0, 5.0, 10.0]))
     }),
-    ("fig4_cross_validation", |ctx| fig4::run(ctx).render()),
-    ("fig5_manufacturers", |ctx| fig5::run(ctx).render()),
+    ("fig4_cross_validation", |ctx| fig4::render(&fig4::run(ctx))),
+    ("fig5_manufacturers", |ctx| fig5::render(&fig5::run(ctx))),
     ("fig6_agent_behavior", |ctx| fig6::run(ctx, 12, 10).render()),
     ("fig7_job_scaling", |ctx| {
-        fig7::run(ctx, &[0.1, 0.3, 1.0, 3.0, 10.0]).render()
+        fig7::render(&fig7::run(ctx, &[0.1, 0.3, 1.0, 3.0, 10.0]))
     }),
     ("table2_ml_metrics", |ctx| table2::run(ctx).render()),
 ];

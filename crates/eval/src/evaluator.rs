@@ -235,7 +235,7 @@ fn evaluate_split(
 /// Train the SC20-RF random forest on the training + validation data of a split,
 /// returning the forest together with the supervised dataset it was fitted on (the
 /// threshold selection reuses the dataset for its data-driven candidate).
-fn train_forest(
+pub(crate) fn train_forest(
     ctx: &ExperimentContext,
     train_val: &TimelineSet,
     seed: u64,

@@ -1,7 +1,10 @@
-//! Shared helpers for the experiment drivers that need a trained agent outside the
-//! cross-validation loop (Figure 6's behaviour map and Table 2's cost-conditioned rows).
+//! Shared pieces of the experiment drivers: the [`CostTable`] that Figures 3, 4, 5 and
+//! 7 fill from the evaluator's [`PolicyRun`]s, and the helpers for the drivers that need
+//! a trained agent outside the cross-validation loop (Figure 6's behaviour map and
+//! Table 2's cost-conditioned rows).
 
-use crate::evaluator::run_rl_search;
+use crate::evaluator::{run_rl_search, train_forest};
+use crate::run::PolicyRun;
 use crate::scenario::ExperimentContext;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -9,12 +12,46 @@ use rayon::prelude::*;
 use uerl_core::env::MitigationEnv;
 use uerl_core::event_stream::TimelineSet;
 use uerl_core::policies::{RlPolicy, ThresholdRfPolicy};
-use uerl_core::rf_dataset::build_rf_dataset_1day;
-use uerl_core::state::{StateFeatures, STATE_DIM};
+use uerl_core::state::StateFeatures;
 use uerl_core::MitigationConfig;
-use uerl_forest::{RandomForest, RandomForestConfig};
+use uerl_forest::RandomForest;
 use uerl_jobs::schedule::NodeJobSampler;
 use uerl_trace::types::SimTime;
+
+/// Each policy's total cost (UE cost plus mitigation cost including training), grouped
+/// along the axis a figure varies: the mitigation cost (Figure 3), the cross-validation
+/// split (Figure 4), the DRAM manufacturer (Figure 5) or the job-size scaling (Figure 7).
+#[derive(Debug, Clone, PartialEq)]
+pub struct CostTable {
+    /// Scenario label.
+    pub label: String,
+    /// One `(key, runs)` group per point of the figure's axis, in axis order. The key is
+    /// the text the table prints ("2", "1", "MN/A", "0.3"); the runs are in
+    /// [`POLICY_ORDER`](crate::evaluator::POLICY_ORDER).
+    pub groups: Vec<(String, Vec<PolicyRun>)>,
+}
+
+impl CostTable {
+    /// The run of `policy` in the group keyed `key`.
+    pub fn run(&self, key: &str, policy: &str) -> Option<&PolicyRun> {
+        let (_, runs) = self.groups.iter().find(|(k, _)| k == key)?;
+        runs.iter().find(|run| run.policy == policy)
+    }
+
+    /// One table row per group and policy: the group key, the policy name, then `cells`
+    /// of the run.
+    pub fn rows(&self, cells: impl Fn(&PolicyRun) -> Vec<String>) -> Vec<Vec<String>> {
+        self.groups
+            .iter()
+            .flat_map(|(key, runs)| runs.iter().map(move |run| (key, run)))
+            .map(|(key, run)| {
+                let mut row = vec![key.clone(), run.policy.clone()];
+                row.extend(cells(run));
+                row
+            })
+            .collect()
+    }
+}
 
 /// Models trained on the leading fraction of the observation window, plus the boundary.
 pub struct TrainedModels {
@@ -52,16 +89,7 @@ pub fn train_models_on_prefix(ctx: &ExperimentContext, train_fraction: f64) -> T
     let sampler = ctx.job_sampler(1.0);
 
     // Random forest on the training prefix.
-    let (mut dataset, _) = build_rf_dataset_1day(&train_tl);
-    if dataset.is_empty() {
-        dataset.push(vec![0.0; STATE_DIM - 1], false);
-    }
-    let mut rf_config = RandomForestConfig::sc20(STATE_DIM - 1, ctx.seed);
-    rf_config.n_trees = ctx.budget.rf_trees.max(1);
-    if dataset.positives() == 0 {
-        rf_config.undersample_ratio = None;
-    }
-    let forest = RandomForest::fit(&dataset, &rf_config);
+    let (forest, _) = train_forest(ctx, &train_tl, ctx.seed);
 
     // RL agent on the same prefix, with the full two-round hyperparameter search.
     let mut rng = StdRng::seed_from_u64(ctx.seed ^ 0x0F16);

@@ -2,132 +2,79 @@
 //! costs of 2, 5 and 10 node-minutes, across all eight policies. Also derives the
 //! Section 5.1 headline numbers (reduction vs Never-mitigate, distance to the Oracle).
 
-use crate::evaluator::{EvaluationResult, Evaluator, POLICY_ORDER};
+use super::common::CostTable;
+use crate::evaluator::Evaluator;
 use crate::report::{format_table, node_hours, percent};
 use crate::scenario::ExperimentContext;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
-/// One bar of Figure 3.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Fig3Row {
-    /// Mitigation cost in node-minutes (2, 5 or 10).
-    pub mitigation_cost_minutes: f64,
-    /// Policy name.
-    pub policy: String,
-    /// UE cost in node-hours (the solid part of the bar).
-    pub ue_cost: f64,
-    /// Mitigation cost in node-hours, including model training (the dashed part).
-    pub mitigation_cost: f64,
+/// Section 5.1 headline: `(reduction of RL vs Never-mitigate, RL excess over Oracle)` in
+/// the group of mitigation cost `key` ("2" for 2 node-minutes), both as fractions.
+pub fn headline(table: &CostTable, key: &str) -> Option<(f64, f64)> {
+    let total = |policy| table.run(key, policy).map(|run| run.total_cost());
+    let never = total("Never-mitigate")?;
+    let rl = total("RL")?;
+    let oracle = total("Oracle")?;
+    if never <= 0.0 || oracle <= 0.0 {
+        return None;
+    }
+    Some(((never - rl) / never, (rl - oracle) / oracle))
 }
 
-impl Fig3Row {
-    /// Total cost (bar height).
-    pub fn total_cost(&self) -> f64 {
-        self.ue_cost + self.mitigation_cost
-    }
-}
-
-/// The Figure 3 result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Fig3Result {
-    /// Scenario label.
-    pub label: String,
-    /// All bars, grouped by mitigation cost then by policy (in [`POLICY_ORDER`]).
-    pub rows: Vec<Fig3Row>,
-}
-
-impl Fig3Result {
-    /// The row for a policy at a mitigation cost, if present.
-    pub fn row(&self, policy: &str, mitigation_cost_minutes: f64) -> Option<&Fig3Row> {
-        self.rows.iter().find(|r| {
-            r.policy == policy && (r.mitigation_cost_minutes - mitigation_cost_minutes).abs() < 1e-9
-        })
-    }
-
-    /// Section 5.1 headline: `(reduction of RL vs Never-mitigate, RL excess over Oracle)`
-    /// at the given mitigation cost, both as fractions.
-    pub fn headline(&self, mitigation_cost_minutes: f64) -> Option<(f64, f64)> {
-        let never = self
-            .row("Never-mitigate", mitigation_cost_minutes)?
-            .total_cost();
-        let rl = self.row("RL", mitigation_cost_minutes)?.total_cost();
-        let oracle = self.row("Oracle", mitigation_cost_minutes)?.total_cost();
-        if never <= 0.0 || oracle <= 0.0 {
-            return None;
-        }
-        Some(((never - rl) / never, (rl - oracle) / oracle))
-    }
-
-    /// Render the figure as a text table.
-    pub fn render(&self) -> String {
-        let rows: Vec<Vec<String>> = self
-            .rows
-            .iter()
-            .map(|r| {
-                vec![
-                    format!("{}", r.mitigation_cost_minutes),
-                    r.policy.clone(),
-                    node_hours(r.ue_cost),
-                    node_hours(r.mitigation_cost),
-                    node_hours(r.total_cost()),
-                ]
-            })
-            .collect();
-        let mut out = format!("Figure 3 — total cost ({})\n", self.label);
-        out.push_str(&format_table(
-            &[
-                "mit. cost (node-min)",
-                "policy",
-                "UE cost (nh)",
-                "mitigation (nh)",
-                "total (nh)",
-            ],
-            &rows,
+/// Render the figure as a text table.
+pub fn render(table: &CostTable) -> String {
+    let rows = table.rows(|run| {
+        vec![
+            node_hours(run.ue_cost),
+            node_hours(run.mitigation_cost),
+            node_hours(run.total_cost()),
+        ]
+    });
+    let mut out = format!("Figure 3 — total cost ({})\n", table.label);
+    out.push_str(&format_table(
+        &[
+            "mit. cost (node-min)",
+            "policy",
+            "UE cost (nh)",
+            "mitigation (nh)",
+            "total (nh)",
+        ],
+        &rows,
+    ));
+    if let Some((reduction, gap)) = headline(table, "2") {
+        out.push_str(&format!(
+            "headline @2 node-min: RL reduces lost compute by {} vs Never-mitigate, {} above Oracle\n",
+            percent(reduction),
+            percent(gap)
         ));
-        if let Some((reduction, gap)) = self.headline(2.0) {
-            out.push_str(&format!(
-                "headline @2 node-min: RL reduces lost compute by {} vs Never-mitigate, {} above Oracle\n",
-                percent(reduction),
-                percent(gap)
-            ));
-        }
-        out
     }
+    out
 }
 
 /// Run Figure 3: evaluate the context at each mitigation cost. The cost scenarios are
-/// independent evaluations of the same logs, so they fan out in parallel; rows keep the
+/// independent evaluations of the same logs, so they fan out in parallel; groups keep the
 /// input cost order.
-pub fn run(ctx: &ExperimentContext, mitigation_costs_minutes: &[f64]) -> Fig3Result {
-    let per_cost: Vec<(f64, EvaluationResult)> = mitigation_costs_minutes
+pub fn run(ctx: &ExperimentContext, mitigation_costs_minutes: &[f64]) -> CostTable {
+    let groups = mitigation_costs_minutes
         .par_iter()
         .map(|&cost| {
             let scenario = ctx.with_mitigation_cost_minutes(cost);
-            (cost, Evaluator::new().evaluate(&scenario))
+            (
+                cost.to_string(),
+                Evaluator::new().evaluate(&scenario).totals,
+            )
         })
         .collect();
-    let mut rows = Vec::new();
-    for (cost, result) in &per_cost {
-        for &policy in POLICY_ORDER.iter() {
-            let run = result.total_for(policy).expect("every policy is evaluated");
-            rows.push(Fig3Row {
-                mitigation_cost_minutes: *cost,
-                policy: policy.to_string(),
-                ue_cost: run.ue_cost,
-                mitigation_cost: run.mitigation_cost,
-            });
-        }
-    }
-    Fig3Result {
+    CostTable {
         label: ctx.label.clone(),
-        rows,
+        groups,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::evaluator::POLICY_ORDER;
     use crate::scenario::EvalBudget;
 
     /// The smoke test's `render` output, pinned byte for byte.
@@ -148,18 +95,24 @@ headline @2 node-min: RL reduces lost compute by 15.3% vs Never-mitigate, 122.1%
     #[test]
     fn figure3_smoke_test_reproduces_the_shape() {
         let ctx = ExperimentContext::synthetic_small(30, 75, EvalBudget::tiny(), 51);
-        let result = run(&ctx, &[2.0]);
-        assert_eq!(result.rows.len(), POLICY_ORDER.len());
-        let never = result.row("Never-mitigate", 2.0).unwrap();
-        let oracle = result.row("Oracle", 2.0).unwrap();
+        let table = run(&ctx, &[2.0]);
+        assert_eq!(table.groups.len(), 1);
+        let policies: Vec<&str> = table.groups[0]
+            .1
+            .iter()
+            .map(|r| r.policy.as_str())
+            .collect();
+        assert_eq!(policies, POLICY_ORDER);
+        let never = table.run("2", "Never-mitigate").unwrap();
+        let oracle = table.run("2", "Oracle").unwrap();
         assert_eq!(never.mitigation_cost, 0.0);
         assert!(never.total_cost() > 0.0);
         assert!(oracle.total_cost() <= never.total_cost() + 1e-9);
-        let rendered = result.render();
+        let rendered = render(&table);
         assert!(rendered.contains("Figure 3"));
         assert!(rendered.contains("Never-mitigate"));
         assert_eq!(rendered, RENDERED);
-        let (reduction, _gap) = result.headline(2.0).unwrap();
+        let (reduction, _gap) = headline(&table, "2").unwrap();
         assert!((-1.0..=1.0).contains(&reduction));
     }
 }

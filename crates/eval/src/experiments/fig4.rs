@@ -1,102 +1,42 @@
 //! Figure 4: the time-series nested cross-validation results — total cost per
 //! four-month split for every policy at the 2 node-minute mitigation cost.
 
+use super::common::CostTable;
 use crate::evaluator::{Evaluator, POLICY_ORDER};
 use crate::report::{format_table, node_hours};
 use crate::scenario::ExperimentContext;
-use serde::{Deserialize, Serialize};
 
-/// One split's costs for one policy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Fig4Cell {
-    /// 1-based split index (time order).
-    pub split: usize,
-    /// Policy name.
-    pub policy: String,
-    /// UE cost in node-hours.
-    pub ue_cost: f64,
-    /// Mitigation cost in node-hours.
-    pub mitigation_cost: f64,
+/// Render the figure as a text table (splits as rows, policies as columns).
+pub fn render(table: &CostTable) -> String {
+    let mut headers = vec!["split"];
+    headers.extend(POLICY_ORDER.iter().copied());
+    let rows: Vec<Vec<String>> = table
+        .groups
+        .iter()
+        .map(|(split, runs)| {
+            let mut row = vec![split.clone()];
+            row.extend(runs.iter().map(|run| node_hours(run.total_cost())));
+            row
+        })
+        .collect();
+    format!(
+        "Figure 4 — per-split total cost, 2 node-minute mitigation ({})\n{}",
+        table.label,
+        format_table(&headers, &rows)
+    )
 }
 
-impl Fig4Cell {
-    /// Total cost of this policy in this split.
-    pub fn total_cost(&self) -> f64 {
-        self.ue_cost + self.mitigation_cost
-    }
-}
-
-/// The Figure 4 result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Fig4Result {
-    /// Scenario label.
-    pub label: String,
-    /// Number of splits.
-    pub splits: usize,
-    /// One cell per (split, policy).
-    pub cells: Vec<Fig4Cell>,
-}
-
-impl Fig4Result {
-    /// The cell for a split and policy.
-    pub fn cell(&self, split: usize, policy: &str) -> Option<&Fig4Cell> {
-        self.cells
-            .iter()
-            .find(|c| c.split == split && c.policy == policy)
-    }
-
-    /// Sum over splits for one policy (matches the corresponding Figure 3 bar).
-    pub fn total_for(&self, policy: &str) -> f64 {
-        self.cells
-            .iter()
-            .filter(|c| c.policy == policy)
-            .map(Fig4Cell::total_cost)
-            .sum()
-    }
-
-    /// Render the figure as a text table (splits as rows, policies as columns).
-    pub fn render(&self) -> String {
-        let mut headers = vec!["split"];
-        headers.extend(POLICY_ORDER.iter().copied());
-        let rows: Vec<Vec<String>> = (1..=self.splits)
-            .map(|s| {
-                let mut row = vec![format!("{s}")];
-                for &p in POLICY_ORDER.iter() {
-                    row.push(
-                        self.cell(s, p)
-                            .map(|c| node_hours(c.total_cost()))
-                            .unwrap_or_else(|| "-".to_string()),
-                    );
-                }
-                row
-            })
-            .collect();
-        format!(
-            "Figure 4 — per-split total cost, 2 node-minute mitigation ({})\n{}",
-            self.label,
-            format_table(&headers, &rows)
-        )
-    }
-}
-
-/// Run Figure 4 on a context (which should use the 2 node-minute mitigation cost).
-pub fn run(ctx: &ExperimentContext) -> Fig4Result {
+/// Run Figure 4 on a context (which should use the 2 node-minute mitigation cost): one
+/// group per split, keyed by its 1-based index.
+pub fn run(ctx: &ExperimentContext) -> CostTable {
     let result = Evaluator::new().evaluate(ctx);
-    let mut cells = Vec::new();
-    for outcome in &result.per_split {
-        for run in &outcome.runs {
-            cells.push(Fig4Cell {
-                split: outcome.split.index,
-                policy: run.policy.clone(),
-                ue_cost: run.ue_cost,
-                mitigation_cost: run.mitigation_cost,
-            });
-        }
-    }
-    Fig4Result {
+    CostTable {
         label: ctx.label.clone(),
-        splits: result.per_split.len(),
-        cells,
+        groups: result
+            .per_split
+            .into_iter()
+            .map(|outcome| (outcome.split.index.to_string(), outcome.runs))
+            .collect(),
     }
 }
 
@@ -117,11 +57,20 @@ mod tests {
     #[test]
     fn figure4_covers_every_split_and_policy() {
         let ctx = ExperimentContext::synthetic_small(30, 75, EvalBudget::tiny(), 53);
-        let result = run(&ctx);
-        assert_eq!(result.splits, EvalBudget::tiny().cv_parts);
-        assert_eq!(result.cells.len(), result.splits * POLICY_ORDER.len());
+        let table = run(&ctx);
+        assert_eq!(table.groups.len(), EvalBudget::tiny().cv_parts);
+        for (split, (key, runs)) in table.groups.iter().enumerate() {
+            assert_eq!(*key, (split + 1).to_string());
+            let policies: Vec<&str> = runs.iter().map(|r| r.policy.as_str()).collect();
+            assert_eq!(policies, POLICY_ORDER);
+        }
         // Per-split totals add up to a positive overall cost for Never-mitigate.
-        assert!(result.total_for("Never-mitigate") > 0.0);
-        assert_eq!(result.render(), RENDERED);
+        let never: f64 = table
+            .groups
+            .iter()
+            .map(|(split, _)| table.run(split, "Never-mitigate").unwrap().total_cost())
+            .sum();
+        assert!(never > 0.0);
+        assert_eq!(render(&table), RENDERED);
     }
 }

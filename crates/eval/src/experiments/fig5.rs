@@ -2,95 +2,42 @@
 //! anonymised manufacturer evaluated separately (MN/A, MN/B, MN/C), and the sum of the
 //! three separately-trained subsystems (MN/ABC).
 
+use super::common::CostTable;
 use crate::evaluator::{Evaluator, POLICY_ORDER};
 use crate::report::{format_table, node_hours};
+use crate::run::PolicyRun;
 use crate::scenario::ExperimentContext;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use uerl_trace::types::Manufacturer;
 
-/// One bar of Figure 5.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Fig5Row {
-    /// Scenario label ("MN/All", "MN/A", "MN/B", "MN/C", "MN/ABC").
-    pub scenario: String,
-    /// Policy name.
-    pub policy: String,
-    /// UE cost in node-hours.
-    pub ue_cost: f64,
-    /// Mitigation cost in node-hours.
-    pub mitigation_cost: f64,
-}
-
-impl Fig5Row {
-    /// Total cost (bar height).
-    pub fn total_cost(&self) -> f64 {
-        self.ue_cost + self.mitigation_cost
-    }
-}
-
-/// The Figure 5 result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Fig5Result {
-    /// All bars, grouped by scenario then policy.
-    pub rows: Vec<Fig5Row>,
-}
-
-impl Fig5Result {
-    /// The row for a scenario and policy.
-    pub fn row(&self, scenario: &str, policy: &str) -> Option<&Fig5Row> {
-        self.rows
-            .iter()
-            .find(|r| r.scenario == scenario && r.policy == policy)
-    }
-
-    /// Render the figure as a text table.
-    pub fn render(&self) -> String {
-        let rows: Vec<Vec<String>> = self
-            .rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.scenario.clone(),
-                    r.policy.clone(),
-                    node_hours(r.ue_cost),
-                    node_hours(r.mitigation_cost),
-                    node_hours(r.total_cost()),
-                ]
-            })
-            .collect();
-        format!(
-            "Figure 5 — total cost per DRAM manufacturer\n{}",
-            format_table(
-                &[
-                    "scenario",
-                    "policy",
-                    "UE cost (nh)",
-                    "mitigation (nh)",
-                    "total (nh)"
-                ],
-                &rows
-            )
+/// Render the figure as a text table.
+pub fn render(table: &CostTable) -> String {
+    let rows = table.rows(|run| {
+        vec![
+            node_hours(run.ue_cost),
+            node_hours(run.mitigation_cost),
+            node_hours(run.total_cost()),
+        ]
+    });
+    format!(
+        "Figure 5 — total cost per DRAM manufacturer\n{}",
+        format_table(
+            &[
+                "scenario",
+                "policy",
+                "UE cost (nh)",
+                "mitigation (nh)",
+                "total (nh)"
+            ],
+            &rows
         )
-    }
+    )
 }
 
 /// Run Figure 5: evaluate MN/All plus one scenario per manufacturer, and synthesise
-/// MN/ABC as the sum of the three per-manufacturer scenarios.
-pub fn run(ctx: &ExperimentContext) -> Fig5Result {
-    let mut rows = Vec::new();
-    let mut push_result = |scenario: &str, result: &crate::evaluator::EvaluationResult| {
-        for &policy in POLICY_ORDER.iter() {
-            let run = result.total_for(policy).expect("every policy is evaluated");
-            rows.push(Fig5Row {
-                scenario: scenario.to_string(),
-                policy: policy.to_string(),
-                ue_cost: run.ue_cost,
-                mitigation_cost: run.mitigation_cost,
-            });
-        }
-    };
-
+/// MN/ABC as the sum of the three per-manufacturer scenarios. Groups are keyed by the
+/// scenario label.
+pub fn run(ctx: &ExperimentContext) -> CostTable {
     // The whole-fleet scenario and the per-manufacturer restrictions are independent
     // evaluations; fan them out in parallel, keeping the scenario order.
     let mut scenarios: Vec<ExperimentContext> = vec![ctx.clone()];
@@ -101,33 +48,27 @@ pub fn run(ctx: &ExperimentContext) -> Fig5Result {
             scenarios.push(sub_ctx);
         }
     }
-    let results: Vec<_> = scenarios
+    let mut groups: Vec<(String, Vec<PolicyRun>)> = scenarios
         .par_iter()
-        .map(|scenario| Evaluator::new().evaluate(scenario))
+        .map(|scenario| {
+            let totals = Evaluator::new().evaluate(scenario).totals;
+            (scenario.label.clone(), totals)
+        })
         .collect();
 
-    let mut abc_totals: Vec<(f64, f64)> = vec![(0.0, 0.0); POLICY_ORDER.len()];
-    for (scenario, result) in scenarios.iter().zip(&results) {
-        push_result(&scenario.label, result);
-        if scenario.label != "MN/All" {
-            for (i, &policy) in POLICY_ORDER.iter().enumerate() {
-                if let Some(run) = result.total_for(policy) {
-                    abc_totals[i].0 += run.ue_cost;
-                    abc_totals[i].1 += run.mitigation_cost;
-                }
-            }
+    // MN/ABC: every group but MN/All (the first) merged per policy.
+    let mut abc: Vec<PolicyRun> = POLICY_ORDER.iter().map(|&p| PolicyRun::empty(p)).collect();
+    for (_, runs) in &groups[1..] {
+        for (total, run) in abc.iter_mut().zip(runs) {
+            total.merge(run);
         }
     }
-    for (i, &policy) in POLICY_ORDER.iter().enumerate() {
-        rows.push(Fig5Row {
-            scenario: "MN/ABC".to_string(),
-            policy: policy.to_string(),
-            ue_cost: abc_totals[i].0,
-            mitigation_cost: abc_totals[i].1,
-        });
-    }
+    groups.push(("MN/ABC".to_string(), abc));
 
-    Fig5Result { rows }
+    CostTable {
+        label: ctx.label.clone(),
+        groups,
+    }
 }
 
 #[cfg(test)]
@@ -184,21 +125,21 @@ mod tests {
     #[test]
     fn figure5_produces_all_scenarios_and_sums_abc() {
         let ctx = ExperimentContext::synthetic_small(36, 75, EvalBudget::tiny(), 57);
-        let result = run(&ctx);
+        let table = run(&ctx);
         for scenario in ["MN/All", "MN/ABC"] {
             assert!(
-                result.row(scenario, "Never-mitigate").is_some(),
+                table.run(scenario, "Never-mitigate").is_some(),
                 "missing scenario {scenario}"
             );
         }
         // MN/ABC is the sum of the per-manufacturer rows.
-        let abc = result.row("MN/ABC", "Never-mitigate").unwrap().total_cost();
+        let abc = table.run("MN/ABC", "Never-mitigate").unwrap().total_cost();
         let parts: f64 = ["MN/A", "MN/B", "MN/C"]
             .iter()
-            .filter_map(|s| result.row(s, "Never-mitigate"))
-            .map(Fig5Row::total_cost)
+            .filter_map(|s| table.run(s, "Never-mitigate"))
+            .map(PolicyRun::total_cost)
             .sum();
         assert!((abc - parts).abs() < 1e-6);
-        assert_eq!(result.render(), RENDERED);
+        assert_eq!(render(&table), RENDERED);
     }
 }

@@ -8,7 +8,6 @@ use crate::report::format_table;
 use crate::scenario::ExperimentContext;
 use serde::{Deserialize, Serialize};
 use uerl_core::policy::MitigationPolicy;
-use uerl_stats::LogHistogram;
 
 /// The Figure 6 behaviour map.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -83,9 +82,15 @@ pub fn run(ctx: &ExperimentContext, cost_bins: usize, prob_bins: usize) -> Fig6R
     let states = collect_states(&holdout_tl, &sampler, ctx.mitigation, ctx.seed);
     let probe = models.rf_probe();
 
-    // Log-spaced cost bins from 1 to 10^6 node-hours, as in the paper's x-axis.
-    let cost_hist = LogHistogram::new(1.0, 1e6, cost_bins);
-    let cost_bin_centers: Vec<f64> = (0..cost_bins).map(|i| cost_hist.bin_center(i)).collect();
+    // Log-spaced cost bins from 1 to 10^6 node-hours, as in the paper's x-axis: bin `i`
+    // spans `[10^(low + width·i), 10^(low + width·(i+1)))` and is drawn at the geometric
+    // mean of its edges.
+    let (low, high) = (1f64.log10(), 1e6f64.log10());
+    let width = (high - low) / cost_bins as f64;
+    let edge = |i: usize| 10f64.powf(low + width * i as f64);
+    let cost_bin_centers: Vec<f64> = (0..cost_bins)
+        .map(|i| (edge(i) * edge(i + 1)).sqrt())
+        .collect();
     let prob_bin_centers: Vec<f64> = (0..prob_bins)
         .map(|i| (i as f64 + 0.5) / prob_bins as f64)
         .collect();

@@ -2,120 +2,56 @@
 //! a function of the job-size scaling factor (0.1× to 10×), each factor evaluated with a
 //! separately trained model, at the 2 node-minute mitigation cost.
 
-use crate::evaluator::{Evaluator, POLICY_ORDER};
+use super::common::CostTable;
+use crate::evaluator::Evaluator;
 use crate::report::{format_table, node_hours};
 use crate::scenario::ExperimentContext;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
-/// One point of Figure 7 (one policy at one scaling factor).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Fig7Point {
-    /// Job-size scaling factor.
-    pub scaling: f64,
-    /// Policy name.
-    pub policy: String,
-    /// UE cost in node-hours.
-    pub ue_cost: f64,
-    /// Mitigation cost in node-hours (the 7b series).
-    pub mitigation_cost: f64,
-}
-
-impl Fig7Point {
-    /// Total cost (the 7a series).
-    pub fn total_cost(&self) -> f64 {
-        self.ue_cost + self.mitigation_cost
-    }
-}
-
-/// The Figure 7 result (both panels).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Fig7Result {
-    /// Scenario label.
-    pub label: String,
-    /// All points, grouped by scaling factor then policy.
-    pub points: Vec<Fig7Point>,
-}
-
-impl Fig7Result {
-    /// The point for a policy at a scaling factor.
-    pub fn point(&self, policy: &str, scaling: f64) -> Option<&Fig7Point> {
-        self.points
-            .iter()
-            .find(|p| p.policy == policy && (p.scaling - scaling).abs() < 1e-9)
-    }
-
-    /// The scaling factors evaluated, in order.
-    pub fn scalings(&self) -> Vec<f64> {
-        let mut s: Vec<f64> = self.points.iter().map(|p| p.scaling).collect();
-        s.dedup();
-        s
-    }
-
-    /// Render both panels as a text table.
-    pub fn render(&self) -> String {
-        let rows: Vec<Vec<String>> = self
-            .points
-            .iter()
-            .map(|p| {
-                vec![
-                    format!("{}", p.scaling),
-                    p.policy.clone(),
-                    node_hours(p.total_cost()),
-                    node_hours(p.mitigation_cost),
-                ]
-            })
-            .collect();
-        format!(
-            "Figure 7 — job-size sensitivity ({})\n{}",
-            self.label,
-            format_table(
-                &[
-                    "scaling",
-                    "policy",
-                    "total cost (nh) [7a]",
-                    "mitigation cost (nh) [7b]"
-                ],
-                &rows
-            )
+/// Render both panels as a text table.
+pub fn render(table: &CostTable) -> String {
+    let rows = table.rows(|run| {
+        vec![
+            node_hours(run.total_cost()),
+            node_hours(run.mitigation_cost),
+        ]
+    });
+    format!(
+        "Figure 7 — job-size sensitivity ({})\n{}",
+        table.label,
+        format_table(
+            &[
+                "scaling",
+                "policy",
+                "total cost (nh) [7a]",
+                "mitigation cost (nh) [7b]"
+            ],
+            &rows
         )
-    }
+    )
 }
 
 /// Run Figure 7 over the given scaling factors (the paper uses 0.1, 0.3, 1, 3 and 10).
-/// The scaling scenarios are independent, so they fan out in parallel; points keep the
+/// The scaling scenarios are independent, so they fan out in parallel; groups keep the
 /// input scaling order.
-pub fn run(ctx: &ExperimentContext, scalings: &[f64]) -> Fig7Result {
-    let per_scaling: Vec<_> = scalings
+pub fn run(ctx: &ExperimentContext, scalings: &[f64]) -> CostTable {
+    let groups = scalings
         .par_iter()
         .map(|&scaling| {
-            (
-                scaling,
-                Evaluator::new().with_job_scaling(scaling).evaluate(ctx),
-            )
+            let result = Evaluator::new().with_job_scaling(scaling).evaluate(ctx);
+            (scaling.to_string(), result.totals)
         })
         .collect();
-    let mut points = Vec::new();
-    for (scaling, result) in &per_scaling {
-        for &policy in POLICY_ORDER.iter() {
-            let run = result.total_for(policy).expect("every policy is evaluated");
-            points.push(Fig7Point {
-                scaling: *scaling,
-                policy: policy.to_string(),
-                ue_cost: run.ue_cost,
-                mitigation_cost: run.mitigation_cost,
-            });
-        }
-    }
-    Fig7Result {
+    CostTable {
         label: ctx.label.clone(),
-        points,
+        groups,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::evaluator::POLICY_ORDER;
     use crate::scenario::EvalBudget;
 
     /// The smoke test's `render` output, pinned byte for byte.
@@ -143,28 +79,26 @@ mod tests {
     #[test]
     fn figure7_total_cost_scales_with_job_size() {
         let ctx = ExperimentContext::synthetic_small(28, 60, EvalBudget::tiny(), 79);
-        let result = run(&ctx, &[0.3, 3.0]);
-        assert_eq!(result.points.len(), 2 * POLICY_ORDER.len());
-        let never_small = result.point("Never-mitigate", 0.3).unwrap().total_cost();
-        let never_large = result.point("Never-mitigate", 3.0).unwrap().total_cost();
+        let table = run(&ctx, &[0.3, 3.0]);
+        assert_eq!(table.groups.len(), 2);
+        for (_, runs) in &table.groups {
+            let policies: Vec<&str> = runs.iter().map(|r| r.policy.as_str()).collect();
+            assert_eq!(policies, POLICY_ORDER);
+        }
+        let never_small = table.run("0.3", "Never-mitigate").unwrap().total_cost();
+        let never_large = table.run("3", "Never-mitigate").unwrap().total_cost();
         assert!(
             never_large > 3.0 * never_small,
             "unmitigated cost must grow roughly with the scaling factor ({never_small} -> {never_large})"
         );
         // Static policies have scaling-independent mitigation cost; Never-mitigate's is 0.
         assert_eq!(
-            result.point("Never-mitigate", 3.0).unwrap().mitigation_cost,
+            table.run("3", "Never-mitigate").unwrap().mitigation_cost,
             0.0
         );
-        let always_small = result
-            .point("Always-mitigate", 0.3)
-            .unwrap()
-            .mitigation_cost;
-        let always_large = result
-            .point("Always-mitigate", 3.0)
-            .unwrap()
-            .mitigation_cost;
+        let always_small = table.run("0.3", "Always-mitigate").unwrap().mitigation_cost;
+        let always_large = table.run("3", "Always-mitigate").unwrap().mitigation_cost;
         assert!((always_small - always_large).abs() < 1e-6);
-        assert_eq!(result.render(), RENDERED);
+        assert_eq!(render(&table), RENDERED);
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Each distribution implements the [`Distribution`] trait and produces `f64` (or integer)
 //! variates by transforming uniform randomness: inverse-CDF sampling where a closed form
-//! exists (exponential, Pareto, Zipf), Box–Muller for the normal, and Knuth's product
+//! exists (exponential, Pareto), Box–Muller for the normal, and Knuth's product
 //! method (with a normal approximation for large means) for the Poisson.
 
 use rand::Rng;
@@ -407,49 +407,6 @@ impl Distribution for Categorical {
     }
 }
 
-/// Zipf distribution on `{1, ..., n}` with exponent `s`.
-///
-/// Used to model the fact that a small number of DIMMs account for the vast majority of
-/// corrected errors (a well-established property of DRAM field studies).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Zipf {
-    categorical: Categorical,
-}
-
-impl Zipf {
-    /// Create a Zipf distribution over `{1, ..., n}` with exponent `s`.
-    ///
-    /// # Panics
-    /// Panics if `n == 0` or `s` is negative or non-finite.
-    pub fn new(n: usize, s: f64) -> Self {
-        assert!(n > 0, "n must be positive");
-        assert!(s.is_finite() && s >= 0.0, "s must be non-negative");
-        let weights: Vec<f64> = (1..=n).map(|k| 1.0 / (k as f64).powf(s)).collect();
-        Self {
-            categorical: Categorical::new(&weights),
-        }
-    }
-
-    /// Number of ranks.
-    pub fn len(&self) -> usize {
-        self.categorical.len()
-    }
-
-    /// Whether there are no ranks (never true for a constructed instance).
-    pub fn is_empty(&self) -> bool {
-        self.categorical.is_empty()
-    }
-}
-
-impl Distribution for Zipf {
-    type Value = usize;
-
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        // Categorical returns 0-based index; Zipf is conventionally 1-based.
-        self.categorical.sample(rng) + 1
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -600,20 +557,6 @@ mod tests {
     #[should_panic(expected = "total weight must be positive")]
     fn categorical_rejects_all_zero() {
         Categorical::new(&[0.0, 0.0]);
-    }
-
-    #[test]
-    fn zipf_first_rank_dominates() {
-        let d = Zipf::new(100, 1.2);
-        let mut r = rng();
-        let xs = d.sample_n(&mut r, N);
-        assert!(xs.iter().all(|&x| (1..=100).contains(&x)));
-        let ones = xs.iter().filter(|&&x| x == 1).count();
-        let tens = xs.iter().filter(|&&x| x == 10).count();
-        assert!(
-            ones > 5 * tens,
-            "rank 1 ({ones}) should dominate rank 10 ({tens})"
-        );
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! variates but none of the distributions needed by the fault-process and workload models
 //! (exponential inter-arrival times, log-normal job durations, Pareto-tailed job sizes,
 //! Poisson error counts, Gaussian weight initialisation). This crate implements those
-//! variate generators from first principles, together with the summary statistics,
-//! histograms and empirical distributions used by the log-analysis and evaluation crates.
+//! variate generators from first principles, together with the summary statistics and
+//! empirical distributions used by the log-analysis and workload crates.
 //!
 //! The generators are deliberately simple, deterministic under a seeded RNG, and unit /
 //! property tested against their analytic moments, because every downstream experiment
@@ -15,13 +15,10 @@
 
 pub mod distributions;
 pub mod ecdf;
-pub mod histogram;
 pub mod summary;
 
 pub use distributions::{
     Bernoulli, Categorical, Distribution, Exponential, LogNormal, Normal, Pareto, Poisson, Uniform,
-    Zipf,
 };
 pub use ecdf::Ecdf;
-pub use histogram::{Histogram, LogHistogram};
 pub use summary::Summary;

@@ -21,13 +21,14 @@ fn main() {
         ctx.timelines.total_fatal()
     );
 
-    let result = fig3::run(&ctx, &[2.0, 5.0, 10.0]);
-    println!("{}", result.render());
+    let table = fig3::run(&ctx, &[2.0, 5.0, 10.0]);
+    println!("{}", fig3::render(&table));
 
-    for cost in [2.0, 5.0, 10.0] {
-        let never = result.row("Never-mitigate", cost).unwrap().total_cost();
-        let always = result.row("Always-mitigate", cost).unwrap().total_cost();
-        let rl = result.row("RL", cost).unwrap().total_cost();
+    for (cost, _) in &table.groups {
+        let total = |policy| table.run(cost, policy).unwrap().total_cost();
+        let never = total("Never-mitigate");
+        let always = total("Always-mitigate");
+        let rl = total("RL");
         let best_static = never.min(always);
         println!(
             "mitigation cost {cost:>4} node-min: RL {} node-hours vs best static {} ({})",

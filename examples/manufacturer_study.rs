@@ -24,15 +24,15 @@ fn main() {
         );
     }
 
-    let result = fig5::run(&ctx);
-    println!("{}", result.render());
+    let table = fig5::run(&ctx);
+    println!("{}", fig5::render(&table));
 
     // Headline: the RL agent should stay competitive in every partition where the static
     // baselines have room to lose node-hours.
     for scenario in ["MN/All", "MN/A", "MN/B", "MN/C", "MN/ABC"] {
         if let (Some(never), Some(rl)) = (
-            result.row(scenario, "Never-mitigate"),
-            result.row(scenario, "RL"),
+            table.run(scenario, "Never-mitigate"),
+            table.run(scenario, "RL"),
         ) {
             let saved = never.total_cost() - rl.total_cost();
             println!(

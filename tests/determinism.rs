@@ -74,8 +74,8 @@ fn full_evaluation_is_bit_identical_across_thread_counts() {
 #[test]
 fn figure3_smoke_output_is_byte_identical_across_thread_counts() {
     let ctx = ExperimentContext::synthetic_small(25, 60, EvalBudget::tiny(), 77);
-    let serial = pool(1).install(|| fig3::run(&ctx, &[2.0, 5.0]).render());
-    let parallel = pool(4).install(|| fig3::run(&ctx, &[2.0, 5.0]).render());
+    let serial = pool(1).install(|| fig3::render(&fig3::run(&ctx, &[2.0, 5.0])));
+    let parallel = pool(4).install(|| fig3::render(&fig3::run(&ctx, &[2.0, 5.0])));
     assert_eq!(
         serial, parallel,
         "rendered figure must not depend on the thread count"
