@@ -1,6 +1,7 @@
 //! Figure 3: total cost (UE cost + mitigation cost) for the whole system, for mitigation
 //! costs of 2, 5 and 10 node-minutes, across all eight policies. Also derives the
-//! Section 5.1 headline numbers (reduction vs Never-mitigate, distance to the Oracle).
+//! Section 5.1 headline numbers (reduction vs Never-mitigate, distance to the Oracle),
+//! plus RL's saving against the SC20-RF baseline.
 
 use super::common::CostTable;
 use crate::evaluator::Evaluator;
@@ -8,17 +9,23 @@ use crate::report::{format_table, node_hours, percent};
 use crate::scenario::ExperimentContext;
 use rayon::prelude::*;
 
-/// Section 5.1 headline: `(reduction of RL vs Never-mitigate, RL excess over Oracle)` in
-/// the group of mitigation cost `key` ("2" for 2 node-minutes), both as fractions.
-pub fn headline(table: &CostTable, key: &str) -> Option<(f64, f64)> {
+/// Section 5.1 headline in the group of mitigation cost `key` ("2" for 2 node-minutes):
+/// `(reduction of RL vs Never-mitigate, RL excess over Oracle, RL saving vs SC20-RF)`,
+/// all as fractions. The SC20-RF saving is negative when RL costs more.
+pub fn headline(table: &CostTable, key: &str) -> Option<(f64, f64, f64)> {
     let total = |policy| table.run(key, policy).map(|run| run.total_cost());
     let never = total("Never-mitigate")?;
     let rl = total("RL")?;
     let oracle = total("Oracle")?;
-    if never <= 0.0 || oracle <= 0.0 {
+    let sc20 = total("SC20-RF")?;
+    if never <= 0.0 || oracle <= 0.0 || sc20 <= 0.0 {
         return None;
     }
-    Some(((never - rl) / never, (rl - oracle) / oracle))
+    Some((
+        (never - rl) / never,
+        (rl - oracle) / oracle,
+        (sc20 - rl) / sc20,
+    ))
 }
 
 /// Render the figure as a text table.
@@ -41,11 +48,12 @@ pub fn render(table: &CostTable) -> String {
         ],
         &rows,
     ));
-    if let Some((reduction, gap)) = headline(table, "2") {
+    if let Some((reduction, gap, sc20_saving)) = headline(table, "2") {
         out.push_str(&format!(
-            "headline @2 node-min: RL reduces lost compute by {} vs Never-mitigate, {} above Oracle\n",
+            "headline @2 node-min: RL reduces lost compute by {} vs Never-mitigate, {} above Oracle, saves {} vs SC20-RF\n",
             percent(reduction),
-            percent(gap)
+            percent(gap),
+            percent(sc20_saving)
         ));
     }
     out
@@ -89,7 +97,7 @@ mod tests {
 |                    2 |       Myopic-RF |         1467 |            33.3 |       1500 |
 |                    2 |              RL |         2271 |            16.7 |       2288 |
 |                    2 |          Oracle |         1030 |           0.367 |       1030 |
-headline @2 node-min: RL reduces lost compute by 15.3% vs Never-mitigate, 122.1% above Oracle
+headline @2 node-min: RL reduces lost compute by 15.3% vs Never-mitigate, 122.1% above Oracle, saves -115.1% vs SC20-RF
 ";
 
     #[test]
@@ -112,7 +120,10 @@ headline @2 node-min: RL reduces lost compute by 15.3% vs Never-mitigate, 122.1%
         assert!(rendered.contains("Figure 3"));
         assert!(rendered.contains("Never-mitigate"));
         assert_eq!(rendered, RENDERED);
-        let (reduction, _gap) = headline(&table, "2").unwrap();
+        let (reduction, _gap, sc20_saving) = headline(&table, "2").unwrap();
         assert!((-1.0..=1.0).contains(&reduction));
+        let sc20 = table.run("2", "SC20-RF").unwrap().total_cost();
+        let rl = table.run("2", "RL").unwrap().total_cost();
+        assert_eq!(sc20_saving, (sc20 - rl) / sc20);
     }
 }
