@@ -16,8 +16,8 @@
 //! The stages, in run order:
 //!
 //! * `matmul_kernels` — the `Matrix` kernels at serving and training GEMM shapes
-//!   (GFLOP/s, dispatched instruction set), then the paper trunk's single-row products
-//!   dense and zero-skipping; fails unless both give the same bits.
+//!   (GFLOP/s, dispatched instruction set), then the paper trunk's single-row and
+//!   64-row products dense and zero-skipping; fails unless both give the same bits.
 //! * `train_update` — the paper agent's `train_step`: updates/s and µs per phase.
 //! * `setup_text` — the scale's logs, rendered to text once, parsed and indexed as a
 //!   deployment starts: the time of each step and the mcelog parse rate.
@@ -319,11 +319,13 @@ fn select_stages(args: &[String]) -> Vec<(&'static str, StageFn)> {
 /// time stays out of the fingerprint), beside the instruction-set level the kernels
 /// dispatched to, so figures from different hosts compare. Each figure is the fastest
 /// of `reps` repetitions: scheduler noise on a shared core only ever slows a product
-/// down. Last come the paper trunk's single-row products (a batch-1 forward pass) on
-/// ReLU-sparse inputs, about half of them zero, each through a dense layer and through
-/// the same layer frozen for inference, which skips the zero inputs: µs per product
-/// of each path, and a third digest over the dense outputs. The stage fails unless
-/// the frozen layer gives the same bits.
+/// down. Last come the paper trunk's products on ReLU-sparse inputs, about half of
+/// them zero, each through the dense `Matrix` product and through a layer, which
+/// skips the zero inputs while its weights are proven finite: the single-row products
+/// of a batch-1 forward pass, then the 64-row forward and backward products of a
+/// training update. The JSON holds the µs of each path, and the fingerprint a digest
+/// over the dense outputs of each group. The stage fails unless the layer gives the
+/// same bits.
 fn matmul_kernels(_: &Inputs) -> StageRun {
     fn fill(rows: usize, cols: usize, salt: usize) -> Matrix {
         Matrix::from_fn(rows, cols, |i, j| {
@@ -396,6 +398,33 @@ fn matmul_kernels(_: &Inputs) -> StageRun {
         ));
     }
 
+    /// A fresh `k × n` identity layer, which holds the proof that its weights are
+    /// finite and so skips zero inputs, and a copy of its weights for the dense leg.
+    fn layer_and_weights(k: usize, n: usize, salt: usize) -> (DenseLayer, Matrix) {
+        let layer = DenseLayer::new(
+            k,
+            n,
+            Activation::Identity,
+            &mut StdRng::seed_from_u64(salt as u64),
+        );
+        let mut weights = Matrix::zeros(k, n);
+        // Read through a clone: visiting the parameters revokes the proof.
+        layer.clone().visit_params(0, |id, params, _| {
+            if id == 0 {
+                weights.data_mut().copy_from_slice(params);
+            }
+        });
+        (layer, weights)
+    }
+    fn same(dense: &[f64], skipping: &[f64]) -> bool {
+        dense
+            .iter()
+            .zip(skipping)
+            .all(|(d, s)| d.to_bits() == s.to_bits())
+    }
+    let relu =
+        |m: usize, k: usize, salt: usize| fill(m, k, salt).map(|v| Activation::Relu.apply(v));
+
     // (k, n) of the paper trunk's four layers.
     let single_row_shapes = [(15, 256), (256, 256), (256, 128), (128, 64)];
     let mut single_row = 0xcbf2_9ce4_8422_2325;
@@ -403,36 +432,91 @@ fn matmul_kernels(_: &Inputs) -> StageRun {
     let mut same_bits = true;
     for (offset, &(k, n)) in single_row_shapes.iter().enumerate() {
         let salt = serving_shapes.len() + training_shapes.len() + offset;
-        let x = fill(1, k, salt).map(|v| Activation::Relu.apply(v));
-        let mut rng = StdRng::seed_from_u64(salt as u64);
-        let dense = DenseLayer::new(k, n, Activation::Identity, &mut rng);
-        let mut frozen = dense.clone();
-        frozen.drop_training_buffers();
-        let (mut dense_out, mut frozen_out) = (Matrix::zeros(1, 1), Matrix::zeros(1, 1));
-        let dense_us = best_of(reps, || dense.forward_batch_into(&x, &mut dense_out)) * 1e6;
-        let frozen_us = best_of(reps, || frozen.forward_batch_into(&x, &mut frozen_out)) * 1e6;
+        let x = relu(1, k, salt);
+        let (layer, weights) = layer_and_weights(k, n, salt);
+        let (mut dense_out, mut skip_out) = (Matrix::zeros(1, 1), Matrix::zeros(1, 1));
+        let dense_us = best_of(reps, || x.matmul_into(&weights, &mut dense_out)) * 1e6;
+        let skip_us = best_of(reps, || layer.forward_batch_into(&x, &mut skip_out)) * 1e6;
         for &v in dense_out.data() {
             fnv(&mut single_row, v.to_bits());
         }
-        let mut pairs = dense_out.data().iter().zip(frozen_out.data());
-        let same = pairs.all(|(d, f)| d.to_bits() == f.to_bits());
+        let same = same(dense_out.data(), skip_out.data());
         same_bits &= same;
         rows_json.push(format!(
-            "{{\"m\": 1, \"k\": {k}, \"n\": {n}, \"dense_us\": {dense_us:.3}, \"zero_skip_us\": {frozen_us:.3}, \"same_bits\": {same}}}"
+            "{{\"m\": 1, \"k\": {k}, \"n\": {n}, \"dense_us\": {dense_us:.3}, \"zero_skip_us\": {skip_us:.3}, \"same_bits\": {same}}}"
         ));
         summary.push(format!(
-            "  1x{k}x{n} ReLU-sparse input: dense {dense_us:.2} µs, zero-skipping {frozen_us:.2} µs \
+            "  1x{k}x{n} ReLU-sparse input: dense {dense_us:.2} µs, zero-skipping {skip_us:.2} µs \
              (same bits: {same})"
+        ));
+    }
+
+    // (k, n) of the paper trunk's hidden layers a 64-row training update multiplies
+    // ReLU outputs with: the forward product, then the backward pass's TN-acc and NT
+    // pair on a ReLU-sparse dL/dz. A third of the units are dead for the whole batch,
+    // as on a training replay. The skipping products are the layer's own, so the
+    // backward leg times the layer's whole backward pass (its dL/dz copy and bias sums
+    // included) against the two dense products.
+    let batch_shapes = [(256, 256), (256, 128), (128, 64)];
+    let mut batch_digest = 0xcbf2_9ce4_8422_2325;
+    let mut batch_json = Vec::new();
+    let batch = |k: usize, salt: usize| {
+        let live = relu(64, k, salt);
+        Matrix::from_fn(64, k, |i, j| if j % 3 == 0 { 0.0 } else { live.get(i, j) })
+    };
+    for (offset, &(k, n)) in batch_shapes.iter().enumerate() {
+        let salt = serving_shapes.len() + training_shapes.len() + single_row_shapes.len() + offset;
+        let x = batch(k, salt);
+        let grad_z = batch(n, salt + 1);
+        let (mut layer, weights) = layer_and_weights(k, n, salt);
+        let (mut dense_out, mut skip_out) = (Matrix::zeros(1, 1), Matrix::zeros(1, 1));
+        let nn_dense_us = best_of(reps, || x.matmul_into(&weights, &mut dense_out)) * 1e6;
+        let nn_skip_us = best_of(reps, || layer.forward_batch_into(&x, &mut skip_out)) * 1e6;
+        let mut same_shape = same(dense_out.data(), skip_out.data());
+        // One backward pass from cleared gradients gives dL/dW = inputᵀ · dL/dz.
+        let mut grad_weights = Matrix::zeros(k, n);
+        x.matmul_tn_acc(&grad_z, &mut grad_weights);
+        let mut grad_input = Matrix::zeros(1, 1);
+        grad_z.matmul_nt_into(&weights, &mut grad_input);
+        let _ = layer.forward_train(&x);
+        same_shape &= same(grad_input.data(), layer.backward(&grad_z).data());
+        let mut layer_grad = Vec::new();
+        layer.clone().visit_params(0, |id, _, grads| {
+            if id == 0 {
+                layer_grad.extend_from_slice(grads);
+            }
+        });
+        same_shape &= same(grad_weights.data(), &layer_grad);
+        let backward_dense_us = best_of(reps, || {
+            x.matmul_tn_acc(&grad_z, &mut grad_weights);
+            grad_z.matmul_nt_into(&weights, &mut grad_input);
+        }) * 1e6;
+        let backward_skip_us = best_of(reps, || {
+            let _ = layer.backward(&grad_z);
+        }) * 1e6;
+        for v in dense_out.data().iter().chain(grad_input.data()) {
+            fnv(&mut batch_digest, v.to_bits());
+        }
+        same_bits &= same_shape;
+        batch_json.push(format!(
+            "{{\"m\": 64, \"k\": {k}, \"n\": {n}, \"nn_dense_us\": {nn_dense_us:.3}, \"nn_zero_skip_us\": {nn_skip_us:.3}, \"tn_acc_nt_dense_us\": {backward_dense_us:.3}, \"backward_zero_skip_us\": {backward_skip_us:.3}, \"same_bits\": {same_shape}}}"
+        ));
+        summary.push(format!(
+            "  64x{k}x{n} ReLU-sparse input: NN dense {nn_dense_us:.2} µs, zero-skipping \
+             {nn_skip_us:.2} µs; TN-acc + NT dense {backward_dense_us:.2} µs, layer backward \
+             zero-skipping {backward_skip_us:.2} µs (same bits: {same_shape})"
         ));
     }
     StageRun {
         fingerprint: format!(
             "shapes={} reps={reps} digest={serving:016x} training_shapes={} \
              training_digest={training:016x} single_row_shapes={} \
-             single_row_digest={single_row:016x} zero_skip_same_bits={same_bits}",
+             single_row_digest={single_row:016x} batch_shapes={} \
+             batch_digest={batch_digest:016x} zero_skip_same_bits={same_bits}",
             serving_shapes.len(),
             training_shapes.len(),
-            single_row_shapes.len()
+            single_row_shapes.len(),
+            batch_shapes.len()
         ),
         sections: vec![
             (
@@ -444,13 +528,12 @@ fn matmul_kernels(_: &Inputs) -> StageRun {
                 ),
             ),
             ("single_row_products", format!("[{}]", rows_json.join(", "))),
+            ("batch_products", format!("[{}]", batch_json.join(", "))),
         ],
         summary,
         failures: failures([(
             !same_bits,
-            "a layer frozen for inference (zero inputs skipped) gave \
-             other bits than the dense product"
-                .into(),
+            "a layer skipping zero inputs gave other bits than the dense products".into(),
         )]),
     }
 }

@@ -242,7 +242,7 @@ impl DuelingQNetwork {
     /// Freeze the network for inference: drop every training buffer (the next training
     /// pass allocates them again; inference never reads them) and check each layer's
     /// weights, so inference may skip the zero inputs of a layer whose weights are all
-    /// finite, with the same bits. An optimizer step revokes the check.
+    /// finite, with the same bits.
     pub fn drop_training_buffers(&mut self) {
         for layer in &mut self.trunk {
             layer.drop_training_buffers();
@@ -263,21 +263,13 @@ impl DuelingQNetwork {
 
     /// Apply the accumulated gradients with Adam and clear them.
     pub fn apply_gradients(&mut self, optimizer: &mut Adam) {
-        let mut next_id = 0;
-        for layer in &mut self.trunk {
-            layer.visit_params(next_id, |id, params, grads| {
-                optimizer.update(id, params, grads)
-            });
-            next_id += 2;
+        let layers = self
+            .trunk
+            .iter_mut()
+            .chain([&mut self.value_head, &mut self.advantage_head]);
+        for (index, layer) in layers.enumerate() {
+            layer.apply_gradients(2 * index, optimizer);
         }
-        self.value_head.visit_params(next_id, |id, params, grads| {
-            optimizer.update(id, params, grads)
-        });
-        next_id += 2;
-        self.advantage_head
-            .visit_params(next_id, |id, params, grads| {
-                optimizer.update(id, params, grads)
-            });
         self.clear_gradients();
     }
 

@@ -2,6 +2,7 @@
 
 use crate::activation::Activation;
 use crate::matrix::Matrix;
+use crate::optim::Adam;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use uerl_stats::{Distribution, Normal};
@@ -19,13 +20,21 @@ pub struct DenseLayer {
     activation: Activation,
     /// `None` until the first [`DenseLayer::forward_train`].
     train: Option<TrainBuffers>,
+    /// `dL/dW`. Never holds `−0.0`, so the backward pass may leave the rows of
+    /// all-zero inputs alone ([`Matrix::matmul_tn_acc_skipping_zeros`]): it is created
+    /// by [`Matrix::zeros`], cleared by a `+0.0` fill, and only ever written by sums
+    /// seeded from those, and a sum seeded with a value other than `−0.0` is never
+    /// `−0.0`.
     grad_weights: Matrix,
     grad_bias: Vec<f64>,
-    /// Proof that every weight is finite, so an inference product may skip the terms of
-    /// zero inputs (a skipped `0·w` is `±0`, which never changes a sum). Established by
-    /// [`DenseLayer::drop_training_buffers`] and revoked by
-    /// [`DenseLayer::visit_params`], the only `&mut` path to the weights; so a network
-    /// in training always runs the dense product.
+    /// Proof that every weight is finite, so a product with them may skip the terms of
+    /// zero inputs (a skipped `0·w` is `±0`, which never changes a sum): the forward
+    /// products and the backward pass's `dL/dz · Wᵀ`, in training and in inference.
+    /// Established by [`DenseLayer::new`] and [`DenseLayer::drop_training_buffers`],
+    /// which check every weight, by [`DenseLayer::apply_gradients`], from the finiteness
+    /// Adam reports for the weights it wrote, and copied by
+    /// [`DenseLayer::copy_params_from`]; revoked by [`DenseLayer::visit_params`], which
+    /// may write any value.
     #[serde(skip)]
     weights_finite: bool,
 }
@@ -56,13 +65,13 @@ impl DenseLayer {
         let he_normal = Normal::new(0.0, (2.0 / input_dim.max(1) as f64).sqrt());
         let weights = Matrix::from_fn(input_dim, output_dim, |_, _| he_normal.sample(rng));
         Self {
+            weights_finite: weights.data().iter().all(|w| w.is_finite()),
             weights,
             bias: vec![0.0; output_dim],
             activation,
             train: None,
             grad_weights: Matrix::zeros(input_dim, output_dim),
             grad_bias: vec![0.0; output_dim],
-            weights_finite: false,
         }
     }
 
@@ -117,14 +126,10 @@ impl DenseLayer {
 
     /// Inference-only forward pass written into a caller-provided buffer (reshaped as
     /// needed, allocation reused); the allocation-free path the online serving batches
-    /// ride. Once the weights are proven finite, rows of a batch of 1–3 skip their zero
-    /// inputs, with the same bits as the dense product.
+    /// ride. While the weights are proven finite, the product skips zero inputs, with
+    /// the same bits as the dense product.
     pub fn forward_batch_into(&self, input: &Matrix, out: &mut Matrix) {
-        if self.weights_finite {
-            input.matmul_into_skipping_zeros(&self.weights, out);
-        } else {
-            input.matmul_into(&self.weights, out);
-        }
+        weighted_sums(input, &self.weights, self.weights_finite, out);
         out.add_row_broadcast(&self.bias);
         out.map_assign(|x| self.activation.apply(x));
     }
@@ -134,8 +139,15 @@ impl DenseLayer {
     /// [`DenseLayer::forward_batch_into`], so the results are bit-identical; the buffers
     /// are reused across passes.
     pub fn forward_train(&mut self, input: &Matrix) -> &Matrix {
-        let activation = self.activation;
-        let buffers = self.train.get_or_insert_with(|| TrainBuffers {
+        let Self {
+            weights,
+            bias,
+            activation,
+            train,
+            weights_finite,
+            ..
+        } = self;
+        let buffers = train.get_or_insert_with(|| TrainBuffers {
             input: Matrix::zeros(1, 1),
             preactivation: Matrix::zeros(1, 1),
             output: Matrix::zeros(1, 1),
@@ -144,8 +156,8 @@ impl DenseLayer {
             column_sums: Vec::new(),
         });
         let z = &mut buffers.preactivation;
-        input.matmul_into(&self.weights, z);
-        z.add_row_broadcast(&self.bias);
+        weighted_sums(input, weights, *weights_finite, z);
+        z.add_row_broadcast(bias);
         buffers.output.copy_from(z);
         buffers.output.map_assign(|x| activation.apply(x));
         buffers.input.copy_from(input);
@@ -179,14 +191,21 @@ impl DenseLayer {
         grad_z.copy_from(grad_output);
         grad_z.zip_map_assign(preactivation, |g, zv| g * activation.derivative(zv));
         // dL/dW += input^T · dL/dz, accumulated straight into the gradient buffer with
-        // no transposed copy and no temporary; dL/db = column sums of dL/dz.
-        input.matmul_tn_acc(grad_z, &mut self.grad_weights);
+        // no transposed copy and no temporary; the rows of inputs that are zero over the
+        // whole batch are left alone while dL/dz is finite (`grad_weights` never holds
+        // −0.0). dL/db = column sums of dL/dz.
+        input.matmul_tn_acc_skipping_zeros(grad_z, &mut self.grad_weights);
         grad_z.column_sums_into(column_sums);
         for (gb, s) in self.grad_bias.iter_mut().zip(column_sums.iter()) {
             *gb += s;
         }
-        // dL/d(input) = dL/dz · W^T, again without materialising the transpose.
-        grad_z.matmul_nt_into(&self.weights, grad_input);
+        // dL/d(input) = dL/dz · W^T, again without materialising the transpose, skipping
+        // the zeros of dL/dz (the inactive ReLU units) while the weights are finite.
+        if self.weights_finite {
+            grad_z.matmul_nt_into_skipping_zeros(&self.weights, grad_input);
+        } else {
+            grad_z.matmul_nt_into(&self.weights, grad_input);
+        }
         grad_input
     }
 
@@ -208,10 +227,20 @@ impl DenseLayer {
         }
     }
 
+    /// Apply the accumulated gradients with Adam, weights (tensor `base_id`) then bias
+    /// (`base_id + 1`), and keep the proof that the weights are finite from what Adam
+    /// reports for the weights it wrote.
+    pub fn apply_gradients(&mut self, base_id: usize, optimizer: &mut Adam) {
+        self.weights_finite =
+            optimizer.update(base_id, self.weights.data_mut(), self.grad_weights.data());
+        optimizer.update(base_id + 1, &mut self.bias, &self.grad_bias);
+    }
+
     /// Visit `(parameters, gradients)` pairs: first the flattened weights, then the bias.
     /// The visitor receives a stable per-tensor index offset so optimizers can keep
     /// per-tensor state. The visitor may write any value, so this revokes the proof that
-    /// the weights are finite until the next [`DenseLayer::drop_training_buffers`].
+    /// the weights are finite until the next [`DenseLayer::apply_gradients`] or
+    /// [`DenseLayer::drop_training_buffers`].
     pub fn visit_params(
         &mut self,
         base_id: usize,
@@ -232,6 +261,16 @@ impl DenseLayer {
     #[cfg(test)]
     pub(crate) fn grad_bias(&self) -> &[f64] {
         &self.grad_bias
+    }
+}
+
+/// `input · weights` into `out`, skipping zero inputs when `weights_finite` proves every
+/// weight finite.
+fn weighted_sums(input: &Matrix, weights: &Matrix, weights_finite: bool, out: &mut Matrix) {
+    if weights_finite {
+        input.matmul_into_skipping_zeros(weights, out);
+    } else {
+        input.matmul_into(weights, out);
     }
 }
 
@@ -405,12 +444,77 @@ mod tests {
             l.forward_batch_into(&x, &mut out);
             assert!(out.data().iter().all(|v| v.is_nan()), "{value}");
         }
-        // Copying parameters copies the proof with them.
+        // Copying parameters copies the proof with them; a fresh finite layer holds it.
         let mut copy = layer(Activation::Identity);
         copy.copy_params_from(&frozen);
         assert!(copy.weights_finite);
         copy.copy_params_from(&base);
-        assert!(!copy.weights_finite);
+        assert!(copy.weights_finite);
+    }
+
+    /// A 64-row batch of 3 inputs whose input 1 is zero in every row, by turns `+0.0`
+    /// and `−0.0`, and an identity layer wide enough for its 4-row tiles to skip it.
+    fn dead_input_batch_and_wide_layer() -> (Matrix, DenseLayer) {
+        let x = Matrix::from_fn(64, 3, |i, j| match (j, i % 2) {
+            (1, 0) => 0.0,
+            (1, _) => -0.0,
+            _ => ((i * 7 + j * 3) as f64 * 0.31).sin(),
+        });
+        let mut rng = StdRng::seed_from_u64(3);
+        (x, DenseLayer::new(3, 70, Activation::Identity, &mut rng))
+    }
+
+    #[test]
+    fn a_non_finite_weight_facing_a_dead_input_poisons_every_output_row() {
+        let (x, base) = dead_input_batch_and_wide_layer();
+        for value in [f64::INFINITY, f64::NAN] {
+            let mut l = base.clone();
+            l.visit_params(0, |id, params, _| {
+                if id == 0 {
+                    params[70] = value;
+                }
+            });
+            // Weight (1, 0) meets only the dead input, as 0·∞ or 0·NaN: the dense NaN.
+            let out = l.forward(&x);
+            assert!((0..64).all(|i| out.get(i, 0).is_nan()), "{value}");
+            let out = l.forward_train(&x);
+            assert!((0..64).all(|i| out.get(i, 0).is_nan()), "{value}");
+        }
+    }
+
+    #[test]
+    fn a_nan_in_dl_dz_makes_the_weight_gradient_of_a_dead_input_nan() {
+        let (x, mut l) = dead_input_batch_and_wide_layer();
+        let _ = l.forward_train(&x);
+        let mut grad = Matrix::from_fn(64, 70, |i, j| ((i + j) as f64 * 0.7).cos());
+        grad.set(5, 1, f64::NAN);
+        let _ = l.backward(&grad);
+        // The dense sum: row 1 of dL/dW is Σ 0·g, which is NaN in the column of the NaN.
+        assert!(l.grad_weights().get(1, 1).is_nan());
+        assert_eq!(l.grad_weights().get(1, 0).to_bits(), 0.0f64.to_bits());
+        let mut dense = Matrix::zeros(3, 70);
+        x.matmul_tn_acc(&grad, &mut dense);
+        assert_eq!(bits(l.grad_weights()), bits(&dense));
+    }
+
+    #[test]
+    fn an_adam_step_keeps_the_proof_only_while_every_weight_stays_finite() {
+        let (x, mut l) = dead_input_batch_and_wide_layer();
+        assert!(l.weights_finite);
+        let mut adam = Adam::new(0.01);
+        let _ = l.forward_train(&x);
+        let _ = l.backward(&Matrix::from_vec(64, 70, vec![0.5; 64 * 70]));
+        l.apply_gradients(0, &mut adam);
+        assert!(l.weights_finite);
+        // An infinite gradient makes Adam write NaN into weight (1, 0), which meets only
+        // the dead input: the layer loses its proof, so the output is the dense NaN.
+        l.clear_gradients();
+        l.grad_weights.set(1, 0, f64::INFINITY);
+        l.apply_gradients(0, &mut adam);
+        assert!(!l.weights_finite);
+        assert!(l.weights().get(1, 0).is_nan());
+        let out = l.forward(&x);
+        assert!((0..64).all(|i| out.get(i, 0).is_nan()));
     }
 
     #[test]

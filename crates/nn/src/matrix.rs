@@ -43,23 +43,38 @@
 //!
 //! # Skipping zero inputs
 //!
-//! Products skip zero operands only where that provably keeps the bits: in the edge rows
-//! of a product whose right operand is known to hold only finite values. A dense layer
-//! frozen for inference holds that proof for its weights (see
-//! [`crate::DenseLayer::drop_training_buffers`]), and a batch-1 forward pass then meets
-//! about half of each hidden layer's inputs as exact zeros after ReLU. Each such edge
-//! row collects its nonzero `(k, a_k)` terms once, with no branch, and its single-row
-//! tiles walk only those rows of the right operand, still in ascending `k`. That is
-//! bit-identical to the dense sum:
+//! Products skip the terms of zero elements of the left operand only where that
+//! provably keeps the bits. Each needs its own proof:
+//!
+//! - `a · W` (NN, every forward pass) and `dL/dz · Wᵀ` (NT, the backward pass's input
+//!   gradient) need every element of the right operand `W` to be finite. A dense layer
+//!   holds that proof for its weights from creation, through every Adam step that
+//!   writes only finite values, and after freezing (see [`crate::DenseLayer`]); a ReLU
+//!   layer's inputs and its `dL/dz` are exact zeros wherever a unit is inactive.
+//! - `dL/dW += inputᵀ · dL/dz` (TN-acc) needs every element of `dL/dz` to be finite,
+//!   which the product checks on each call, and an accumulator that holds no `−0.0`,
+//!   which the layer's gradient buffer never does.
+//!
+//! An edge row (every row of a batch of 1–3) collects its nonzero `(k, a_k)` terms
+//! once, with no branch, and its single-row tiles walk only those rows of the right
+//! operand, still in ascending `k`. An `MR`-row block collects, the same way, the `k`
+//! where any of its rows is nonzero, packed with the block's `MR` values of `a`; its
+//! tiles walk only those (NT splits them by partial-sum lane, each lane pass walking
+//! its own in ascending order), and a block with no all-zero `k` keeps the dense loop.
+//! TN-acc instead drops the columns of `input` that are zero in every row: its tiles
+//! run over the live columns, gathered into a compact operand, and leave the dead
+//! columns' accumulator rows alone. The blocks and TN-acc skip only in products at
+//! least `MIN_SKIP_LANES` (64) wide, where collecting the terms costs less than it
+//! saves. All of that is bit-identical to the dense sum:
 //!
 //! - with a finite `w`, a skipped term `±0·w` is `±0`;
-//! - every accumulator is seeded with `+0.0`, and under round-to-nearest a sum that
-//!   starts at `+0.0` is never `−0.0` (`x + y` is `−0.0` only when both are), so adding
-//!   `±0` never changes a partial sum, and dropping it leaves every later sum as it was.
+//! - every NN and NT accumulator is seeded with `+0.0`, and every TN-acc accumulator
+//!   from a value that is not `−0.0`; under round-to-nearest such a sum is never
+//!   `−0.0` (`x + y` is `−0.0` only when both are), so adding `±0` never changes a
+//!   partial sum, and dropping it leaves every later sum as it was.
 //!
 //! Only a non-finite `w` could make a skipped term matter: `0·∞` and `0·NaN` are NaN
-//! (IEEE 754), so every product without the proof, and every `MR`-row tile, keeps
-//! the dense loop, where a data-dependent branch would also defeat vectorization.
+//! (IEEE 754), so every product without the proof keeps the dense loop.
 //!
 //! # Instruction-set dispatch
 //!
@@ -103,16 +118,105 @@ const TAIL_LANES: usize = 8;
 const DOT_LANES: usize = 8;
 /// Dot products the `matmul_nt` kernel computes per pass over the left row.
 const NT_OUTS: usize = 4;
+/// The narrowest product whose [`MR`]-row tiles (and whose TN-acc columns) skip zero
+/// inputs: one collected term feeds at least this many output lanes. Collecting costs
+/// about as much as a narrow product itself (with skipping at every width, the
+/// `[32, 32]` agent's training update ran about 40% slower on a 2-vCPU AVX-512 Xeon),
+/// so narrower products keep the dense loop. The edge rows skip at every width.
+const MIN_SKIP_LANES: usize = 64;
 thread_local! {
     /// The packed `matmul_nt` panel: `k` rows of `NR` lanes, overwritten by every
     /// product and kept per thread so packing allocates only when `k · NR` grows.
     static NT_PANEL: std::cell::Cell<Vec<f64>> = const { std::cell::Cell::new(Vec::new()) };
-    /// One edge row's nonzero `(k, a_k)` terms in a zero-skipping product, overwritten
+    /// One edge row's nonzero `(k·n, a_k)` terms in a zero-skipping product, overwritten
     /// by every row and kept per thread so collecting them allocates only when `k`
     /// grows.
     static NONZERO_TERMS: std::cell::Cell<Vec<(usize, f64)>> =
         const { std::cell::Cell::new(Vec::new()) };
+    /// The live terms of every 4-row block of a zero-skipping product, overwritten by
+    /// every product (see [`BlockTerms`]).
+    static BLOCK_TERMS: std::cell::Cell<BlockTerms> = const {
+        std::cell::Cell::new(BlockTerms {
+            terms: Vec::new(),
+            lens: Vec::new(),
+            skips: Vec::new(),
+            lanes: 0,
+            cap: 0,
+        })
+    };
+    /// The live columns of a zero-skipping `matmul_tn_acc`'s left operand: their
+    /// indices, and their values gathered into a row-major `m × live` operand.
+    static LIVE_COLUMNS: std::cell::Cell<(Vec<usize>, Vec<f64>)> =
+        const { std::cell::Cell::new((Vec::new(), Vec::new())) };
 }
+
+/// The live terms of the [`MR`]-row blocks of a zero-skipping product's left operand,
+/// split into `lanes` lists per block: list `c` of block `b` holds, in ascending `k`,
+/// the `k ≡ c (mod lanes)` where any of the block's rows is nonzero, each carried as
+/// `(k · stride, [a_{i0,k}, .., a_{i0+MR-1,k}])` so a tile reads one packed entry per
+/// term. The lists are collected once per product and walked by every tile of the
+/// block; a block with no all-zero `k` runs the dense tiles, so its lists are not
+/// collected.
+#[derive(Default)]
+struct BlockTerms {
+    terms: Vec<(usize, [f64; MR])>,
+    /// `lens[b · lanes + c]`: the length of list `c` of block `b`, which starts at
+    /// `terms[(b · lanes + c) · cap]`.
+    lens: Vec<usize>,
+    /// Whether block `b` has an all-zero `k`, and so lists to walk.
+    skips: Vec<bool>,
+    lanes: usize,
+    /// `k.div_ceil(lanes)`: the room of each list.
+    cap: usize,
+}
+
+impl BlockTerms {
+    /// The thread's buffers, taken out of [`BLOCK_TERMS`] for one product (hand them
+    /// back with `set`), holding the lists of the first `blocks` blocks of `a`
+    /// (`· × kdim`, row-major). Branch-free, like the edge rows' terms: every term is
+    /// written, and a list's length only advances past a live one.
+    #[inline(always)]
+    fn take(a: &[f64], blocks: usize, kdim: usize, lanes: usize, stride: usize) -> Self {
+        let mut this = BLOCK_TERMS.take();
+        this.lanes = lanes;
+        this.cap = kdim.div_ceil(lanes);
+        this.terms.resize(blocks * lanes * this.cap, (0, [0.0; MR]));
+        this.lens.clear();
+        this.lens.resize(blocks * lanes, 0);
+        this.skips.clear();
+        for (block, rows) in a.chunks_exact(MR * kdim).take(blocks).enumerate() {
+            let rows: [&[f64]; MR] = std::array::from_fn(|r| &rows[r * kdim..(r + 1) * kdim]);
+            let zero = |kk: usize| rows.iter().fold(true, |zero, row| zero & (row[kk] == 0.0));
+            let skips = (0..kdim).fold(false, |any, kk| any | zero(kk));
+            this.skips.push(skips);
+            if !skips {
+                continue;
+            }
+            for c in 0..lanes {
+                let list = &mut this.terms[(block * lanes + c) * this.cap..][..this.cap];
+                let mut len = 0;
+                for kk in (c..kdim).step_by(lanes) {
+                    list[len] = (kk * stride, rows.map(|row| row[kk]));
+                    len += usize::from(!zero(kk));
+                }
+                this.lens[block * lanes + c] = len;
+            }
+        }
+        this
+    }
+
+    /// Block `block`'s lists, if it has an all-zero `k`.
+    fn skipping(&self, block: usize) -> Option<(&BlockTerms, usize)> {
+        self.skips[block].then_some((self, block))
+    }
+
+    /// List `c` of block `block`.
+    fn list(&self, block: usize, c: usize) -> &[(usize, [f64; MR])] {
+        let at = block * self.lanes + c;
+        &self.terms[at * self.cap..][..self.lens[at]]
+    }
+}
+
 /// An instruction-set level the product kernels are compiled for.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Isa {
@@ -177,12 +281,27 @@ pub fn kernel_isa() -> &'static str {
     Isa::current().name()
 }
 
+/// `acc[r][..] += av[r] · row` for every row `r` of a register tile: one term of the
+/// tile's ascending-`k` sums.
+#[inline(always)]
+fn add_term<const L: usize>(acc: &mut [[f64; L]; MR], av: [f64; MR], row: &[f64]) {
+    for (acc_row, a) in acc.iter_mut().zip(av) {
+        for (s, &bv) in acc_row.iter_mut().zip(row) {
+            *s += a * bv;
+        }
+    }
+}
+
 /// `out[i0..i0+MR][j0..j0+L] = a · b` for one full register tile of [`MR`] rows × `L`
 /// contiguous lanes, accumulating every element in strict ascending-`k` order. `a` is
-/// the `m × k` left operand, `b` the `k × n` right operand, both row-major.
+/// the `m × k` left operand, `b` the `k × n` right operand, both row-major. With
+/// `live`, the tile walks only the block's live `(k·n, [a_{i0,k}, ..])` terms
+/// ([`BlockTerms`]) instead of every `k` of `a`.
 #[inline(always)]
+#[allow(clippy::too_many_arguments)]
 fn tile_mr<const L: usize>(
     a: &[f64],
+    live: Option<&[(usize, [f64; MR])]>,
     b: &[f64],
     out: &mut [f64],
     kdim: usize,
@@ -191,12 +310,21 @@ fn tile_mr<const L: usize>(
     j0: usize,
 ) {
     let mut acc = [[0.0f64; L]; MR];
-    for kk in 0..kdim {
-        let brow = &b[kk * n + j0..kk * n + j0 + L];
-        for (r, acc_row) in acc.iter_mut().enumerate() {
-            let av = a[(i0 + r) * kdim + kk];
-            for (s, &bv) in acc_row.iter_mut().zip(brow) {
-                *s += av * bv;
+    match live {
+        Some(terms) => {
+            for &(offset, av) in terms {
+                add_term(&mut acc, av, &b[offset + j0..offset + j0 + L]);
+            }
+        }
+        None => {
+            for kk in 0..kdim {
+                let brow = &b[kk * n + j0..kk * n + j0 + L];
+                for (r, acc_row) in acc.iter_mut().enumerate() {
+                    let av = a[(i0 + r) * kdim + kk];
+                    for (s, &bv) in acc_row.iter_mut().zip(brow) {
+                        *s += av * bv;
+                    }
+                }
             }
         }
     }
@@ -205,20 +333,25 @@ fn tile_mr<const L: usize>(
     }
 }
 
+/// Row `arow` of a left operand as `(k·n, a_k)` terms, every `k` in ascending order.
+#[inline(always)]
+fn row_terms(arow: &[f64], n: usize) -> impl Iterator<Item = (usize, f64)> + Clone + '_ {
+    arow.iter().enumerate().map(move |(kk, &v)| (kk * n, v))
+}
+
 /// One-row, `W`-lane variant of [`tile_mr`] for the `m % MR` edge rows:
-/// `out_row[j0..j0+W] = Σ a_k · b[k, j0..j0+W]` over `terms`, the row's `(k, a_k)` pairs
-/// in ascending `k`.
+/// `out_row[j0..j0+W] = Σ a_k · b[k, j0..j0+W]` over `terms`, the row's `(k·n, a_k)`
+/// pairs in ascending `k`.
 #[inline(always)]
 fn tile_1<const W: usize>(
     terms: impl Iterator<Item = (usize, f64)>,
     b: &[f64],
     out_row: &mut [f64],
-    n: usize,
     j0: usize,
 ) {
     let mut acc = [0.0f64; W];
-    for (kk, av) in terms {
-        let brow = &b[kk * n + j0..kk * n + j0 + W];
+    for (offset, av) in terms {
+        let brow = &b[offset + j0..offset + j0 + W];
         for (s, &bv) in acc.iter_mut().zip(brow) {
             *s += av * bv;
         }
@@ -232,13 +365,12 @@ fn edge_cols(
     terms: impl Iterator<Item = (usize, f64)> + Clone,
     b: &[f64],
     out_row: &mut [f64],
-    n: usize,
     j0: usize,
 ) {
     for (j, o) in out_row.iter_mut().enumerate().skip(j0) {
         let mut s = 0.0f64;
-        for (kk, av) in terms.clone() {
-            s += av * b[kk * n + j];
+        for (offset, av) in terms.clone() {
+            s += av * b[offset + j];
         }
         *o = s;
     }
@@ -256,18 +388,18 @@ fn edge_row<const W: usize, const H: usize>(
     const { assert!(2 * H == W) };
     let mut j0 = 0;
     while j0 + W <= n {
-        tile_1::<W>(terms.clone(), b, out_row, n, j0);
+        tile_1::<W>(terms.clone(), b, out_row, j0);
         j0 += W;
     }
     if j0 + H <= n {
-        tile_1::<H>(terms.clone(), b, out_row, n, j0);
+        tile_1::<H>(terms.clone(), b, out_row, j0);
         j0 += H;
     }
     while j0 + TAIL_LANES <= n {
-        tile_1::<TAIL_LANES>(terms.clone(), b, out_row, n, j0);
+        tile_1::<TAIL_LANES>(terms.clone(), b, out_row, j0);
         j0 += TAIL_LANES;
     }
-    edge_cols(terms, b, out_row, n, j0);
+    edge_cols(terms, b, out_row, j0);
 }
 
 /// Blocked `out = a · b` (`m × k` times `k × n`, all row-major, `out` overwritten):
@@ -277,10 +409,12 @@ fn edge_row<const W: usize, const H: usize>(
 /// ones, then scalar columns. Bit-identical to the scalar `i, k, j` reference loop for
 /// every shape, `W` and `NR`.
 ///
-/// With `SKIP_ZEROS`, each edge row first collects its nonzero inputs and its tiles
-/// run over those rows of `b` only, in ascending `k`. That is bit-identical too when
-/// every element of `b` is finite (see the module docs); with a non-finite `b` it
-/// drops the NaN of a `0·∞` or `0·NaN` term.
+/// With `SKIP_ZEROS`, each [`MR`]-row block of a product at least [`MIN_SKIP_LANES`]
+/// wide first collects the `k` where any of its rows is nonzero ([`BlockTerms`]), and
+/// each edge row its nonzero inputs; their tiles run over those rows of `b` only, in
+/// ascending `k`. A block with no all-zero `k` runs the dense tiles, which read `a` in
+/// place. That is bit-identical too when every element of `b` is finite (see the
+/// module docs); with a non-finite `b` it drops the NaN of a `0·∞` or `0·NaN` term.
 #[inline(always)]
 fn gemm_nn_body<const W: usize, const H: usize, const NR: usize, const SKIP_ZEROS: bool>(
     a: &[f64],
@@ -294,22 +428,35 @@ fn gemm_nn_body<const W: usize, const H: usize, const NR: usize, const SKIP_ZERO
     debug_assert_eq!(b.len(), kdim * n);
     debug_assert_eq!(out.len(), m * n);
     let m_full = m - m % MR;
-    let mut i0 = 0;
-    while i0 < m_full {
+    let blocks =
+        (SKIP_ZEROS && n >= MIN_SKIP_LANES).then(|| BlockTerms::take(a, m_full / MR, kdim, 1, n));
+    for i0 in (0..m_full).step_by(MR) {
+        let live = blocks
+            .as_ref()
+            .and_then(|t| t.skipping(i0 / MR))
+            .map(|(t, block)| t.list(block, 0));
         let mut j0 = 0;
         while j0 + NR <= n {
-            tile_mr::<NR>(a, b, out, kdim, n, i0, j0);
+            tile_mr::<NR>(a, live, b, out, kdim, n, i0, j0);
             j0 += NR;
         }
         while j0 + TAIL_LANES <= n {
-            tile_mr::<TAIL_LANES>(a, b, out, kdim, n, i0, j0);
+            tile_mr::<TAIL_LANES>(a, live, b, out, kdim, n, i0, j0);
             j0 += TAIL_LANES;
         }
-        for i in i0..i0 + MR {
-            let terms = a[i * kdim..(i + 1) * kdim].iter().copied().enumerate();
-            edge_cols(terms, b, &mut out[i * n..(i + 1) * n], n, j0);
+        for r in 0..MR {
+            let out_row = &mut out[(i0 + r) * n..(i0 + r + 1) * n];
+            match live {
+                Some(terms) => {
+                    let terms = terms.iter().map(|&(offset, av)| (offset, av[r]));
+                    edge_cols(terms, b, out_row, j0);
+                }
+                None => edge_cols(row_terms(&a[(i0 + r) * kdim..][..kdim], n), b, out_row, j0),
+            }
         }
-        i0 += MR;
+    }
+    if let Some(blocks) = blocks {
+        BLOCK_TERMS.set(blocks);
     }
     let edge_rows = a[m_full * kdim..]
         .chunks_exact(kdim)
@@ -323,7 +470,7 @@ fn gemm_nn_body<const W: usize, const H: usize, const NR: usize, const SKIP_ZERO
             // nonzero one (about half the inputs of a ReLU layer are zero, at random).
             let mut len = 0;
             for (kk, &v) in arow.iter().enumerate() {
-                nonzero[len] = (kk, v);
+                nonzero[len] = (kk * n, v);
                 len += usize::from(v != 0.0);
             }
             edge_row::<W, H>(nonzero[..len].iter().copied(), b, out_row, n);
@@ -331,14 +478,14 @@ fn gemm_nn_body<const W: usize, const H: usize, const NR: usize, const SKIP_ZERO
         NONZERO_TERMS.set(nonzero);
     } else {
         for (arow, out_row) in edge_rows {
-            edge_row::<W, H>(arow.iter().copied().enumerate(), b, out_row, n);
+            edge_row::<W, H>(row_terms(arow, n), b, out_row, n);
         }
     }
 }
 
-/// `acc[j0..j0+R][l0..l0+L] += aᵀ · b` for one register tile of `R` accumulator rows
-/// (columns `j` of `a`) × `L` lanes, each element seeded from the accumulator and
-/// advanced in strict ascending-`i` order.
+/// `acc[rows[r]][l0..l0+L] += a[.., j0+r]ᵀ · b` for one register tile of `R`
+/// accumulator rows × `L` lanes, each element seeded from the accumulator and advanced
+/// in strict ascending-`i` order.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn tn_tile<const R: usize, const L: usize>(
@@ -349,11 +496,12 @@ fn tn_tile<const R: usize, const L: usize>(
     ja: usize,
     n: usize,
     j0: usize,
+    rows: [usize; R],
     l0: usize,
 ) {
     let mut tile = [[0.0f64; L]; R];
-    for (r, tile_row) in tile.iter_mut().enumerate() {
-        tile_row.copy_from_slice(&acc[(j0 + r) * n + l0..(j0 + r) * n + l0 + L]);
+    for (tile_row, &j) in tile.iter_mut().zip(&rows) {
+        tile_row.copy_from_slice(&acc[j * n + l0..j * n + l0 + L]);
     }
     for i in 0..m {
         let brow = &b[i * n + l0..i * n + l0 + L];
@@ -364,13 +512,14 @@ fn tn_tile<const R: usize, const L: usize>(
             }
         }
     }
-    for (r, tile_row) in tile.iter().enumerate() {
-        acc[(j0 + r) * n + l0..(j0 + r) * n + l0 + L].copy_from_slice(tile_row);
+    for (tile_row, &j) in tile.iter().zip(&rows) {
+        acc[j * n + l0..j * n + l0 + L].copy_from_slice(tile_row);
     }
 }
 
-/// The `R` accumulator rows from `j0` × `NR`-lane tiles, then [`TAIL_LANES`]-lane ones,
-/// then scalar edge columns, of [`gemm_tn_acc_body`].
+/// The `R` accumulator rows `rows`, fed by the columns `j0..j0+R` of `a`, × `NR`-lane
+/// tiles, then [`TAIL_LANES`]-lane ones, then scalar edge columns, of
+/// [`gemm_tn_acc_body`].
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn tn_rows<const R: usize, const NR: usize>(
@@ -381,24 +530,55 @@ fn tn_rows<const R: usize, const NR: usize>(
     ja: usize,
     n: usize,
     j0: usize,
+    rows: [usize; R],
 ) {
     let mut l0 = 0;
     while l0 + NR <= n {
-        tn_tile::<R, NR>(a, b, acc, m, ja, n, j0, l0);
+        tn_tile::<R, NR>(a, b, acc, m, ja, n, j0, rows, l0);
         l0 += NR;
     }
     while l0 + TAIL_LANES <= n {
-        tn_tile::<R, TAIL_LANES>(a, b, acc, m, ja, n, j0, l0);
+        tn_tile::<R, TAIL_LANES>(a, b, acc, m, ja, n, j0, rows, l0);
         l0 += TAIL_LANES;
     }
-    for j in j0..j0 + R {
+    for (r, j) in rows.into_iter().enumerate() {
         for l in l0..n {
             let mut s = acc[j * n + l];
             for i in 0..m {
-                s += a[i * ja + j] * b[i * n + l];
+                s += a[i * ja + j0 + r] * b[i * n + l];
             }
             acc[j * n + l] = s;
         }
+    }
+}
+
+/// `acc += aᵀ · b` with column `j` of `a` (`m × ja`) feeding accumulator row
+/// `rows(j)`: [`MR`]-row tiles, then single rows.
+#[inline(always)]
+fn tn_columns<const NR: usize>(
+    a: &[f64],
+    b: &[f64],
+    acc: &mut [f64],
+    m: usize,
+    ja: usize,
+    n: usize,
+    rows: impl Fn(usize) -> usize,
+) {
+    let j_full = ja - ja % MR;
+    for j0 in (0..j_full).step_by(MR) {
+        tn_rows::<MR, NR>(
+            a,
+            b,
+            acc,
+            m,
+            ja,
+            n,
+            j0,
+            std::array::from_fn(|r| rows(j0 + r)),
+        );
+    }
+    for j in j_full..ja {
+        tn_rows::<1, NR>(a, b, acc, m, ja, n, j, [rows(j)]);
     }
 }
 
@@ -408,8 +588,15 @@ fn tn_rows<const R: usize, const NR: usize>(
 /// existing accumulator value — exactly the incremental `+=` of the scalar reference
 /// loop. `a` is `m × ja` row-major, `b` is `m × n` row-major, `acc` is `ja × n`
 /// row-major.
+///
+/// With `SKIP_ZEROS`, at least [`MIN_SKIP_LANES`] lanes and every element of `b`
+/// finite (checked here, in one pass over `b`), the columns of `a` that are zero in
+/// every row are dropped first: the live ones are gathered into a compact operand, the
+/// tiles run over it, and a dead column's accumulator row is left as it is. The dense
+/// sum would add only `±0·b` terms to it, which leave it unchanged when `b` is finite
+/// and the row holds no `−0.0` (see the module docs).
 #[inline(always)]
-fn gemm_tn_acc_body<const NR: usize>(
+fn gemm_tn_acc_body<const NR: usize, const SKIP_ZEROS: bool>(
     a: &[f64],
     b: &[f64],
     acc: &mut [f64],
@@ -420,15 +607,38 @@ fn gemm_tn_acc_body<const NR: usize>(
     debug_assert_eq!(a.len(), m * ja);
     debug_assert_eq!(b.len(), m * n);
     debug_assert_eq!(acc.len(), ja * n);
-    let j_full = ja - ja % MR;
-    let mut j0 = 0;
-    while j0 < j_full {
-        tn_rows::<MR, NR>(a, b, acc, m, ja, n, j0);
-        j0 += MR;
+    let finite = || b.iter().fold(true, |finite, v| finite & v.is_finite());
+    if !SKIP_ZEROS || n < MIN_SKIP_LANES || !finite() {
+        tn_columns::<NR>(a, b, acc, m, ja, n, |j| j);
+        return;
     }
-    for j in j_full..ja {
-        tn_rows::<1, NR>(a, b, acc, m, ja, n, j);
+    // Taken out of the thread-local for the product, like `NT_PANEL`.
+    let (mut cols, mut gathered) = LIVE_COLUMNS.take();
+    // Flag every column with a nonzero element, then compact the flags in place into
+    // the live column indices (index `j` is read before any write reaches it).
+    cols.clear();
+    cols.resize(ja, 0);
+    for row in a.chunks_exact(ja) {
+        for (flag, &v) in cols.iter_mut().zip(row) {
+            *flag |= usize::from(v != 0.0);
+        }
     }
+    let mut live = 0;
+    for j in 0..ja {
+        let flag = cols[j];
+        cols[live] = j;
+        live += flag;
+    }
+    if live == ja {
+        tn_columns::<NR>(a, b, acc, m, ja, n, |j| j);
+    } else if live > 0 {
+        gathered.clear();
+        for row in a.chunks_exact(ja) {
+            gathered.extend(cols[..live].iter().map(|&j| row[j]));
+        }
+        tn_columns::<NR>(&gathered, b, acc, m, live, n, |j| cols[j]);
+    }
+    LIVE_COLUMNS.set((cols, gathered));
 }
 
 /// `O` dot products `Σ_k x_k · y_k` sharing the left operand `x`, each in
@@ -469,11 +679,14 @@ fn dot_lanes<const O: usize>(x: &[f64], ys: [&[f64]; O]) -> [f64; O] {
 /// interleaved partial sum `c` of [`dot_lanes`] runs as its own [`MR`] × `NR` pass over
 /// the terms `k ≡ c (mod DOT_LANES)` in ascending order — a broadcast of `a[i, k]`
 /// times a contiguous panel row, as in [`tile_mr`] — and the lanes are combined by the
-/// same fixed tree, so every output has the bits of [`dot_lanes`].
+/// same fixed tree, so every output has the bits of [`dot_lanes`]. With `live`, lane
+/// pass `c` walks only the block's live `(k, [a_{i0,k}, ..])` terms of list `c`
+/// ([`BlockTerms`]).
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn nt_tile<const NR: usize>(
     a: &[f64],
+    live: Option<(&BlockTerms, usize)>,
     panel: &[[f64; NR]],
     out: &mut [f64],
     kdim: usize,
@@ -484,12 +697,21 @@ fn nt_tile<const NR: usize>(
     let mut lanes = [[[0.0f64; NR]; MR]; DOT_LANES];
     for (c, lane) in lanes.iter_mut().enumerate() {
         let mut acc = [[0.0f64; NR]; MR];
-        for kk in (c..kdim).step_by(DOT_LANES) {
-            let prow = &panel[kk];
-            for (r, acc_row) in acc.iter_mut().enumerate() {
-                let av = a[(i0 + r) * kdim + kk];
-                for (s, &pv) in acc_row.iter_mut().zip(prow) {
-                    *s += av * pv;
+        match live {
+            Some((blocks, block)) => {
+                for &(kk, av) in blocks.list(block, c) {
+                    add_term(&mut acc, av, &panel[kk]);
+                }
+            }
+            None => {
+                for kk in (c..kdim).step_by(DOT_LANES) {
+                    let prow = &panel[kk];
+                    for (r, acc_row) in acc.iter_mut().enumerate() {
+                        let av = a[(i0 + r) * kdim + kk];
+                        for (s, &pv) in acc_row.iter_mut().zip(prow) {
+                            *s += av * pv;
+                        }
+                    }
                 }
             }
         }
@@ -509,8 +731,14 @@ fn nt_tile<const NR: usize>(
 /// of [`dot_lanes`]. Each block of `NR` outputs is packed into a panel once and its
 /// [`MR`]-row tiles run through [`nt_tile`]; the edge rows and the edge outputs run
 /// [`NT_OUTS`] dot products per pass over `a.row(i)`, then single ones.
+///
+/// With `SKIP_ZEROS`, each [`MR`]-row block of a product at least [`MIN_SKIP_LANES`]
+/// wide first collects, per partial-sum lane, the `k` where any of its rows is nonzero
+/// ([`BlockTerms`]), and each lane pass of its tiles walks only those. A block with no
+/// all-zero `k` runs the dense tiles. As for [`gemm_nn_body`], that keeps the bits
+/// when every element of `b` is finite.
 #[inline(always)]
-fn gemm_nt_body<const NR: usize>(
+fn gemm_nt_body<const NR: usize, const SKIP_ZEROS: bool>(
     a: &[f64],
     b: &[f64],
     out: &mut [f64],
@@ -527,9 +755,11 @@ fn gemm_nt_body<const NR: usize>(
         (0, 0)
     };
     if n_tiled > 0 {
-        // Taken out of the thread-local for the product (no closure, so the packing
+        // Taken out of the thread-locals for the product (no closure, so the packing
         // and the tiles compile at this body's instruction-set level).
         let mut buffer = NT_PANEL.take();
+        let blocks = (SKIP_ZEROS && n >= MIN_SKIP_LANES)
+            .then(|| BlockTerms::take(a, m_tiled / MR, kdim, DOT_LANES, 1));
         buffer.resize(kdim * NR, 0.0);
         let panel = buffer.as_chunks_mut::<NR>().0;
         for l0 in (0..n_tiled).step_by(NR) {
@@ -542,10 +772,14 @@ fn gemm_nt_body<const NR: usize>(
                 }
             }
             for i0 in (0..m_tiled).step_by(MR) {
-                nt_tile::<NR>(a, panel, out, kdim, n, i0, l0);
+                let live = blocks.as_ref().and_then(|t| t.skipping(i0 / MR));
+                nt_tile::<NR>(a, live, panel, out, kdim, n, i0, l0);
             }
         }
         NT_PANEL.set(buffer);
+        if let Some(blocks) = blocks {
+            BLOCK_TERMS.set(blocks);
+        }
     }
     let b_row = |l: usize| &b[l * kdim..(l + 1) * kdim];
     for i in 0..m {
@@ -595,73 +829,73 @@ mod x86 {
         gemm_nn_avx512 = gemm_nn_body::<128, 64, 16, false> @ "avx512f";
         gemm_nn_skip_avx2 = gemm_nn_body::<32, 16, 8, true> @ "avx2";
         gemm_nn_skip_avx512 = gemm_nn_body::<128, 64, 16, true> @ "avx512f";
-        gemm_tn_acc_avx2 = gemm_tn_acc_body::<8> @ "avx2";
-        gemm_tn_acc_avx512 = gemm_tn_acc_body::<16> @ "avx512f";
-        gemm_nt_avx2 = gemm_nt_body::<8> @ "avx2";
-        gemm_nt_avx512 = gemm_nt_body::<16> @ "avx512f";
+        gemm_tn_acc_avx2 = gemm_tn_acc_body::<8, false> @ "avx2";
+        gemm_tn_acc_avx512 = gemm_tn_acc_body::<16, false> @ "avx512f";
+        gemm_tn_acc_skip_avx2 = gemm_tn_acc_body::<8, true> @ "avx2";
+        gemm_tn_acc_skip_avx512 = gemm_tn_acc_body::<16, true> @ "avx512f";
+        gemm_nt_avx2 = gemm_nt_body::<8, false> @ "avx2";
+        gemm_nt_avx512 = gemm_nt_body::<16, false> @ "avx512f";
+        gemm_nt_skip_avx2 = gemm_nt_body::<8, true> @ "avx2";
+        gemm_nt_skip_avx512 = gemm_nt_body::<16, true> @ "avx512f";
     }
 }
 
-/// [`gemm_nn_body`] at level `isa`, skipping the zero inputs of the edge rows when
-/// `skip_zeros` is set.
-#[allow(clippy::too_many_arguments)]
-fn gemm_nn(
-    isa: Isa,
-    skip_zeros: bool,
-    a: &[f64],
-    b: &[f64],
-    out: &mut [f64],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    match (isa, skip_zeros) {
-        (Isa::Baseline, false) => gemm_nn_body::<16, 8, 8, false>(a, b, out, m, k, n),
-        (Isa::Baseline, true) => gemm_nn_body::<16, 8, 8, true>(a, b, out, m, k, n),
-        // SAFETY: an `Isa::Avx2` value only exists once `is_x86_feature_detected!("avx2")`
-        // returned true (`Isa::supported`).
-        #[cfg(target_arch = "x86_64")]
-        (Isa::Avx2, false) => unsafe { x86::gemm_nn_avx2(a, b, out, m, k, n) },
-        // SAFETY: as above.
-        #[cfg(target_arch = "x86_64")]
-        (Isa::Avx2, true) => unsafe { x86::gemm_nn_skip_avx2(a, b, out, m, k, n) },
-        // SAFETY: an `Isa::Avx512` value only exists once
-        // `is_x86_feature_detected!("avx512f")` returned true (`Isa::supported`).
-        #[cfg(target_arch = "x86_64")]
-        (Isa::Avx512, false) => unsafe { x86::gemm_nn_avx512(a, b, out, m, k, n) },
-        // SAFETY: as above.
-        #[cfg(target_arch = "x86_64")]
-        (Isa::Avx512, true) => unsafe { x86::gemm_nn_skip_avx512(a, b, out, m, k, n) },
-    }
+/// One product kernel at every level, dense and zero-skipping:
+/// `$name(isa, skip_zeros, a, b, out, m, k, n)` calls the `$body` instantiation of
+/// level `isa`, skipping zero terms when `skip_zeros` is set.
+macro_rules! dispatch {
+    ($(
+        $(#[$doc:meta])*
+        $name:ident = $body:ident<$($base:literal),+> {
+            $avx2:ident, $skip_avx2:ident, $avx512:ident, $skip_avx512:ident $(,)?
+        }
+    )*) => {$(
+        $(#[$doc])*
+        #[allow(clippy::too_many_arguments)]
+        fn $name(
+            isa: Isa,
+            skip_zeros: bool,
+            a: &[f64],
+            b: &[f64],
+            out: &mut [f64],
+            m: usize,
+            k: usize,
+            n: usize,
+        ) {
+            match (isa, skip_zeros) {
+                (Isa::Baseline, false) => $body::<$($base),+, false>(a, b, out, m, k, n),
+                (Isa::Baseline, true) => $body::<$($base),+, true>(a, b, out, m, k, n),
+                // SAFETY: an `Isa::Avx2` value only exists once
+                // `is_x86_feature_detected!("avx2")` returned true (`Isa::supported`).
+                #[cfg(target_arch = "x86_64")]
+                (Isa::Avx2, false) => unsafe { x86::$avx2(a, b, out, m, k, n) },
+                // SAFETY: as above.
+                #[cfg(target_arch = "x86_64")]
+                (Isa::Avx2, true) => unsafe { x86::$skip_avx2(a, b, out, m, k, n) },
+                // SAFETY: an `Isa::Avx512` value only exists once
+                // `is_x86_feature_detected!("avx512f")` returned true (`Isa::supported`).
+                #[cfg(target_arch = "x86_64")]
+                (Isa::Avx512, false) => unsafe { x86::$avx512(a, b, out, m, k, n) },
+                // SAFETY: as above.
+                #[cfg(target_arch = "x86_64")]
+                (Isa::Avx512, true) => unsafe { x86::$skip_avx512(a, b, out, m, k, n) },
+            }
+        }
+    )*};
 }
 
-/// [`gemm_tn_acc_body`] at level `isa`.
-fn gemm_tn_acc(isa: Isa, a: &[f64], b: &[f64], acc: &mut [f64], m: usize, ja: usize, n: usize) {
-    match isa {
-        Isa::Baseline => gemm_tn_acc_body::<8>(a, b, acc, m, ja, n),
-        // SAFETY: an `Isa::Avx2` value only exists once `is_x86_feature_detected!("avx2")`
-        // returned true (`Isa::supported`).
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => unsafe { x86::gemm_tn_acc_avx2(a, b, acc, m, ja, n) },
-        // SAFETY: an `Isa::Avx512` value only exists once
-        // `is_x86_feature_detected!("avx512f")` returned true (`Isa::supported`).
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 => unsafe { x86::gemm_tn_acc_avx512(a, b, acc, m, ja, n) },
+dispatch! {
+    /// [`gemm_nn_body`] at level `isa`.
+    gemm_nn = gemm_nn_body<16, 8, 8> {
+        gemm_nn_avx2, gemm_nn_skip_avx2, gemm_nn_avx512, gemm_nn_skip_avx512,
     }
-}
-
-/// [`gemm_nt_body`] at level `isa`.
-fn gemm_nt(isa: Isa, a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
-    match isa {
-        Isa::Baseline => gemm_nt_body::<8>(a, b, out, m, k, n),
-        // SAFETY: an `Isa::Avx2` value only exists once `is_x86_feature_detected!("avx2")`
-        // returned true (`Isa::supported`).
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => unsafe { x86::gemm_nt_avx2(a, b, out, m, k, n) },
-        // SAFETY: an `Isa::Avx512` value only exists once
-        // `is_x86_feature_detected!("avx512f")` returned true (`Isa::supported`).
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 => unsafe { x86::gemm_nt_avx512(a, b, out, m, k, n) },
+    /// [`gemm_tn_acc_body`] at level `isa` (`out` is the accumulator, `k` its rows).
+    gemm_tn_acc = gemm_tn_acc_body<8> {
+        gemm_tn_acc_avx2, gemm_tn_acc_skip_avx2, gemm_tn_acc_avx512, gemm_tn_acc_skip_avx512,
+    }
+    /// [`gemm_nt_body`] at level `isa`.
+    gemm_nt = gemm_nt_body<8> {
+        gemm_nt_avx2, gemm_nt_skip_avx2, gemm_nt_avx512, gemm_nt_skip_avx512,
     }
 }
 
@@ -808,10 +1042,10 @@ impl Matrix {
         self.product_into(other, out, false);
     }
 
-    /// [`Matrix::matmul_into`] with the edge rows (every row of a batch of 1–3) skipping
-    /// their zero elements: the same bits, provided every element of `finite` is
-    /// finite. A non-finite element of `finite` facing a zero of `self` would make the
-    /// dense product NaN and this one not, so callers must hold a proof of finiteness.
+    /// [`Matrix::matmul_into`] skipping the terms of zero elements of `self`: the same
+    /// bits, provided every element of `finite` is finite. A non-finite element of
+    /// `finite` facing a zero of `self` would make the dense product NaN and this one
+    /// not, so callers must hold a proof of finiteness.
     ///
     /// # Panics
     /// Panics if the inner dimensions do not match.
@@ -846,6 +1080,22 @@ impl Matrix {
     /// # Panics
     /// Panics if shapes are inconsistent.
     pub fn matmul_tn_acc(&self, other: &Matrix, acc: &mut Matrix) {
+        self.tn_acc(other, acc, false);
+    }
+
+    /// [`Matrix::matmul_tn_acc`] leaving alone the accumulator rows of the columns of
+    /// `self` that are zero in every row while every element of `other` is finite (it
+    /// checks, and runs the dense loop otherwise): the same bits, provided no element
+    /// of `acc` is `−0.0` (the dense sum would add `±0` terms, which turn a `−0.0` into
+    /// `+0.0`; with a non-finite `other`, a `0·∞` into NaN).
+    ///
+    /// # Panics
+    /// Panics if shapes are inconsistent.
+    pub(crate) fn matmul_tn_acc_skipping_zeros(&self, other: &Matrix, acc: &mut Matrix) {
+        self.tn_acc(other, acc, true);
+    }
+
+    fn tn_acc(&self, other: &Matrix, acc: &mut Matrix, skip_zeros: bool) {
         assert_eq!(
             self.rows, other.rows,
             "matmul_tn dimension mismatch: {}x{}ᵀ · {}x{}",
@@ -858,6 +1108,7 @@ impl Matrix {
         );
         gemm_tn_acc(
             Isa::current(),
+            skip_zeros,
             &self.data,
             &other.data,
             &mut acc.data,
@@ -884,6 +1135,20 @@ impl Matrix {
     /// # Panics
     /// Panics if the column counts differ.
     pub fn matmul_nt_into(&self, other: &Matrix, out: &mut Matrix) {
+        self.nt_into(other, out, false);
+    }
+
+    /// [`Matrix::matmul_nt_into`] skipping the terms of zero elements of `self`: the
+    /// same bits, provided every element of `finite` is finite (as for
+    /// [`Matrix::matmul_into_skipping_zeros`]).
+    ///
+    /// # Panics
+    /// Panics if the column counts differ.
+    pub(crate) fn matmul_nt_into_skipping_zeros(&self, finite: &Matrix, out: &mut Matrix) {
+        self.nt_into(finite, out, true);
+    }
+
+    fn nt_into(&self, other: &Matrix, out: &mut Matrix, skip_zeros: bool) {
         assert_eq!(
             self.cols, other.cols,
             "matmul_nt dimension mismatch: {}x{} · {}x{}ᵀ",
@@ -892,6 +1157,7 @@ impl Matrix {
         out.reshape_for_overwrite(self.rows, other.rows);
         gemm_nt(
             Isa::current(),
+            skip_zeros,
             &self.data,
             &other.data,
             &mut out.data,
@@ -1274,7 +1540,7 @@ mod isa_tests {
     use crate::dueling::DuelingQNetwork;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     /// Output widths straddling the single-row tile widths (16/32/128) and their halves
     /// (8/16/64), the 4-row tile widths (8/16) and the 8-lane tail.
@@ -1396,7 +1662,7 @@ mod isa_tests {
                 reference_tn_acc(&a, &b, &mut reference, m, ja, n);
                 for isa in Isa::supported() {
                     let mut acc = seeded.clone();
-                    gemm_tn_acc(isa, &a, &b, &mut acc, m, ja, n);
+                    gemm_tn_acc(isa, false, &a, &b, &mut acc, m, ja, n);
                     prop_assert_eq!(bits(&acc), bits(&reference), "{:?} {}x{}x{}", isa, m, ja, n);
                 }
             }
@@ -1416,7 +1682,7 @@ mod isa_tests {
                 let reference = bits(&reference_nt(&a, &b, m, k, n));
                 for isa in Isa::supported() {
                     let mut out = vec![f64::NAN; m * n];
-                    gemm_nt(isa, &a, &b, &mut out, m, k, n);
+                    gemm_nt(isa, false, &a, &b, &mut out, m, k, n);
                     prop_assert_eq!(bits(&out), reference.clone(), "{:?} {}x{}x{}", isa, m, k, n);
                 }
             }
@@ -1446,7 +1712,7 @@ mod isa_tests {
 
     #[test]
     fn zero_skipping_matches_the_scalar_reference_at_every_level() {
-        // m = 5 runs one 4-row tile (dense) and one zero-skipping edge row.
+        // m = 5 runs one 4-row tile and one edge row, both zero-skipping.
         for m in [1, 2, 3, 5] {
             for k in EDGE_WIDTHS {
                 for n in EDGE_WIDTHS {
@@ -1460,6 +1726,70 @@ mod isa_tests {
                         assert_eq!(bits(&out), reference, "{isa:?} {m}x{k}x{n}");
                     }
                 }
+            }
+        }
+    }
+
+    /// An `m × k` batch of ReLU-like inputs: some columns zero in every row, some
+    /// 4-row blocks zero in a column, and half of the other values zero, the zeros
+    /// `+0.0` or `−0.0` at random.
+    fn relu_batch(m: usize, k: usize, rng: &mut StdRng) -> Matrix {
+        let dead: Vec<bool> = (0..k).map(|_| rng.gen_bool(0.3)).collect();
+        let mut a = Matrix::from_fn(m, k, |_, _| rng.gen_range(-2.0..2.0));
+        for i0 in (0..m).step_by(4) {
+            for (kk, &dead) in dead.iter().enumerate() {
+                let block_zero = rng.gen_bool(0.2);
+                for i in i0..(i0 + 4).min(m) {
+                    if dead || block_zero || rng.gen_bool(0.5) {
+                        a.set(i, kk, if rng.gen_bool(0.5) { 0.0 } else { -0.0 });
+                    }
+                }
+            }
+        }
+        a
+    }
+
+    #[test]
+    fn skipping_products_give_the_dense_bits_at_every_level() {
+        let mut rng = StdRng::seed_from_u64(30);
+        for case in 0..60 {
+            // m spans whole 4-row blocks plus 0–3 edge rows; k spans k % DOT_LANES ≠ 0;
+            // n spans every level's tile widths plus ragged edges, on both sides of
+            // MIN_SKIP_LANES.
+            let m = rng.gen_range(4..=67);
+            let k = rng.gen_range(1..=70);
+            let n = if case % 2 == 0 {
+                EDGE_WIDTHS[case / 2 % EDGE_WIDTHS.len()]
+            } else {
+                rng.gen_range(1..=200)
+            };
+            let input = relu_batch(m, k, &mut rng);
+            let weights = Matrix::from_fn(k, n, |_, _| rng.gen_range(-1.0..1.0));
+            let weights_t = Matrix::from_fn(n, k, |_, _| rng.gen_range(-1.0..1.0));
+            let grad_z = Matrix::from_fn(m, n, |_, _| rng.gen_range(-1.0..1.0));
+            // An accumulator of finite values and `+0.0`s, never `−0.0`.
+            let seed = Matrix::from_fn(k, n, |_, _| {
+                if rng.gen_bool(0.2) {
+                    0.0
+                } else {
+                    rng.gen_range(-1.0..1.0)
+                }
+            });
+            for isa in Isa::supported() {
+                let what = format!("{isa:?} {m}x{k}x{n}");
+                at_level(isa, || {
+                    let (mut dense, mut skipping) = (Matrix::zeros(1, 1), Matrix::zeros(1, 1));
+                    input.matmul_into(&weights, &mut dense);
+                    input.matmul_into_skipping_zeros(&weights, &mut skipping);
+                    assert_eq!(bits(skipping.data()), bits(dense.data()), "NN {what}");
+                    input.matmul_nt_into(&weights_t, &mut dense);
+                    input.matmul_nt_into_skipping_zeros(&weights_t, &mut skipping);
+                    assert_eq!(bits(skipping.data()), bits(dense.data()), "NT {what}");
+                    let (mut dense, mut skipping) = (seed.clone(), seed.clone());
+                    input.matmul_tn_acc(&grad_z, &mut dense);
+                    input.matmul_tn_acc_skipping_zeros(&grad_z, &mut skipping);
+                    assert_eq!(bits(skipping.data()), bits(dense.data()), "TN-acc {what}");
+                });
             }
         }
     }
@@ -1486,7 +1816,7 @@ mod isa_tests {
                 let at = a[..k].to_vec();
                 let bt = b[..n].to_vec();
                 let mut acc = vec![0.0; k * n];
-                gemm_tn_acc(isa, &at, &bt, &mut acc, 1, k, n);
+                gemm_tn_acc(isa, false, &at, &bt, &mut acc, 1, k, n);
                 assert!(acc[..n].iter().all(|v| v.is_nan()), "{isa:?} TN m={m}");
 
                 // a · bᵀ: lane 0 of every row of `a` is zero; make lane 0 of every row of
@@ -1496,7 +1826,7 @@ mod isa_tests {
                     bn[l * k] = f64::INFINITY;
                 }
                 let mut nt = vec![0.0; m * n];
-                gemm_nt(isa, &a, &bn, &mut nt, m, k, n);
+                gemm_nt(isa, false, &a, &bn, &mut nt, m, k, n);
                 assert!(nt.iter().all(|v| v.is_nan()), "{isa:?} NT m={m}");
             }
         }

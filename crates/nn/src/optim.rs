@@ -36,8 +36,10 @@ impl Adam {
         }
     }
 
-    /// Update one parameter tensor in place given its accumulated gradient.
-    pub fn update(&mut self, tensor_id: usize, params: &mut [f64], grads: &[f64]) {
+    /// Update one parameter tensor in place given its accumulated gradient. Returns
+    /// whether every parameter it wrote is finite: a layer keeps its proof that its
+    /// weights are finite from this, with no second pass over them.
+    pub fn update(&mut self, tensor_id: usize, params: &mut [f64], grads: &[f64]) -> bool {
         assert_eq!(
             params.len(),
             grads.len(),
@@ -60,6 +62,7 @@ impl Adam {
         assert_eq!(m.len(), params.len(), "tensor size changed");
         let bias1 = 1.0 - self.beta1.powf(t);
         let bias2 = 1.0 - self.beta2.powf(t);
+        let mut all_finite = true;
         for (((p, &g), mi), vi) in params
             .iter_mut()
             .zip(grads)
@@ -71,7 +74,9 @@ impl Adam {
             let m_hat = *mi / bias1;
             let v_hat = *vi / bias2;
             *p -= self.lr * m_hat / (v_hat.sqrt() + self.epsilon);
+            all_finite &= p.is_finite();
         }
+        all_finite
     }
 }
 
@@ -106,6 +111,20 @@ mod tests {
             (a[0] + b[0]).abs() < 1e-12,
             "symmetric histories stay symmetric"
         );
+    }
+
+    #[test]
+    fn update_reports_whether_every_written_parameter_is_finite() {
+        let mut opt = Adam::new(0.1);
+        let mut params = vec![0.5, -1.0, 2.0];
+        assert!(opt.update(0, &mut params, &[1.0, 0.0, -3.0]));
+        assert!(params.iter().all(|p| p.is_finite()));
+        // An infinite gradient writes a NaN parameter (∞ / ∞ in the step).
+        assert!(!opt.update(0, &mut params, &[0.0, f64::INFINITY, 0.0]));
+        assert!(params[1].is_nan());
+        // An already infinite parameter stays infinite under a finite step.
+        let mut params = vec![f64::INFINITY];
+        assert!(!opt.update(1, &mut params, &[1.0]));
     }
 
     #[test]

@@ -324,8 +324,8 @@ impl DqnAgent {
     /// Q-values and the training buffers of the update and of the online network,
     /// which it freezes for inference
     /// (`DuelingQNetwork::drop_training_buffers`). Greedy inference
-    /// ([`DqnAgent::with_q_values`]) keeps its bits and gets faster; only further
-    /// training would differ. The parallel hyperparameter search compacts every
+    /// ([`DqnAgent::with_q_values`]) keeps its bits; only further training would
+    /// differ. The parallel hyperparameter search compacts every
     /// candidate policy so a round of trained agents does not pin one filled replay
     /// buffer per candidate.
     pub fn compact_for_inference(&mut self) {
