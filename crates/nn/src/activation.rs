@@ -7,7 +7,8 @@ use serde::{Deserialize, Serialize};
 pub enum Activation {
     /// Identity (used for output heads that predict unbounded Q-values).
     Identity,
-    /// Rectified linear unit, `max(0, x)` (the hidden layers of the trunk).
+    /// Rectified linear unit, `max(0, x)` (the hidden layers of the trunk); NaN and
+    /// `-0.0` map to `+0.0`.
     Relu,
 }
 
@@ -16,7 +17,15 @@ impl Activation {
     pub fn apply(self, x: f64) -> f64 {
         match self {
             Activation::Identity => x,
-            Activation::Relu => x.max(0.0),
+            // Not `x.max(0.0)`: `f64::max` leaves the sign of a zero result
+            // unspecified, and gives `-0.0` for `-0.0` in debug builds only.
+            Activation::Relu => {
+                if x > 0.0 {
+                    x
+                } else {
+                    0.0
+                }
+            }
         }
     }
 
@@ -71,22 +80,20 @@ mod tests {
         assert_eq!(Activation::Relu.derivative(0.1), 1.0);
     }
 
-    /// Pins today's `x.max(0.0)` at its edges, through an opaque input so that neither
-    /// the scalar path nor the layers' element-wise maps get constant-folded: a NaN
-    /// pre-activation becomes `+0.0` (it does not propagate), and `-0.0` becomes a zero
-    /// whose sign `f64::max` leaves unspecified (`-0.0` in debug builds, `+0.0` in
-    /// release builds today). Both feed the trained agent's bits, so the ReLU must not
-    /// be rewritten as a tidy-up: what a NaN pre-activation should become belongs to the
-    /// fail-safe item of ROADMAP.md (a NaN Q-value gets a defined outcome).
+    /// Pins the ReLU at its edges in every build profile, through an opaque input so
+    /// that neither the scalar path nor the layers' element-wise maps get
+    /// constant-folded: a NaN pre-activation becomes `+0.0` (it does not propagate),
+    /// and so does `-0.0`. Both feed the trained agent's bits. What a NaN
+    /// pre-activation should become belongs to the fail-safe item of ROADMAP.md (a NaN
+    /// Q-value gets a defined outcome).
     #[test]
     fn relu_maps_nan_to_zero_and_negative_zero_to_a_zero() {
         let relu = |x: f64| Activation::Relu.apply(std::hint::black_box(x));
         assert_eq!(relu(f64::NAN).to_bits(), 0.0f64.to_bits());
-        assert_eq!(relu(-0.0), 0.0);
+        assert_eq!(relu(-0.0).to_bits(), 0.0f64.to_bits());
         let mut m = Matrix::from_fn(3, 17, |i, _| [f64::NAN, -0.0, -1.0][i]);
         m.map_assign(|x| Activation::Relu.apply(std::hint::black_box(x)));
-        assert!(m.row(0).iter().all(|v| v.to_bits() == 0.0f64.to_bits()));
-        assert!(m.data().iter().all(|&v| v == 0.0));
+        assert!(m.data().iter().all(|v| v.to_bits() == 0.0f64.to_bits()));
         assert_eq!(Activation::Relu.derivative(f64::NAN), 0.0);
         assert_eq!(Activation::Relu.derivative(-0.0), 0.0);
     }
